@@ -25,7 +25,8 @@ class Composition(tuple):
     def __new__(cls, parts=()):
         self = super().__new__(cls, parts)
         for part in self:
-            if not isinstance(part, int) or part < 1:
+            # bool subclasses int, but True is not a part
+            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
                 raise ValueError(
                     f"composition parts must be positive integers, got {part!r}"
                 )

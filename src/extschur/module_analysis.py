@@ -39,8 +39,11 @@ class ModuleMatrices:
 
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
-    alpha = Composition(alpha)
-    filt = filtration(alpha)
+    return _matrices(filtration(Composition(alpha)))
+
+
+def _matrices(filt: Filtration) -> ModuleMatrices:
+    alpha = filt.alpha
     m = len(filt)
     mats = []
     for i in range(1, alpha.weight):
@@ -62,9 +65,11 @@ def composition_factors(alpha) -> CompositionFactorList:
     or kills it, so the factor is the composition whose subset collects
     the non-fixing operator indices.
     """
-    alpha = Composition(alpha)
-    filt = filtration(alpha)
-    n = alpha.weight
+    return _composition_factors(filtration(Composition(alpha)))
+
+
+def _composition_factors(filt: Filtration) -> CompositionFactorList:
+    n = filt.alpha.weight
     factors = []
     for t in filt.order:
         moved = tuple(
@@ -106,8 +111,10 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     sparse linear constraint per entry of the commutator.  The solution
     space is extracted by exact fraction-free elimination.
     """
-    alpha = Composition(alpha)
-    mod = matrices(alpha)
+    return _commutant_basis(matrices(alpha))
+
+
+def _commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
     m = len(mod.order)
     rows = []
     for mat in mod.mats:
@@ -135,7 +142,7 @@ def commutant_basis(alpha) -> EndomorphismSpace:
         tuple(tuple(vector[r * m + c] for c in range(m)) for r in range(m))
         for vector in vectors
     )
-    return EndomorphismSpace(alpha, basis)
+    return EndomorphismSpace(mod.alpha, basis)
 
 
 @dataclass(frozen=True)
@@ -186,10 +193,11 @@ def analysis_report(alpha) -> dict:
     """JSON-ready summary: dimension, factors in filtration order, the
     characteristic, and the commutant verdict."""
     alpha = Composition(alpha)
-    factors = composition_factors(alpha)
+    mod = matrices(alpha)
+    factors = _composition_factors(mod.order)
     counts = Counter(factors)
     element = QSymElement(alpha.weight, "F", dict(counts))
-    space = commutant_basis(alpha)
+    space = _commutant_basis(mod)
     return {
         "alpha": list(alpha),
         "dim": len(factors),

@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import factorial
+from types import MappingProxyType
 
 from .compositions import (
     Composition,
@@ -35,12 +37,13 @@ class QSymElement:
     one degree, tagged with the basis the coefficients refer to.
 
     Zero coefficients are never stored, so equality is plain field
-    equality.
+    equality.  ``coeffs`` is a read-only mapping, so elements are
+    immutable and hashable.
     """
 
     degree: int
     basis: str
-    coeffs: dict
+    coeffs: Mapping[Composition, int]
 
     def __post_init__(self):
         if self.basis not in BASES:
@@ -58,7 +61,14 @@ class QSymElement:
                 raise ValueError(f"coefficients must be integers, got {value!r}")
             if value:
                 clean[alpha] = value
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.basis, frozenset(self.coeffs.items())))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; rebuild from a plain dict
+        return (QSymElement, (self.degree, self.basis, dict(self.coeffs)))
 
     def terms(self) -> list[tuple[Composition, int]]:
         """Terms sorted lexicographically by composition."""

@@ -117,8 +117,47 @@ def enumerate_srit(alpha: Composition) -> list[Tableau]:
 
 
 def enumerate_set(alpha: Composition) -> list[Tableau]:
-    """All standard extended tableaux of shape alpha, in the same order."""
-    return [t for t in enumerate_srit(alpha) if t.is_column_strict]
+    """All standard extended tableaux of shape alpha.
+
+    Grown directly rather than filtered from the row-increasing fillings:
+    the entries 1..n are placed in increasing order, and entry v may go in
+    box (r, c) when (r, c-1) is already filled (or c = 1) and the nearest
+    lower row that reaches column c already has its column-c box filled.
+    These are exactly the row and column conditions, so every growth is a
+    standard extended tableau and each one arises once.
+
+    The list is in lexicographic order on the bottom-up reading word, the
+    order of :func:`enumerate_srit` restricted to standard extended
+    tableaux.
+    """
+    alpha = Composition(alpha)
+    n = alpha.weight
+    # below[r][c]: the nearest row under row r whose length exceeds c, or -1
+    # (all 0-based), i.e. the row holding the box under (r, c) in its column.
+    below = [
+        [next((s for s in range(r - 1, -1, -1) if alpha[s] > c), -1) for c in range(part)]
+        for r, part in enumerate(alpha)
+    ]
+    filling: list[list[int]] = [[] for _ in alpha]
+    grown: list[tuple[tuple[int, ...], ...]] = []
+
+    def place(v: int) -> None:
+        if v > n:
+            grown.append(tuple(tuple(row) for row in filling))
+            return
+        for r, row in enumerate(filling):
+            c = len(row)
+            if c < alpha[r]:
+                s = below[r][c]
+                if s < 0 or len(filling[s]) > c:
+                    row.append(v)
+                    place(v + 1)
+                    row.pop()
+
+    place(1)
+    # Row tuples of one shape compare exactly as their reading words do.
+    grown.sort()
+    return [Tableau(rows) for rows in grown]
 
 
 def is_standard_extended(t: Tableau) -> bool:

@@ -1,13 +1,16 @@
 """Brute-force oracles shared by the tests.
 
 Everything here is computed from first principles (permutation filters,
-Laplace expansion, dense rational elimination) and never calls into the
-package, so the tests pit two independent routes against each other.
+Laplace expansion, dense rational elimination) and, apart from
+:func:`filtered_set`, never calls into the package, so the tests pit two
+independent routes against each other.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+
+from extschur.tableaux import enumerate_srit, is_standard_extended
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -49,6 +52,13 @@ def brute_set(shape) -> set[Rows]:
         for rows in brute_fillings(shape)
         if rows_increase(rows) and columns_increase(rows)
     }
+
+
+def filtered_set(alpha) -> list:
+    """The standard extended tableaux of alpha by filtering every standard
+    row-increasing tableau through the column check, in the order of
+    ``enumerate_srit``: the oracle for the direct generator."""
+    return [t for t in enumerate_srit(alpha) if is_standard_extended(t)]
 
 
 def row_of_entries(rows: Rows) -> dict[int, int]:

@@ -37,6 +37,14 @@ def test_composition_rejects_bad_parts():
         Composition((-1,))
 
 
+def test_composition_rejects_bools():
+    # bool subclasses int, so True would otherwise pass as the part 1
+    with pytest.raises(ValueError):
+        Composition((True, 2))
+    with pytest.raises(ValueError):
+        Composition((False,))
+
+
 def test_empty_composition():
     empty = Composition()
     assert empty.weight == 0

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +41,31 @@ def test_element_normalization():
     assert x.coefficient((2, 1)) == 0
     assert not x.is_zero()
     assert QSymElement(4, "F", {}).is_zero()
+
+
+def test_element_is_hashable():
+    x = fundamental((1, 2))
+    assert hash(x) == hash(fundamental((1, 2)))
+    assert hash(QSymElement(3, "M", {(1, 2): 2, (2, 1): 0})) == hash(
+        QSymElement(3, "M", {(1, 2): 2})
+    )
+    assert {x: "a"}[QSymElement(3, "F", {(1, 2): 1})] == "a"
+    assert len({x, fundamental((1, 2)), monomial((1, 2))}) == 2
+
+
+def test_element_refuses_mutation():
+    source = {(1, 2): 1}
+    x = QSymElement(3, "F", source)
+    source[(1, 2)] = 5  # the element keeps its own copy
+    assert x.coefficient((1, 2)) == 1
+    with pytest.raises(TypeError):
+        x.coeffs[(1, 2)] = 2
+    with pytest.raises(TypeError):
+        del x.coeffs[(1, 2)]
+    assert dict(x.coeffs) == {(1, 2): 1}
+    assert x == fundamental((1, 2))
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
 
 
 def test_element_validation():

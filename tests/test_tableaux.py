@@ -8,6 +8,7 @@ from helpers import (
     brute_srit,
     composition_from_descents,
     descents_by_row_rule,
+    filtered_set,
     hook_length,
 )
 from extschur.compositions import Composition, compositions_of, is_partition
@@ -115,6 +116,19 @@ def test_enumerate_set_matches_brute_force():
         for alpha in compositions_of(n):
             got = {t.rows for t in enumerate_set(alpha)}
             assert got == brute_set(tuple(alpha))
+
+
+def test_enumerate_set_matches_filter_in_order():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            assert enumerate_set(alpha) == filtered_set(alpha)
+
+
+@given(small_compositions(max_weight=10))
+def test_generated_tableaux_are_standard_extended_of_shape(alpha):
+    for t in enumerate_set(alpha):
+        assert is_standard_extended(t)
+        assert t.shape == alpha
 
 
 def test_set_subset_of_srit_and_membership():
