@@ -73,6 +73,10 @@ class CliConfig:
             raise UsageError("--max-n must be at least 1")
         if self.format not in FORMATS:
             raise UsageError(f"unknown format {self.format!r}")
+        if not self.checks:
+            raise UsageError(
+                f"--checks selects no check; expected a subset of {', '.join(ALL_CHECKS)}"
+            )
         unknown = [name for name in self.checks if name not in ALL_CHECKS]
         if unknown:
             raise UsageError(
@@ -141,6 +145,8 @@ def main(argv=None) -> int:
             if name.strip()
         )
         config = CliConfig(max_n=args.max_n, format=args.format, checks=checks)
+        if config.format == "csv" and args.command != "kmatrix":
+            raise UsageError("csv output is only available for the kmatrix command")
         handler = {
             "expand": _cmd_expand,
             "tableaux": _cmd_tableaux,
@@ -184,12 +190,10 @@ def format_qsym(x: QSymElement) -> str:
 
 
 def _emit_qsym(element: QSymElement, fmt: str) -> None:
-    if fmt == "text":
-        print(format_qsym(element))
-    elif fmt == "json":
+    if fmt == "json":
         print(json.dumps(element.to_json(), indent=2))
     else:
-        raise UsageError("csv output is only available for the kmatrix command")
+        print(format_qsym(element))
 
 
 def _cmd_expand(config: CliConfig, args) -> int:
@@ -219,7 +223,7 @@ def _cmd_tableaux(config: CliConfig, args) -> int:
                 item["descent_composition"] = list(descent_composition(t))
             payload.append(item)
         print(json.dumps(payload, indent=2))
-    elif config.format == "text":
+    else:
         blocks = []
         for t in listing:
             block = str(t) if t.rows else "(empty)"
@@ -227,8 +231,6 @@ def _cmd_tableaux(config: CliConfig, args) -> int:
                 block += f"\nDes: {format_composition(descent_composition(t))}"
             blocks.append(block)
         print("\n\n".join(blocks))
-    else:
-        raise UsageError("csv output is only available for the kmatrix command")
     return EXIT_OK
 
 
@@ -237,7 +239,7 @@ def _cmd_analyze(config: CliConfig, args) -> int:
     report = analysis_report(alpha)
     if config.format == "json":
         print(json.dumps(report, indent=2))
-    elif config.format == "text":
+    else:
         factors = "; ".join(
             ",".join(str(p) for p in factor) for factor in report["factors"]
         )
@@ -256,8 +258,6 @@ def _cmd_analyze(config: CliConfig, args) -> int:
         print(f"characteristic: {format_qsym(element)}")
         print(f"commutant dimension: {report['commutant_dimension']}")
         print(f"indecomposable: {'true' if verdict is True else verdict}")
-    else:
-        raise UsageError("csv output is only available for the kmatrix command")
     return EXIT_OK
 
 
@@ -383,14 +383,12 @@ def _cmd_verify(config: CliConfig, args) -> int:
     ok = all(result["failed"] == 0 for result in results)
     if config.format == "json":
         print(json.dumps({"n": args.n, "ok": ok, "checks": results}, indent=2))
-    elif config.format == "text":
+    else:
         for result in results:
             print(f"{result['name']}: {result['passed']} pass, {result['failed']} fail")
             if result["first_counterexample"]:
                 print(f"  first counterexample: {result['first_counterexample']}")
         print("result: " + ("all checks passed" if ok else "FAILURES detected"))
-    else:
-        raise UsageError("csv output is only available for the kmatrix command")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -1,25 +1,39 @@
 """Matrix realization of the quotient modules and their invariants.
 
-In the filtration basis every operator matrix has at most one 1 per column
-and never maps a basis vector to a later one, so the chain of leading
-subspaces is a composition series with one-dimensional subquotients.  The
-commutant of the operator matrices is computed exactly; a one-dimensional
-commutant certifies indecomposability.
+Every per-shape result is read from one action table: entry ``[i-1][j]``
+is the filtration index of the image of the j-th basis tableau under the
+i-th operator, ``j`` itself when the operator fixes it and ``None`` when it
+annihilates it.  In the filtration basis every operator matrix therefore
+has at most one 1 per column and never maps a basis vector to a later one,
+so the chain of leading subspaces is a composition series with
+one-dimensional subquotients.
+
+The module is cyclic, generated by the super-standard tableau ``g``, so an
+endomorphism ``E`` is fixed by the vector ``v = E(g)``.  A breadth-first
+search from ``g`` over the swaps in the table reaches each basis tableau
+``t`` as ``pi_w(g)`` for a word ``w``, which forces ``E(t) = pi_w(v)``;
+requiring ``E pi_i = pi_i E`` on every basis tableau then leaves an exact
+linear system in the ``m`` entries of ``v`` instead of the ``m * m``
+entries of ``E``.  The reduction holds only when the search reaches every
+basis tableau, and the solver raises otherwise, so no module is certified
+without that check.  A one-dimensional commutant certifies
+indecomposability.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .compositions import Composition, DescentSubset, composition_of_subset
 from .hecke_action import Filtration, Fixed, Swapped, filtration, pi_full, pi_quotient
 from .linalg import nullspace
 from .qsym import QSymElement
-from .tableaux import enumerate_srit, is_standard_extended
+from .tableaux import enumerate_srit, is_standard_extended, super_standard
 
 Matrix = tuple[tuple[int, ...], ...]
 CompositionFactorList = tuple[Composition, ...]
+ActionTable = tuple[tuple[int | None, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -39,23 +53,38 @@ class ModuleMatrices:
 
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
-    return _matrices(filtration(Composition(alpha)))
+    filt = filtration(Composition(alpha))
+    return _matrices(filt, _action_table(filt))
 
 
-def _matrices(filt: Filtration) -> ModuleMatrices:
-    alpha = filt.alpha
-    m = len(filt)
-    mats = []
-    for i in range(1, alpha.weight):
-        mat = [[0] * m for _ in range(m)]
+def _action_table(filt: Filtration) -> ActionTable:
+    """Entry ``[i-1][j]``: filtration index of the i-th operator's image of
+    the j-th basis tableau, ``j`` when fixed, ``None`` when annihilated."""
+    table = []
+    for i in range(1, filt.alpha.weight):
+        row: list[int | None] = []
         for j, t in enumerate(filt.order):
             result = pi_quotient(i, t)
             if isinstance(result, Fixed):
-                mat[j][j] = 1
+                row.append(j)
             elif isinstance(result, Swapped):
-                mat[filt.index_of(result.tableau)][j] = 1
+                row.append(filt.index_of(result.tableau))
+            else:
+                row.append(None)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _matrices(filt: Filtration, table: ActionTable) -> ModuleMatrices:
+    m = len(filt)
+    mats = []
+    for images in table:
+        mat = [[0] * m for _ in range(m)]
+        for j, k in enumerate(images):
+            if k is not None:
+                mat[k][j] = 1
         mats.append(tuple(tuple(row) for row in mat))
-    return ModuleMatrices(alpha, filt, tuple(mats))
+    return ModuleMatrices(filt.alpha, filt, tuple(mats))
 
 
 def composition_factors(alpha) -> CompositionFactorList:
@@ -65,16 +94,15 @@ def composition_factors(alpha) -> CompositionFactorList:
     or kills it, so the factor is the composition whose subset collects
     the non-fixing operator indices.
     """
-    return _composition_factors(filtration(Composition(alpha)))
+    filt = filtration(Composition(alpha))
+    return _composition_factors(filt, _action_table(filt))
 
 
-def _composition_factors(filt: Filtration) -> CompositionFactorList:
+def _composition_factors(filt: Filtration, table: ActionTable) -> CompositionFactorList:
     n = filt.alpha.weight
     factors = []
-    for t in filt.order:
-        moved = tuple(
-            i for i in range(1, n) if not isinstance(pi_quotient(i, t), Fixed)
-        )
+    for j in range(len(filt)):
+        moved = tuple(i for i in range(1, n) if table[i - 1][j] != j)
         factors.append(composition_of_subset(DescentSubset(n, moved)))
     return tuple(factors)
 
@@ -107,42 +135,68 @@ class EndomorphismSpace:
 def commutant_basis(alpha) -> EndomorphismSpace:
     """Solve E*A = A*E for all operator matrices A, exactly.
 
-    The m*m entries of E are the unknowns; each matrix contributes one
-    sparse linear constraint per entry of the commutator.  The solution
-    space is extracted by exact fraction-free elimination.
+    The module is generated by the super-standard tableau g, so E is fixed
+    by v = E(g): the m entries of v are the unknowns.  A breadth-first
+    search over the operator swaps reaches every basis tableau t as
+    pi_w(g), which forces E(t) = pi_w(v), and each operator contributes one
+    sparse constraint per nonzero entry of E(pi_i t) - pi_i E(t).  The
+    solution space is extracted by exact fraction-free elimination and each
+    primitive v is mapped back to its matrix E; a lone basis matrix is the
+    identity.  Raises ValueError, naming the first basis tableau the search
+    misses, when the module is not generated by g.
     """
-    return _commutant_basis(matrices(alpha))
+    filt = filtration(Composition(alpha))
+    return _commutant_basis(filt, _action_table(filt))
 
 
-def _commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
-    m = len(mod.order)
+def _commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
+    m = len(filt)
+    # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
+    # once an operator on the way from g annihilated it.
+    g = filt.index_of(super_standard(filt.alpha))
+    images: list[tuple[int | None, ...] | None] = [None] * m
+    images[g] = tuple(range(m))
+    queue = deque([g])
+    while queue:
+        s = queue.popleft()
+        for row in table:
+            t = row[s]
+            if t is not None and images[t] is None:
+                images[t] = tuple(None if k is None else row[k] for k in images[s])
+                queue.append(t)
+    for t, image in enumerate(images):
+        if image is None:
+            raise ValueError(
+                f"tableau {filt.order[t].rows} is not reached from the "
+                f"super-standard tableau {filt.order[g].rows}; the module is "
+                "not cyclic on it, so its commutant cannot be certified"
+            )
     rows = []
-    for mat in mod.mats:
-        col_support: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        row_support: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for k in range(m):
-            for c in range(m):
-                if mat[k][c]:
-                    col_support[c].append((k, mat[k][c]))
-                    row_support[k].append((c, mat[k][c]))
-        for r in range(m):
-            for c in range(m):
-                coeffs: dict[int, int] = {}
-                for k, v in col_support[c]:  # E[r][k] * A[k][c]
-                    index = r * m + k
-                    coeffs[index] = coeffs.get(index, 0) + v
-                for k, v in row_support[r]:  # -A[r][k] * E[k][c]
-                    index = k * m + c
-                    coeffs[index] = coeffs.get(index, 0) - v
-                coeffs = {idx: value for idx, value in coeffs.items() if value}
-                if coeffs:
-                    rows.append(coeffs)
-    vectors = nullspace(rows, m * m)
-    basis = tuple(
-        tuple(tuple(vector[r * m + c] for c in range(m)) for r in range(m))
-        for vector in vectors
-    )
-    return EndomorphismSpace(mod.alpha, basis)
+    for row in table:
+        for t, image in enumerate(images):
+            forms: dict[int, dict[int, int]] = {}
+            target = row[t]
+            if target is not None:  # + E(pi_i t)
+                for u, k in enumerate(images[target]):
+                    if k is not None:
+                        forms.setdefault(k, {})[u] = 1
+            for u, k in enumerate(image):  # - pi_i E(t)
+                if k is not None and row[k] is not None:
+                    form = forms.setdefault(row[k], {})
+                    form[u] = form.get(u, 0) - 1
+            for form in forms.values():
+                form = {u: c for u, c in form.items() if c}
+                if form:
+                    rows.append(form)
+    basis = []
+    for v in nullspace(rows, m):
+        e = [[0] * m for _ in range(m)]
+        for t, image in enumerate(images):
+            for u, k in enumerate(image):
+                if k is not None:
+                    e[k][t] += v[u]
+        basis.append(tuple(tuple(r) for r in e))
+    return EndomorphismSpace(filt.alpha, tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -193,11 +247,12 @@ def analysis_report(alpha) -> dict:
     """JSON-ready summary: dimension, factors in filtration order, the
     characteristic, and the commutant verdict."""
     alpha = Composition(alpha)
-    mod = matrices(alpha)
-    factors = _composition_factors(mod.order)
+    filt = filtration(alpha)
+    table = _action_table(filt)
+    factors = _composition_factors(filt, table)
     counts = Counter(factors)
     element = QSymElement(alpha.weight, "F", dict(counts))
-    space = _commutant_basis(mod)
+    space = _commutant_basis(filt, table)
     return {
         "alpha": list(alpha),
         "dim": len(factors),

@@ -1,15 +1,22 @@
 """Brute-force oracles shared by the tests.
 
 Everything here is computed from first principles (permutation filters,
-Laplace expansion, dense rational elimination) and, apart from
-:func:`filtered_set`, never calls into the package, so the tests pit two
-independent routes against each other.
+Laplace expansion, dense rational elimination) or by the slower route a
+fast path in the package replaced: the SRIT filter (:func:`filtered_set`),
+the operator matrices rebuilt column by column from ``pi_quotient``
+(:func:`dense_matrices`) and the commutant with all ``m * m`` matrix
+entries as unknowns (:func:`dense_commutant_basis`).  The tests pit the two
+routes against each other.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from extschur.compositions import Composition
+from extschur.hecke_action import Fixed, Swapped, filtration, pi_quotient
+from extschur.linalg import nullspace
+from extschur.module_analysis import EndomorphismSpace, ModuleMatrices
 from extschur.tableaux import enumerate_srit, is_standard_extended
 
 Rows = tuple[tuple[int, ...], ...]
@@ -141,3 +148,65 @@ def dense_rank(rows, ncols) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def dense_matrices(alpha) -> ModuleMatrices:
+    """The operator matrices in the filtration basis, one ``pi_quotient``
+    call per column: the oracle for the table-built ``matrices``."""
+    filt = filtration(Composition(alpha))
+    m = len(filt)
+    mats = []
+    for i in range(1, filt.alpha.weight):
+        mat = [[0] * m for _ in range(m)]
+        for j, t in enumerate(filt.order):
+            result = pi_quotient(i, t)
+            if isinstance(result, Fixed):
+                mat[j][j] = 1
+            elif isinstance(result, Swapped):
+                mat[filt.index_of(result.tableau)][j] = 1
+        mats.append(tuple(tuple(row) for row in mat))
+    return ModuleMatrices(filt.alpha, filt, tuple(mats))
+
+
+def table_of(mod: ModuleMatrices) -> tuple[tuple[int | None, ...], ...]:
+    """Action table read off 0/1 operator matrices with at most one 1 per
+    column: the row index of column j's 1, or None for a zero column."""
+    m = len(mod.order)
+    return tuple(
+        tuple(next((k for k in range(m) if mat[k][j]), None) for j in range(m))
+        for mat in mod.mats
+    )
+
+
+def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
+    """Solve E*A = A*E with the m*m entries of E as unknowns: one sparse
+    constraint per nonzero entry of each commutator.  The oracle for the
+    cyclic solve, which needs only the m entries of E(g)."""
+    m = len(mod.order)
+    rows = []
+    for mat in mod.mats:
+        col_support: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        row_support: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for k in range(m):
+            for c in range(m):
+                if mat[k][c]:
+                    col_support[c].append((k, mat[k][c]))
+                    row_support[k].append((c, mat[k][c]))
+        for r in range(m):
+            for c in range(m):
+                coeffs: dict[int, int] = {}
+                for k, v in col_support[c]:  # E[r][k] * A[k][c]
+                    index = r * m + k
+                    coeffs[index] = coeffs.get(index, 0) + v
+                for k, v in row_support[r]:  # -A[r][k] * E[k][c]
+                    index = k * m + c
+                    coeffs[index] = coeffs.get(index, 0) - v
+                coeffs = {idx: value for idx, value in coeffs.items() if value}
+                if coeffs:
+                    rows.append(coeffs)
+    vectors = nullspace(rows, m * m)
+    basis = tuple(
+        tuple(tuple(vector[r * m + c] for c in range(m)) for r in range(m))
+        for vector in vectors
+    )
+    return EndomorphismSpace(mod.alpha, basis)

@@ -214,6 +214,34 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_verify_rejects_empty_check_list(capsys, checks):
+    code, out, err = run(capsys, "verify", "--n", "3", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --checks selects no check")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "6"),
+    ("analyze", "--alpha", "4,2,1,1"),
+    ("expand", "--alpha", "2,1"),
+    ("char", "--alpha", "2,1"),
+    ("tableaux", "--alpha", "2,1"),
+])
+def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
+    def reached(*args):
+        raise AssertionError("handler ran for a refused csv request")
+
+    for name in ("_cmd_expand", "_cmd_tableaux", "_cmd_char", "_cmd_analyze",
+                 "_cmd_verify", "_run_check"):
+        monkeypatch.setattr(cli, name, reached)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: csv output is only available for the kmatrix command\n"
+
+
 def test_verify_rejects_n_over_cap(capsys):
     assert run(capsys, "verify", "--n", "9")[0] == 2
 

@@ -1,8 +1,18 @@
 from fractions import Fraction
 
-from helpers import dense_rank
+import pytest
+from hypothesis import given, strategies as st
+
+from helpers import dense_commutant_basis, dense_matrices, dense_rank, table_of
 from extschur.compositions import Composition, compositions_of
-from extschur.hecke_action import verify_relations
+from extschur.hecke_action import (
+    Fixed,
+    Swapped,
+    Zero,
+    filtration,
+    pi_quotient,
+    verify_relations,
+)
 from extschur.linalg import identity_matrix, mat_mul, rank
 from extschur.module_analysis import (
     Inconclusive,
@@ -11,6 +21,9 @@ from extschur.module_analysis import (
     characteristic,
     commutant_basis,
     composition_factors,
+    ModuleMatrices,
+    _action_table,
+    _commutant_basis,
     is_indecomposable,
     matrices,
     verify_submodule_closure,
@@ -71,6 +84,32 @@ def test_matrices_satisfy_relations():
                 if i + 1 < len(mats):
                     b = mats[i + 1]
                     assert mat_mul(mat_mul(a, b), a) == mat_mul(mat_mul(b, a), b)
+
+
+def test_matrices_match_dense_rebuild():
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            assert matrices(alpha) == dense_matrices(alpha), alpha
+
+
+@given(st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.sampled_from(compositions_of(n))
+))
+def test_action_table_matches_pi_quotient(alpha):
+    filt = filtration(alpha)
+    table = _action_table(filt)
+    assert len(table) == max(alpha.weight - 1, 0)
+    for i, images in enumerate(table, start=1):
+        assert len(images) == len(filt)
+        for j, t in enumerate(filt.order):
+            result = pi_quotient(i, t)
+            if isinstance(result, Fixed):
+                assert images[j] == j
+            elif isinstance(result, Zero):
+                assert images[j] is None
+            else:
+                assert isinstance(result, Swapped)
+                assert images[j] == filt.index_of(result.tableau)
 
 
 def test_composition_factors_examples():
@@ -152,6 +191,32 @@ def test_commutant_matches_dense_rank_computation():
                         dense_rows.append(row)
         nullity = m * m - dense_rank(dense_rows, m * m)
         assert commutant_basis(alpha).dimension == nullity
+
+
+def test_commutant_matches_dense_oracle():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            assert commutant_basis(alpha) == dense_commutant_basis(matrices(alpha)), alpha
+
+
+def test_commutant_dimension_matches_dense_oracle_weight_8():
+    for alpha in compositions_of(8):
+        if len(alpha) <= 4:
+            dense = dense_commutant_basis(matrices(alpha))
+            assert commutant_basis(alpha).dimension == dense.dimension, alpha
+
+
+def test_commutant_refuses_a_module_not_generated_by_super_standard():
+    # identity operators on the two tableaux of (2,1): nothing moves, so the
+    # super-standard tableau generates only itself
+    filt = filtration(Composition((2, 1)))
+    eye = ((1, 0), (0, 1))
+    mod = ModuleMatrices(filt.alpha, filt, (eye, eye))
+    assert dense_commutant_basis(mod).dimension == 4
+    unreached = next(t for t in filt.order if t.rows != ((1, 2), (3,)))
+    with pytest.raises(ValueError, match="not reached") as caught:
+        _commutant_basis(mod.order, table_of(mod))
+    assert str(unreached.rows) in str(caught.value)
 
 
 def test_is_indecomposable_verdicts():
