@@ -295,10 +295,6 @@ def _check_relations(alpha: Composition) -> bool:
     return verify_relations(alpha, "full").ok and verify_relations(alpha, "quotient").ok
 
 
-def _check_submodule(alpha: Composition) -> bool:
-    return verify_submodule_closure(alpha)
-
-
 def _check_characteristic(alpha: Composition) -> bool:
     return characteristic(alpha) == extended_schur_in_F(alpha)
 
@@ -320,7 +316,7 @@ def _check_roundtrip(alpha: Composition) -> bool:
 
 _PER_ALPHA_CHECKS = {
     "relations": _check_relations,
-    "submodule": _check_submodule,
+    "submodule": verify_submodule_closure,
     "characteristic": _check_characteristic,
     "endomorphism": _check_endomorphism,
     "roundtrip": _check_roundtrip,

@@ -6,6 +6,10 @@ entries.  On the quotient spanned by the standard extended tableaux the
 same operator fixes (i strictly left of i+1), annihilates (i and i+1 in the
 same column), or exchanges (i strictly right of i+1).  Both families
 satisfy the idempotent, distant-commutation and braid relations.
+
+One table per basis, built by :func:`action_table`, records where each
+operator sends each tableau; the relation sweep, the submodule closure
+check and every module invariant read it instead of applying operators.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .tableaux import (
 )
 
 Kind = Literal["full", "quotient"]
+ActionTable = tuple[tuple[int | None, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,22 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
     return current
 
 
+def action_table(basis, kind: Kind) -> ActionTable:
+    """Entry ``[i-1][j]``: index in ``basis`` of the i-th operator's image
+    of ``basis[j]`` (``j`` when fixed), ``None`` when annihilated.  An image
+    outside the basis raises ``KeyError`` naming it."""
+    index = {t: j for j, t in enumerate(basis)}
+    n = basis[0].size if basis else 0
+    table = []
+    for i in range(1, n):
+        row = []
+        for t in basis:
+            image = apply_word((i,), t, kind)
+            row.append(None if isinstance(image, Zero) else index[image])
+        table.append(tuple(row))
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class RelationViolation:
     relation: str  # "idempotent", "commute" or "braid"
@@ -155,19 +176,25 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
     alpha = Composition(alpha)
     n = alpha.weight
     basis = enumerate_set(alpha) if kind == "quotient" else enumerate_srit(alpha)
-    violations = []
-    for t in basis:
-        for i in range(1, n):
-            if apply_word((i, i), t, kind) != apply_word((i,), t, kind):
-                violations.append(RelationViolation("idempotent", i, None, t))
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                if apply_word((i, j), t, kind) != apply_word((j, i), t, kind):
-                    violations.append(RelationViolation("commute", i, j, t))
-        for i in range(1, n - 1):
-            if apply_word((i, i + 1, i), t, kind) != apply_word((i + 1, i, i + 1), t, kind):
-                violations.append(RelationViolation("braid", i, i + 1, t))
-    return RelationReport(alpha, kind, len(basis), tuple(violations))
+    table = action_table(basis, kind)
+    relations = (
+        [("idempotent", i, None, (i, i), (i,)) for i in range(1, n)]
+        + [("commute", i, j, (i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)]
+        + [("braid", i, i + 1, (i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    )
+
+    def act(word, k: int | None) -> int | None:
+        for i in word:
+            k = None if k is None else table[i - 1][k]
+        return k
+
+    violations = tuple(
+        RelationViolation(name, i, j, t)
+        for k, t in enumerate(basis)
+        for name, i, j, left, right in relations
+        if act(left, k) != act(right, k)
+    )
+    return RelationReport(alpha, kind, len(basis), violations)
 
 
 def preceq(s: Tableau, t: Tableau) -> bool:
@@ -178,6 +205,8 @@ def preceq(s: Tableau, t: Tableau) -> bool:
     """
     if s.shape != t.shape:
         raise ValueError("tableaux have different shapes")
+    if not (is_standard_extended(s) and is_standard_extended(t)):
+        raise ValueError("tableau is not standard extended")
     if s == t:
         return True
     n = t.size

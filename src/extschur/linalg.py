@@ -52,18 +52,6 @@ class _Echelon:
                 combined[c] = combined.get(c, 0) - a * v
             row = _strip_content({c: v for c, v in combined.items() if v})
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-
-def rank(rows) -> int:
-    """Rank of the row family (rows given sparse or dense)."""
-    echelon = _Echelon()
-    for row in rows:
-        echelon.insert(row)
-    return echelon.rank
-
 
 def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {x : R x = 0}, one vector per free column.
@@ -139,19 +127,3 @@ def determinant(matrix) -> int:
             m[i][k] = 0
         previous = m[k][k]
     return sign * m[-1][-1]
-
-
-def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
-    """Product of integer matrices given as nested sequences."""
-    inner = len(b)
-    if any(len(row) != inner for row in a):
-        raise ValueError("inner dimensions do not match")
-    cols = len(b[0]) if inner else 0
-    return tuple(
-        tuple(sum(row[k] * b[k][c] for k in range(inner)) for c in range(cols))
-        for row in a
-    )
-
-
-def identity_matrix(size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if r == c else 0 for c in range(size)) for r in range(size))

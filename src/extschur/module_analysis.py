@@ -1,11 +1,11 @@
 """Matrix realization of the quotient modules and their invariants.
 
-Every per-shape result is read from one action table: entry ``[i-1][j]``
-is the filtration index of the image of the j-th basis tableau under the
-i-th operator, ``j`` itself when the operator fixes it and ``None`` when it
-annihilates it.  In the filtration basis every operator matrix therefore
-has at most one 1 per column and never maps a basis vector to a later one,
-so the chain of leading subspaces is a composition series with
+Every per-shape result is read from one ``hecke_action.action_table`` on
+the filtration order: entry ``[i-1][j]`` is the filtration index of the
+i-th operator's image of the j-th basis tableau, ``j`` when fixed and
+``None`` when annihilated.  In the filtration basis every operator matrix
+therefore has at most one 1 per column and never maps a basis vector to a
+later one, so the chain of leading subspaces is a composition series with
 one-dimensional subquotients.
 
 The module is cyclic, generated by the super-standard tableau ``g``, so an
@@ -26,14 +26,13 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .compositions import Composition, DescentSubset, composition_of_subset
-from .hecke_action import Filtration, Fixed, Swapped, filtration, pi_full, pi_quotient
+from .hecke_action import ActionTable, Filtration, action_table, filtration
 from .linalg import nullspace
 from .qsym import QSymElement
 from .tableaux import enumerate_srit, is_standard_extended, super_standard
 
 Matrix = tuple[tuple[int, ...], ...]
 CompositionFactorList = tuple[Composition, ...]
-ActionTable = tuple[tuple[int | None, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -54,25 +53,7 @@ class ModuleMatrices:
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
     filt = filtration(Composition(alpha))
-    return _matrices(filt, _action_table(filt))
-
-
-def _action_table(filt: Filtration) -> ActionTable:
-    """Entry ``[i-1][j]``: filtration index of the i-th operator's image of
-    the j-th basis tableau, ``j`` when fixed, ``None`` when annihilated."""
-    table = []
-    for i in range(1, filt.alpha.weight):
-        row: list[int | None] = []
-        for j, t in enumerate(filt.order):
-            result = pi_quotient(i, t)
-            if isinstance(result, Fixed):
-                row.append(j)
-            elif isinstance(result, Swapped):
-                row.append(filt.index_of(result.tableau))
-            else:
-                row.append(None)
-        table.append(tuple(row))
-    return tuple(table)
+    return _matrices(filt, action_table(filt.order, "quotient"))
 
 
 def _matrices(filt: Filtration, table: ActionTable) -> ModuleMatrices:
@@ -95,7 +76,7 @@ def composition_factors(alpha) -> CompositionFactorList:
     the non-fixing operator indices.
     """
     filt = filtration(Composition(alpha))
-    return _composition_factors(filt, _action_table(filt))
+    return _composition_factors(filt, action_table(filt.order, "quotient"))
 
 
 def _composition_factors(filt: Filtration, table: ActionTable) -> CompositionFactorList:
@@ -146,7 +127,7 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     misses, when the module is not generated by g.
     """
     filt = filtration(Composition(alpha))
-    return _commutant_basis(filt, _action_table(filt))
+    return _commutant_basis(filt, action_table(filt.order, "quotient"))
 
 
 def _commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
@@ -232,15 +213,13 @@ def is_indecomposable(alpha) -> Verdict:
 def verify_submodule_closure(alpha) -> bool:
     """True when every full-basis operator maps each non-extended
     row-increasing tableau to another non-extended one."""
-    alpha = Composition(alpha)
-    n = alpha.weight
-    for t in enumerate_srit(alpha):
-        if is_standard_extended(t):
-            continue
-        for i in range(1, n):
-            if is_standard_extended(pi_full(i, t)):
-                return False
-    return True
+    basis = enumerate_srit(Composition(alpha))
+    extended = [is_standard_extended(t) for t in basis]
+    return not any(
+        extended[k] and not extended[j]
+        for images in action_table(basis, "full")
+        for j, k in enumerate(images)
+    )
 
 
 def analysis_report(alpha) -> dict:
@@ -248,7 +227,7 @@ def analysis_report(alpha) -> dict:
     characteristic, and the commutant verdict."""
     alpha = Composition(alpha)
     filt = filtration(alpha)
-    table = _action_table(filt)
+    table = action_table(filt.order, "quotient")
     factors = _composition_factors(filt, table)
     counts = Counter(factors)
     element = QSymElement(alpha.weight, "F", dict(counts))

@@ -57,7 +57,8 @@ class QSymElement:
                 raise ValueError(
                     f"key {alpha} has weight {alpha.weight}, expected degree {self.degree}"
                 )
-            if not isinstance(value, int):
+            # bool subclasses int, but True is not a coefficient
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"coefficients must be integers, got {value!r}")
             if value:
                 clean[alpha] = value
@@ -116,26 +117,15 @@ def fundamental_to_monomial(x: QSymElement) -> QSymElement:
 
 
 def monomial_to_fundamental(x: QSymElement) -> QSymElement:
-    """Invert the refinement expansion by a triangular solve.
-
-    Refining strictly increases length, so the change of basis is
-    unitriangular once compositions are ordered by length; peeling off the
-    shortest remaining index at each step solves the system exactly.
-    """
+    """Invert the refinement expansion by Moebius inversion:
+    M_a = sum over b refining a of (-1)^(l(b)-l(a)) F_b."""
     if x.basis != "M":
         raise ValueError("expected a monomial-basis element")
-    remaining = dict(x.coeffs)
-    result: dict[Composition, int] = {}
-    while remaining:
-        alpha = min(remaining, key=lambda a: (len(a), a))
-        c = remaining.pop(alpha)
-        if not c:
-            continue
-        result[alpha] = c
+    out: dict[Composition, int] = {}
+    for alpha, c in x.coeffs.items():
         for beta in refinements(alpha):
-            if beta != alpha:
-                remaining[beta] = remaining.get(beta, 0) - c
-    return QSymElement(x.degree, "F", result)
+            out[beta] = out.get(beta, 0) + (-1) ** (len(beta) - len(alpha)) * c
+    return QSymElement(x.degree, "F", out)
 
 
 def extended_schur_in_F(alpha) -> QSymElement:

@@ -4,20 +4,38 @@ Everything here is computed from first principles (permutation filters,
 Laplace expansion, dense rational elimination) or by the slower route a
 fast path in the package replaced: the SRIT filter (:func:`filtered_set`),
 the operator matrices rebuilt column by column from ``pi_quotient``
-(:func:`dense_matrices`) and the commutant with all ``m * m`` matrix
-entries as unknowns (:func:`dense_commutant_basis`).  The tests pit the two
-routes against each other.
+(:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
+as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
+both words of every relation on every tableau (:func:`replayed_relations`)
+and the triangular monomial-to-fundamental solve
+(:func:`peeled_monomial_to_fundamental`).  The tests pit the two routes
+against each other.  The matrix helpers (:func:`rank`, :func:`mat_mul`,
+:func:`identity_matrix`) serve only the tests.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from extschur.compositions import Composition
-from extschur.hecke_action import Fixed, Swapped, filtration, pi_quotient
-from extschur.linalg import nullspace
+from extschur.compositions import Composition, refinements
+from extschur.hecke_action import (
+    Fixed,
+    RelationReport,
+    RelationViolation,
+    Swapped,
+    apply_word,
+    filtration,
+    pi_quotient,
+)
+from extschur.linalg import _Echelon, nullspace
 from extschur.module_analysis import EndomorphismSpace, ModuleMatrices
-from extschur.tableaux import enumerate_srit, is_standard_extended
+from extschur.qsym import QSymElement
+from extschur.tableaux import (
+    enumerate_set,
+    enumerate_srit,
+    is_standard_extended,
+    swap_entries,
+)
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -210,3 +228,74 @@ def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
         for vector in vectors
     )
     return EndomorphismSpace(mod.alpha, basis)
+
+
+def replayed_relations(alpha, kind) -> RelationReport:
+    """The relation sweep replaying both words of every relation on every
+    basis tableau through ``apply_word``: the oracle for the table-read
+    ``verify_relations``."""
+    alpha = Composition(alpha)
+    n = alpha.weight
+    basis = enumerate_set(alpha) if kind == "quotient" else enumerate_srit(alpha)
+    violations = []
+    for t in basis:
+        for i in range(1, n):
+            if apply_word((i, i), t, kind) != apply_word((i,), t, kind):
+                violations.append(RelationViolation("idempotent", i, None, t))
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                if apply_word((i, j), t, kind) != apply_word((j, i), t, kind):
+                    violations.append(RelationViolation("commute", i, j, t))
+        for i in range(1, n - 1):
+            if apply_word((i, i + 1, i), t, kind) != apply_word((i + 1, i, i + 1), t, kind):
+                violations.append(RelationViolation("braid", i, i + 1, t))
+    return RelationReport(alpha, kind, len(basis), tuple(violations))
+
+
+def row_swapping_pi_full(i: int, t):
+    """A broken full operator: swaps i and i+1 whenever their rows differ.
+    It maps the row-increasing basis into itself but is not idempotent."""
+    pos = t.positions
+    return swap_entries(t, i) if pos[i][0] != pos[i + 1][0] else t
+
+
+def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:
+    """Invert the refinement expansion by a triangular solve: refining
+    strictly increases length, so peeling off the shortest remaining index
+    solves the unitriangular system.  The oracle for the Moebius formula."""
+    remaining = dict(x.coeffs)
+    result = {}
+    while remaining:
+        alpha = min(remaining, key=lambda a: (len(a), a))
+        c = remaining.pop(alpha)
+        if not c:
+            continue
+        result[alpha] = c
+        for beta in refinements(alpha):
+            if beta != alpha:
+                remaining[beta] = remaining.get(beta, 0) - c
+    return QSymElement(x.degree, "F", result)
+
+
+def rank(rows) -> int:
+    """Rank of the row family (rows given sparse or dense)."""
+    echelon = _Echelon()
+    for row in rows:
+        echelon.insert(row)
+    return len(echelon.pivot_rows)
+
+
+def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """Product of integer matrices given as nested sequences."""
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise ValueError("inner dimensions do not match")
+    cols = len(b[0]) if inner else 0
+    return tuple(
+        tuple(sum(row[k] * b[k][c] for k in range(inner)) for c in range(cols))
+        for row in a
+    )
+
+
+def identity_matrix(size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if r == c else 0 for c in range(size)) for r in range(size))

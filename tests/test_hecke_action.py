@@ -1,10 +1,13 @@
 import pytest
 
+from helpers import replayed_relations, row_swapping_pi_full
+from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
 from extschur.hecke_action import (
     Fixed,
     Swapped,
     Zero,
+    action_table,
     apply_word,
     filtration,
     generation_path,
@@ -21,6 +24,7 @@ from extschur.tableaux import (
     is_standard_extended,
     row_sum_vector,
     super_standard,
+    swap_entries,
 )
 
 # shape (4,2,3), rows bottom-up
@@ -172,6 +176,60 @@ def test_verify_relations_sweep():
             assert verify_relations(alpha, "quotient").ok
 
 
+def test_verify_relations_matches_replay():
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            for kind in ("full", "quotient"):
+                assert verify_relations(alpha, kind) == replayed_relations(alpha, kind)
+
+
+def test_verify_relations_matches_replay_with_broken_operator(monkeypatch):
+    monkeypatch.setattr(hecke_action, "pi_full", row_swapping_pi_full)
+    total = 0
+    for n in range(0, 6):
+        for alpha in compositions_of(n):
+            report = verify_relations(alpha, "full")
+            assert report == replayed_relations(alpha, "full")
+            total += len(report.violations)
+    assert total == 2072
+
+
+def erratic_pi_full(i: int, t: Tableau) -> Tableau:
+    """Swaps i and i+1 across rows for odd i, and for even i only while 1
+    sits in the bottom row: breaks all three relation families."""
+    pos = t.positions
+    if pos[i][0] != pos[i + 1][0] and (i % 2 or 1 in t.rows[0]):
+        return swap_entries(t, i)
+    return t
+
+
+def test_verify_relations_matches_replay_when_every_relation_breaks(monkeypatch):
+    monkeypatch.setattr(hecke_action, "pi_full", erratic_pi_full)
+    seen = set()
+    for n in range(0, 6):
+        for alpha in compositions_of(n):
+            report = verify_relations(alpha, "full")
+            assert report == replayed_relations(alpha, "full")
+            seen.update(violation.relation for violation in report.violations)
+    assert seen == {"idempotent", "commute", "braid"}
+
+
+def test_action_table_matches_pi_full():
+    for alpha in [Composition((2, 1)), Composition((1, 2, 2)), Composition((3,))]:
+        basis = enumerate_srit(alpha)
+        table = action_table(basis, "full")
+        assert len(table) == alpha.weight - 1
+        for i, images in enumerate(table, start=1):
+            assert [basis[k] for k in images] == [pi_full(i, t) for t in basis]
+    assert action_table([], "full") == ()
+
+
+def test_action_table_rejects_image_outside_basis():
+    # the full operator sends ((1,), (2,)) to the non-extended ((2,), (1,))
+    with pytest.raises(KeyError, match=r"\(2,\), \(1,\)"):
+        action_table(enumerate_set(Composition((1, 1))), "full")
+
+
 def test_preceq_shape_2_1_3():
     t1, t2, t3 = SET_213
     assert preceq(t3, t1)
@@ -185,6 +243,15 @@ def test_preceq_shape_2_1_3():
 def test_preceq_shape_mismatch():
     with pytest.raises(ValueError):
         preceq(super_standard(Composition((2,))), super_standard(Composition((1, 1))))
+
+
+def test_preceq_validates_both_tableaux():
+    bad = Tableau(((2, 3), (1, 4)))
+    good = super_standard(Composition((2, 2)))
+    assert not is_standard_extended(bad)
+    for s, t in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="not standard extended"):
+            preceq(s, t)
 
 
 def test_preceq_is_a_partial_order():

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
-from helpers import dense_rank, laplace_determinant
-from extschur.linalg import determinant, identity_matrix, mat_mul, nullspace, rank
+from helpers import dense_rank, identity_matrix, laplace_determinant, mat_mul, rank
+from extschur.linalg import determinant, nullspace
 
 import pytest
 

@@ -3,17 +3,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_commutant_basis, dense_matrices, dense_rank, table_of
+from helpers import (
+    dense_commutant_basis,
+    dense_matrices,
+    dense_rank,
+    identity_matrix,
+    mat_mul,
+    rank,
+    row_swapping_pi_full,
+    table_of,
+)
+from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
 from extschur.hecke_action import (
     Fixed,
     Swapped,
     Zero,
+    action_table,
     filtration,
     pi_quotient,
     verify_relations,
 )
-from extschur.linalg import identity_matrix, mat_mul, rank
 from extschur.module_analysis import (
     Inconclusive,
     Indecomposable,
@@ -22,7 +32,6 @@ from extschur.module_analysis import (
     commutant_basis,
     composition_factors,
     ModuleMatrices,
-    _action_table,
     _commutant_basis,
     is_indecomposable,
     matrices,
@@ -97,7 +106,7 @@ def test_matrices_match_dense_rebuild():
 ))
 def test_action_table_matches_pi_quotient(alpha):
     filt = filtration(alpha)
-    table = _action_table(filt)
+    table = action_table(filt.order, "quotient")
     assert len(table) == max(alpha.weight - 1, 0)
     for i, images in enumerate(table, start=1):
         assert len(images) == len(filt)
@@ -237,6 +246,12 @@ def test_verify_submodule_closure_sweep():
     for n in range(0, 8):
         for alpha in compositions_of(n):
             assert verify_submodule_closure(alpha)
+
+
+def test_verify_submodule_closure_fails_with_broken_operator(monkeypatch):
+    monkeypatch.setattr(hecke_action, "pi_full", row_swapping_pi_full)
+    assert not verify_submodule_closure(Composition((2, 2)))
+    assert verify_submodule_closure(Composition((3,)))
 
 
 def test_matrix_monoid_orbit_of_super_standard_spans():

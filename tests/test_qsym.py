@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import hook_length, laplace_determinant
+from helpers import hook_length, laplace_determinant, peeled_monomial_to_fundamental
 from extschur.compositions import Composition, compositions_of, is_partition
 from extschur.qsym import (
     KMatrix,
@@ -79,6 +79,13 @@ def test_element_validation():
         QSymElement(2, "M", {(2,): 1.5})
 
 
+def test_element_rejects_bool_coefficients():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="integers"):
+            QSymElement(1, "F", {(1,): flag})
+    assert QSymElement(1, "F", {(1,): 1}).to_json()["terms"][0]["coefficient"] == 1
+
+
 def test_element_json_terms_sorted():
     x = QSymElement(3, "F", {(2, 1): 1, (1, 1, 1): 4})
     assert x.to_json() == {
@@ -106,6 +113,13 @@ def test_monomial_to_fundamental_examples():
         2, "F", {(2,): 1, (1, 1): -1}
     )
     assert monomial_to_fundamental(monomial((1, 1))) == QSymElement(2, "F", {(1, 1): 1})
+
+
+def test_monomial_to_fundamental_matches_triangular_solve():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            for x in (monomial(alpha), extended_schur_in_M(alpha)):
+                assert monomial_to_fundamental(x) == peeled_monomial_to_fundamental(x)
 
 
 def test_conversion_rejects_wrong_basis():
