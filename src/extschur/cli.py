@@ -7,6 +7,7 @@ Commands: expand, tableaux, char, analyze, verify, kmatrix.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -85,7 +86,10 @@ class CliConfig:
             )
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process;
+    parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=FORMATS, default="text", help="output format"

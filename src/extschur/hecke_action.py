@@ -7,9 +7,17 @@ same operator fixes (i strictly left of i+1), annihilates (i and i+1 in the
 same column), or exchanges (i strictly right of i+1).  Both families
 satisfy the idempotent, distant-commutation and braid relations.
 
+Each family is defined once, as a rule on row words (letter ``v-1`` of the
+row word is the 0-based row of entry ``v``; the column of ``v`` is the
+count of its letter up to and including it): :func:`_full_step` and
+:func:`_quotient_step` only compare or swap two letters.  ``pi_full``,
+``pi_quotient``, ``apply_word`` and :func:`action_table` all go through
+them, converting to and from the validated ``Tableau`` at their boundary.
+
 One table per basis, built by :func:`action_table`, records where each
-operator sends each tableau; the relation sweep, the submodule closure
-check and every module invariant read it instead of applying operators.
+operator sends each tableau; the relation sweep composes its rows, and the
+submodule closure check and every module invariant read it instead of
+applying operators.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .tableaux import (
 
 Kind = Literal["full", "quotient"]
 ActionTable = tuple[tuple[int | None, ...], ...]
+RowWord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,47 @@ def _check_index(i: int, t: Tableau) -> None:
         raise ValueError(f"operator index {i} outside 1..{t.size - 1}")
 
 
+def _row_word(t: Tableau) -> RowWord:
+    """Letter ``v-1`` is the 0-based row of entry ``v``."""
+    word = [0] * sum(map(len, t.rows))
+    for r, row in enumerate(t.rows):
+        for v in row:
+            word[v - 1] = r
+    return tuple(word)
+
+
+def _from_row_word(w: RowWord, height: int) -> Tableau:
+    """The validated tableau whose row word is ``w``; rows fill in
+    increasing order, so each row increases."""
+    rows: list[list[int]] = [[] for _ in range(height)]
+    for v, r in enumerate(w, start=1):
+        rows[r].append(v)
+    return Tableau(tuple(tuple(row) for row in rows))
+
+
+def _full_step(i: int, w: RowWord) -> RowWord:
+    """The full operator on a row word: fixes when i sits weakly above
+    i+1, otherwise swaps their letters."""
+    if w[i - 1] >= w[i]:
+        return w
+    return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+
+
+def _quotient_step(i: int, w: RowWord) -> RowWord | None:
+    """The quotient operator on the row word of a standard extended
+    tableau: fixes when i is in a strictly lower column than i+1,
+    annihilates (``None``) when they share a column, otherwise swaps.  The
+    column of an entry counts its row letter up to and including it."""
+    a, b = w[i - 1], w[i]
+    ci = w[:i].count(a)
+    cj = w[:i + 1].count(b)
+    if ci < cj:
+        return w
+    if ci == cj:
+        return None
+    return w[:i - 1] + (b, a) + w[i + 1:]
+
+
 def pi_full(i: int, t: Tableau) -> Tableau:
     """Operator on the full row-increasing basis.
 
@@ -68,10 +118,9 @@ def pi_full(i: int, t: Tableau) -> Tableau:
     the two entries; the result is again row-increasing.
     """
     _check_index(i, t)
-    pos = t.positions
-    if pos[i][0] >= pos[i + 1][0]:
-        return t
-    return swap_entries(t, i)
+    w = _row_word(t)
+    image = _full_step(i, w)
+    return t if image == w else _from_row_word(image, len(t.rows))
 
 
 def pi_quotient(i: int, t: Tableau) -> ActionResult:
@@ -84,14 +133,18 @@ def pi_quotient(i: int, t: Tableau) -> ActionResult:
     _check_index(i, t)
     if not is_standard_extended(t):
         raise ValueError("tableau is not standard extended")
-    pos = t.positions
-    ci = pos[i][1]
-    cj = pos[i + 1][1]
-    if ci < cj:
-        return Fixed(t)
-    if ci == cj:
+    w = _row_word(t)
+    image = _quotient_step(i, w)
+    if image is None:
         return Zero()
-    return Swapped(swap_entries(t, i))
+    if image == w:
+        return Fixed(t)
+    return Swapped(_from_row_word(image, len(t.rows)))
+
+
+def _check_kind(kind) -> None:
+    if kind not in ("full", "quotient"):
+        raise ValueError(f"unknown action kind {kind!r}")
 
 
 def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
@@ -99,36 +152,46 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
 
     In quotient mode the result stays zero once any step annihilates.
     """
-    if kind not in ("full", "quotient"):
-        raise ValueError(f"unknown action kind {kind!r}")
+    _check_kind(kind)
     n = t.size
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"operator index {i} outside 1..{n - 1}")
-    current = t
+    if not word:
+        return t
+    if kind == "quotient" and not is_standard_extended(t):
+        raise ValueError("tableau is not standard extended")
+    step = _full_step if kind == "full" else _quotient_step
+    w = _row_word(t)
     for i in word:
-        if kind == "full":
-            current = pi_full(i, current)
-        else:
-            result = pi_quotient(i, current)
-            if isinstance(result, Zero):
-                return Zero()
-            current = result.tableau
-    return current
+        w = step(i, w)
+        if w is None:
+            return Zero()
+    return _from_row_word(w, len(t.rows))
 
 
 def action_table(basis, kind: Kind) -> ActionTable:
     """Entry ``[i-1][j]``: index in ``basis`` of the i-th operator's image
     of ``basis[j]`` (``j`` when fixed), ``None`` when annihilated.  An image
     outside the basis raises ``KeyError`` naming it."""
-    index = {t: j for j, t in enumerate(basis)}
+    _check_kind(kind)
+    if kind == "quotient" and not all(is_standard_extended(t) for t in basis):
+        raise ValueError("tableau is not standard extended")
+    step = _full_step if kind == "full" else _quotient_step
+    words = [_row_word(t) for t in basis]
+    index = {w: j for j, w in enumerate(words)}
     n = basis[0].size if basis else 0
     table = []
     for i in range(1, n):
         row = []
-        for t in basis:
-            image = apply_word((i,), t, kind)
-            row.append(None if isinstance(image, Zero) else index[image])
+        for w in words:
+            image = step(i, w)
+            if image is None:
+                row.append(None)
+            elif image in index:
+                row.append(index[image])
+            else:
+                raise KeyError(_from_row_word(image, len(basis[0].rows)))
         table.append(tuple(row))
     return tuple(table)
 
@@ -173,6 +236,7 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
     Violations are collected, not raised, so sweeps over many shapes can
     aggregate results.
     """
+    _check_kind(kind)
     alpha = Composition(alpha)
     n = alpha.weight
     basis = enumerate_set(alpha) if kind == "quotient" else enumerate_srit(alpha)
@@ -183,17 +247,21 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
         + [("braid", i, i + 1, (i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
     )
 
-    def act(word, k: int | None) -> int | None:
+    def act(word) -> list[int | None]:
+        """Images of every basis index under the word, first letter first."""
+        images: list[int | None] = list(range(len(basis)))
         for i in word:
-            k = None if k is None else table[i - 1][k]
-        return k
+            row = table[i - 1]
+            images = [None if k is None else row[k] for k in images]
+        return images
 
-    violations = tuple(
-        RelationViolation(name, i, j, t)
-        for k, t in enumerate(basis)
-        for name, i, j, left, right in relations
-        if act(left, k) != act(right, k)
-    )
+    failures = []
+    for r, (_, _, _, left, right) in enumerate(relations):
+        lhs, rhs = act(left), act(right)
+        if lhs != rhs:
+            failures.extend((k, r) for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    failures.sort()
+    violations = tuple(RelationViolation(*relations[r][:3], basis[k]) for k, r in failures)
     return RelationReport(alpha, kind, len(basis), violations)
 
 

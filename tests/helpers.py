@@ -3,7 +3,9 @@
 Everything here is computed from first principles (permutation filters,
 Laplace expansion, dense rational elimination) or by the slower route a
 fast path in the package replaced: the SRIT filter (:func:`filtered_set`),
-the operator matrices rebuilt column by column from ``pi_quotient``
+the operators read off entry positions and applied by ``swap_entries``
+(:func:`positional_pi_full`, :func:`positional_pi_quotient`), the operator
+matrices rebuilt column by column from ``pi_quotient``
 (:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
 as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
 both words of every relation on every tableau (:func:`replayed_relations`)
@@ -23,6 +25,7 @@ from extschur.hecke_action import (
     RelationReport,
     RelationViolation,
     Swapped,
+    Zero,
     apply_word,
     filtration,
     pi_quotient,
@@ -252,11 +255,37 @@ def replayed_relations(alpha, kind) -> RelationReport:
     return RelationReport(alpha, kind, len(basis), tuple(violations))
 
 
-def row_swapping_pi_full(i: int, t):
-    """A broken full operator: swaps i and i+1 whenever their rows differ.
-    It maps the row-increasing basis into itself but is not idempotent."""
+def positional_pi_full(i: int, t):
+    """The full operator read off the positions of i and i+1 and applied
+    by ``swap_entries``: the oracle for the row-word rule behind
+    ``pi_full``."""
     pos = t.positions
-    return swap_entries(t, i) if pos[i][0] != pos[i + 1][0] else t
+    if pos[i][0] >= pos[i + 1][0]:
+        return t
+    return swap_entries(t, i)
+
+
+def positional_pi_quotient(i: int, t):
+    """The quotient operator read off the columns of i and i+1 in
+    ``t.positions``: the oracle for the row-word rule behind
+    ``pi_quotient``."""
+    pos = t.positions
+    ci = pos[i][1]
+    cj = pos[i + 1][1]
+    if ci < cj:
+        return Fixed(t)
+    if ci == cj:
+        return Zero()
+    return Swapped(swap_entries(t, i))
+
+
+def row_swapping_full_step(i: int, w):
+    """A broken full operator on row words: swaps the letters of i and i+1
+    whenever their rows differ.  It maps the row-increasing basis into
+    itself but is not idempotent."""
+    if w[i - 1] == w[i]:
+        return w
+    return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
 
 
 def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:

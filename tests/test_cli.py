@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import extschur
 import extschur.cli as cli
 from extschur.cli import main
 
@@ -72,6 +77,22 @@ def test_expand_rejects_csv(capsys):
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
+    # argparse wraps its usage text to COLUMNS; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHONPATH", str(Path(extschur.__file__).parents[1]))
+    for argv in (
+        ("expand", "--alpha", "2,1,3", "--basis", "M"),
+        ("analyze", "--alpha"),  # usage error raised by the parser itself
+        ("verify", "--n", "3", "--format", "json"),
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "extschur.cli", *argv],
+            capture_output=True, text=True, env=os.environ.copy(), check=False,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_tableaux_set_with_descents(capsys):

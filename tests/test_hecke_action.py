@@ -1,12 +1,20 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import replayed_relations, row_swapping_pi_full
+from helpers import (
+    positional_pi_full,
+    positional_pi_quotient,
+    replayed_relations,
+    row_swapping_full_step,
+)
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
 from extschur.hecke_action import (
     Fixed,
     Swapped,
     Zero,
+    _from_row_word,
+    _row_word,
     action_table,
     apply_word,
     filtration,
@@ -24,7 +32,6 @@ from extschur.tableaux import (
     is_standard_extended,
     row_sum_vector,
     super_standard,
-    swap_entries,
 )
 
 # shape (4,2,3), rows bottom-up
@@ -70,7 +77,9 @@ def test_pi_full_closure():
             srit = set(enumerate_srit(alpha))
             for t in srit:
                 for i in range(1, n):
-                    assert pi_full(i, t) in srit
+                    image = pi_full(i, t)
+                    assert image in srit
+                    assert image == positional_pi_full(i, t)
 
 
 def test_pi_quotient_closure():
@@ -80,6 +89,7 @@ def test_pi_quotient_closure():
             for t in extended:
                 for i in range(1, n):
                     result = pi_quotient(i, t)
+                    assert result == positional_pi_quotient(i, t)
                     if isinstance(result, Swapped):
                         assert result.tableau in extended
                         assert result.tableau != t
@@ -183,8 +193,14 @@ def test_verify_relations_matches_replay():
                 assert verify_relations(alpha, kind) == replayed_relations(alpha, kind)
 
 
+def test_verify_relations_rejects_unknown_kind_at_every_weight():
+    for alpha in ((), (1,), (2,)):
+        with pytest.raises(ValueError, match="unknown action kind 'bogus'"):
+            verify_relations(Composition(alpha), "bogus")
+
+
 def test_verify_relations_matches_replay_with_broken_operator(monkeypatch):
-    monkeypatch.setattr(hecke_action, "pi_full", row_swapping_pi_full)
+    monkeypatch.setattr(hecke_action, "_full_step", row_swapping_full_step)
     total = 0
     for n in range(0, 6):
         for alpha in compositions_of(n):
@@ -194,17 +210,17 @@ def test_verify_relations_matches_replay_with_broken_operator(monkeypatch):
     assert total == 2072
 
 
-def erratic_pi_full(i: int, t: Tableau) -> Tableau:
-    """Swaps i and i+1 across rows for odd i, and for even i only while 1
-    sits in the bottom row: breaks all three relation families."""
-    pos = t.positions
-    if pos[i][0] != pos[i + 1][0] and (i % 2 or 1 in t.rows[0]):
-        return swap_entries(t, i)
-    return t
+def erratic_full_step(i: int, w):
+    """Swaps the letters of i and i+1 across rows for odd i, and for even i
+    only while 1 sits in the bottom row: breaks all three relation
+    families."""
+    if w[i - 1] != w[i] and (i % 2 or w[0] == 0):
+        return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+    return w
 
 
 def test_verify_relations_matches_replay_when_every_relation_breaks(monkeypatch):
-    monkeypatch.setattr(hecke_action, "pi_full", erratic_pi_full)
+    monkeypatch.setattr(hecke_action, "_full_step", erratic_full_step)
     seen = set()
     for n in range(0, 6):
         for alpha in compositions_of(n):
@@ -212,6 +228,69 @@ def test_verify_relations_matches_replay_when_every_relation_breaks(monkeypatch)
             assert report == replayed_relations(alpha, "full")
             seen.update(violation.relation for violation in report.violations)
     assert seen == {"idempotent", "commute", "braid"}
+
+
+def swapping_quotient_step(i: int, w):
+    """A broken quotient operator that never annihilates: fixes when i and
+    i+1 share a row or a column, otherwise swaps their letters.  The swap
+    stays standard extended, but the operator is not idempotent."""
+    a, b = w[i - 1], w[i]
+    if a == b or w[:i].count(a) == w[:i + 1].count(b):
+        return w
+    return w[:i - 1] + (b, a) + w[i + 1:]
+
+
+def test_verify_relations_matches_replay_with_broken_quotient_operator(monkeypatch):
+    monkeypatch.setattr(hecke_action, "_quotient_step", swapping_quotient_step)
+    total = 0
+    for n in range(0, 6):
+        for alpha in compositions_of(n):
+            report = verify_relations(alpha, "quotient")
+            assert report == replayed_relations(alpha, "quotient")
+            total += len(report.violations)
+    assert total == 130
+
+
+def positional_table(basis, kind):
+    index = {t: j for j, t in enumerate(basis)}
+    n = basis[0].size if basis else 0
+    table = []
+    for i in range(1, n):
+        row = []
+        for t in basis:
+            if kind == "full":
+                row.append(index[positional_pi_full(i, t)])
+            else:
+                result = positional_pi_quotient(i, t)
+                row.append(None if isinstance(result, Zero) else index[result.tableau])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def test_action_table_matches_positional_oracle():
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            for kind, basis in (("full", enumerate_srit(alpha)), ("quotient", enumerate_set(alpha))):
+                assert action_table(basis, kind) == positional_table(basis, kind), (alpha, kind)
+
+
+@st.composite
+def row_increasing_tableaux(draw, max_weight=10):
+    n = draw(st.integers(min_value=0, max_value=max_weight))
+    alpha = draw(st.sampled_from(compositions_of(n)))
+    entries = draw(st.permutations(range(1, n + 1)))
+    rows, start = [], 0
+    for part in alpha:
+        rows.append(tuple(sorted(entries[start:start + part])))
+        start += part
+    return Tableau(tuple(rows))
+
+
+@given(row_increasing_tableaux())
+def test_row_word_round_trip(t):
+    word = _row_word(t)
+    assert len(word) == t.size
+    assert _from_row_word(word, len(t.rows)) == t
 
 
 def test_action_table_matches_pi_full():
@@ -228,6 +307,13 @@ def test_action_table_rejects_image_outside_basis():
     # the full operator sends ((1,), (2,)) to the non-extended ((2,), (1,))
     with pytest.raises(KeyError, match=r"\(2,\), \(1,\)"):
         action_table(enumerate_set(Composition((1, 1))), "full")
+
+
+def test_action_table_checks_kind_and_basis_first():
+    with pytest.raises(ValueError, match="unknown action kind 'bogus'"):
+        action_table([], "bogus")
+    with pytest.raises(ValueError, match="not standard extended"):
+        action_table([Tableau(((2,), (1,)))], "quotient")
 
 
 def test_preceq_shape_2_1_3():

@@ -10,7 +10,7 @@ from helpers import (
     identity_matrix,
     mat_mul,
     rank,
-    row_swapping_pi_full,
+    row_swapping_full_step,
     table_of,
 )
 from extschur import hecke_action
@@ -249,7 +249,7 @@ def test_verify_submodule_closure_sweep():
 
 
 def test_verify_submodule_closure_fails_with_broken_operator(monkeypatch):
-    monkeypatch.setattr(hecke_action, "pi_full", row_swapping_pi_full)
+    monkeypatch.setattr(hecke_action, "_full_step", row_swapping_full_step)
     assert not verify_submodule_closure(Composition((2, 2)))
     assert verify_submodule_closure(Composition((3,)))
 
