@@ -18,6 +18,10 @@ One table per basis, built by :func:`action_table`, records where each
 operator sends each tableau; the relation sweep composes its rows, and the
 submodule closure check and every module invariant read it instead of
 applying operators.
+
+Reachability needs no operator at all: read column by column, right to
+left, the standard extended tableaux of one shape are an interval of the
+left weak order on permutations, so :func:`preceq` compares inversion sets.
 """
 
 from __future__ import annotations
@@ -65,9 +69,12 @@ class Swapped:
 ActionResult = Fixed | Zero | Swapped
 
 
-def _check_index(i: int, t: Tableau) -> None:
-    if not 1 <= i <= t.size - 1:
-        raise ValueError(f"operator index {i} outside 1..{t.size - 1}")
+def _check_index(i: int, n: int) -> None:
+    # bool subclasses int, but True is not operator 1
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"operator index must be an integer, got {i!r}")
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"operator index {i} outside 1..{n - 1}")
 
 
 def _row_word(t: Tableau) -> RowWord:
@@ -117,7 +124,7 @@ def pi_full(i: int, t: Tableau) -> Tableau:
     Fixes t when i is in a row weakly above that of i+1, otherwise swaps
     the two entries; the result is again row-increasing.
     """
-    _check_index(i, t)
+    _check_index(i, t.size)
     w = _row_word(t)
     image = _full_step(i, w)
     return t if image == w else _from_row_word(image, len(t.rows))
@@ -130,7 +137,7 @@ def pi_quotient(i: int, t: Tableau) -> ActionResult:
     annihilate, strictly right swaps (and the swap stays standard
     extended).
     """
-    _check_index(i, t)
+    _check_index(i, t.size)
     if not is_standard_extended(t):
         raise ValueError("tableau is not standard extended")
     w = _row_word(t)
@@ -153,10 +160,8 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
     In quotient mode the result stays zero once any step annihilates.
     """
     _check_kind(kind)
-    n = t.size
     for i in word:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"operator index {i} outside 1..{n - 1}")
+        _check_index(i, t.size)
     if not word:
         return t
     if kind == "quotient" and not is_standard_extended(t):
@@ -265,31 +270,32 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
     return RelationReport(alpha, kind, len(basis), violations)
 
 
+def _column_word(t: Tableau) -> tuple[int, ...]:
+    """Entries read column by column, right to left, each column bottom to
+    top."""
+    width = max(map(len, t.rows), default=0)
+    return tuple(row[c] for c in reversed(range(width)) for row in t.rows if c < len(row))
+
+
+def _inversions(w: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Position pairs ``(p, q)``, ``p < q``, with ``w[p] > w[q]``."""
+    return {(p, q) for q in range(len(w)) for p in range(q) if w[p] > w[q]}
+
+
 def preceq(s: Tableau, t: Tableau) -> bool:
     """True when s is reachable from t by quotient operators (reflexive).
 
-    Computed by exhaustive closure search; annihilated images are
-    discarded.
+    The column words (:func:`_column_word`) of the standard extended
+    tableaux of one shape form an interval of the left weak order, and a
+    genuine swap exchanges the values i and i+1 there, adding one
+    inversion.  So s is reachable from t exactly when the inversion set
+    of t's column word is contained in that of s's.
     """
     if s.shape != t.shape:
         raise ValueError("tableaux have different shapes")
     if not (is_standard_extended(s) and is_standard_extended(t)):
         raise ValueError("tableau is not standard extended")
-    if s == t:
-        return True
-    n = t.size
-    seen = {t}
-    stack = [t]
-    while stack:
-        current = stack.pop()
-        for i in range(1, n):
-            result = pi_quotient(i, current)
-            if isinstance(result, Swapped) and result.tableau not in seen:
-                if result.tableau == s:
-                    return True
-                seen.add(result.tableau)
-                stack.append(result.tableau)
-    return False
+    return _inversions(_column_word(t)) <= _inversions(_column_word(s))
 
 
 def generation_path(s: Tableau) -> tuple[int, ...]:

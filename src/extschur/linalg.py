@@ -1,4 +1,4 @@
-"""Exact integer linear algebra.
+"""Exact integer nullspace.
 
 Sparse rows are dicts mapping column index to a nonzero integer.
 Elimination uses integer cross-multiplication with content removal, so no
@@ -99,31 +99,3 @@ def _to_primitive(vector: list[Fraction]) -> tuple[int, ...]:
                 ints = [-w for w in ints]
             break
     return tuple(ints)
-
-
-def determinant(matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(row) for row in matrix]
-    size = len(m)
-    for row in m:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    if size == 0:
-        return 1
-    sign = 1
-    previous = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
-            m[i][k] = 0
-        previous = m[k][k]
-    return sign * m[-1][-1]

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from .compositions import (
@@ -25,7 +25,6 @@ from .compositions import (
     is_partition,
     refinements,
 )
-from .linalg import determinant
 from .tableaux import descent_composition, enumerate_set
 
 BASES = ("M", "F")
@@ -173,8 +172,10 @@ class KMatrix:
 
     Rows and columns are indexed by the compositions of n in lexicographic
     order; entry (alpha, beta) counts tableaux of shape alpha with descent
-    composition beta.  The diagonal is all ones and the determinant is
-    +-1, so the recorded expansions are invertible over the integers.
+    composition beta.  A tableau's descent composition is at most its
+    shape lexicographically, with equality only for the super-standard
+    tableau, so the matrix is lower unitriangular: the determinant is 1
+    and the recorded expansions are invertible over the integers.
     """
 
     n: int
@@ -189,7 +190,20 @@ class KMatrix:
         return self.entries[self.index[Composition(alpha)]][self.index[Composition(beta)]]
 
     def determinant(self) -> int:
-        return determinant(self.entries)
+        """The product of the diagonal; an entry above the diagonal raises
+        ``ValueError`` naming it instead."""
+        size = len(self.entries)
+        for i, row in enumerate(self.entries):
+            if len(row) != size:
+                raise ValueError("K must be square")
+            for j in range(i + 1, size):
+                if row[j]:
+                    raise ValueError(
+                        f"entry ({format_composition(self.compositions[i])}, "
+                        f"{format_composition(self.compositions[j])}) = {row[j]} "
+                        "lies above the diagonal"
+                    )
+        return prod(row[i] for i, row in enumerate(self.entries))
 
     def to_csv(self) -> str:
         """Header row and column of composition strings, integer entries."""

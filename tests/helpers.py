@@ -8,9 +8,13 @@ the operators read off entry positions and applied by ``swap_entries``
 matrices rebuilt column by column from ``pi_quotient``
 (:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
 as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
-both words of every relation on every tableau (:func:`replayed_relations`)
-and the triangular monomial-to-fundamental solve
-(:func:`peeled_monomial_to_fundamental`).  The tests pit the two routes
+both words of every relation on every tableau (:func:`replayed_relations`),
+the triangular monomial-to-fundamental solve
+(:func:`peeled_monomial_to_fundamental`), the closure search for
+reachability (:func:`searched_preceq`) and the Bareiss determinant
+(:func:`bareiss_determinant`).  :func:`interval_module` builds the quotient
+module a second way, as a left weak order interval of permutations,
+without tableaux or the row-word rules.  The tests pit the two routes
 against each other.  The matrix helpers (:func:`rank`, :func:`mat_mul`,
 :func:`identity_matrix`) serve only the tests.
 """
@@ -34,6 +38,7 @@ from extschur.linalg import _Echelon, nullspace
 from extschur.module_analysis import EndomorphismSpace, ModuleMatrices
 from extschur.qsym import QSymElement
 from extschur.tableaux import (
+    Tableau,
     enumerate_set,
     enumerate_srit,
     is_standard_extended,
@@ -328,3 +333,112 @@ def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
 
 def identity_matrix(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if r == c else 0 for c in range(size)) for r in range(size))
+
+
+def searched_preceq(s: Tableau, t: Tableau) -> bool:
+    """Reachability of s from t by exhaustive closure search over
+    ``pi_quotient``, annihilated images discarded: the oracle for the
+    inversion-set test in ``preceq``."""
+    if s == t:
+        return True
+    seen = {t}
+    stack = [t]
+    while stack:
+        current = stack.pop()
+        for i in range(1, t.size):
+            result = pi_quotient(i, current)
+            if isinstance(result, Swapped) and result.tableau not in seen:
+                if result.tableau == s:
+                    return True
+                seen.add(result.tableau)
+                stack.append(result.tableau)
+    return False
+
+
+def bareiss_determinant(matrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination):
+    the oracle for the unitriangular ``KMatrix.determinant``."""
+    m = [list(row) for row in matrix]
+    size = len(m)
+    for row in m:
+        if len(row) != size:
+            raise ValueError("matrix must be square")
+    if size == 0:
+        return 1
+    sign = 1
+    previous = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, size):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+            m[i][k] = 0
+        previous = m[k][k]
+    return sign * m[-1][-1]
+
+
+def column_word(rows: Rows) -> tuple[int, ...]:
+    """Entries read column by column, right to left, each column bottom to
+    top."""
+    width = max((len(row) for row in rows), default=0)
+    return tuple(row[c] for c in reversed(range(width)) for row in rows if c < len(row))
+
+
+def inversion_set(w) -> frozenset[tuple[int, int]]:
+    """Position pairs ``(p, q)``, ``p < q``, with ``w[p] > w[q]``."""
+    return frozenset((p, q) for p in range(len(w)) for q in range(p + 1, len(w)) if w[p] > w[q])
+
+
+def interval_module(alpha):
+    """The quotient module of alpha as the left weak order interval
+    ``[sigma, rho]``, built from the shape alone.
+
+    ``sigma`` is the column word of the filling numbered row by row (the
+    super-standard tableau), ``rho`` that of the filling numbered column by
+    column, left to right, each column bottom to top.  A breadth-first
+    search from ``sigma`` swaps the values i and i+1 and keeps the words
+    whose inversion sets lie between those of ``sigma`` and ``rho``.  The
+    i-th operator fixes a word where i+1 comes before i, sends it to the
+    swapped word when that stays in the interval, and to 0 otherwise.
+
+    Returns the words in search order and a function mapping ``(i, word)``
+    to the image word, or ``None`` for 0.
+    """
+    parts = tuple(Composition(alpha))
+    n = sum(parts)
+    offsets = [sum(parts[:r]) for r in range(len(parts))]
+    sigma = column_word(tuple(
+        tuple(offsets[r] + c + 1 for c in range(part)) for r, part in enumerate(parts)
+    ))
+    boxes = sorted((c, r) for r, part in enumerate(parts) for c in range(part))
+    label = {box: v for v, box in enumerate(boxes, start=1)}
+    rho = column_word(tuple(
+        tuple(label[c, r] for c in range(part)) for r, part in enumerate(parts)
+    ))
+    low, high = inversion_set(sigma), inversion_set(rho)
+
+    def swap(i, w):
+        return tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+
+    def act(i, w):
+        if w.index(i + 1) < w.index(i):
+            return w
+        image = swap(i, w)
+        return image if low <= inversion_set(image) <= high else None
+
+    words = [sigma]
+    seen = {sigma}
+    for w in words:
+        for i in range(1, n):
+            image = act(i, w)
+            if image is not None and image not in seen:
+                seen.add(image)
+                words.append(image)
+    return words, act

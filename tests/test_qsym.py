@@ -4,7 +4,12 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import hook_length, laplace_determinant, peeled_monomial_to_fundamental
+from helpers import (
+    bareiss_determinant,
+    hook_length,
+    laplace_determinant,
+    peeled_monomial_to_fundamental,
+)
 from extschur.compositions import Composition, compositions_of, is_partition
 from extschur.qsym import (
     KMatrix,
@@ -251,6 +256,21 @@ def test_k_matrix_determinant_matches_cofactor_expansion():
     for n in range(1, 5):
         km = k_matrix(n)
         assert km.determinant() == laplace_determinant([list(r) for r in km.entries])
+
+
+def test_k_matrix_determinant_matches_bareiss():
+    for n in range(1, 9):
+        km = k_matrix(n)
+        assert km.determinant() == bareiss_determinant(km.entries) == 1, n
+
+
+def test_k_matrix_determinant_refuses_entry_above_diagonal():
+    comps = tuple(compositions_of(2))
+    km = KMatrix(2, comps, ((1, 3), (0, 1)))
+    with pytest.raises(ValueError, match=r"entry \(1,1, 2\) = 3 lies above the diagonal"):
+        km.determinant()
+    with pytest.raises(ValueError, match="square"):
+        KMatrix(2, comps, ((1,), (0, 1))).determinant()
 
 
 def test_k_matrix_row_2_1_3():
