@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .compositions import (
     Composition,
@@ -19,12 +20,20 @@ from .compositions import (
     is_partition,
     parse_composition,
 )
-from .hecke_action import verify_relations
+from .hecke_action import (
+    ActionTable,
+    Filtration,
+    _relation_failures,
+    _word_table,
+    action_table,
+    filtration,
+)
 from .module_analysis import (
+    _characteristic,
+    _commutant_basis,
+    _submodule_closed,
     analysis_report,
     characteristic,
-    commutant_basis,
-    verify_submodule_closure,
 )
 from .qsym import (
     QSymElement,
@@ -38,7 +47,13 @@ from .qsym import (
     monomial_to_fundamental,
     schur_in_F,
 )
-from .tableaux import descent_composition, enumerate_set, enumerate_srit
+from .tableaux import (
+    RowWord,
+    _srit_words,
+    descent_composition,
+    enumerate_set,
+    enumerate_srit,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -295,19 +310,66 @@ def _cmd_kmatrix(config: CliConfig, args) -> int:
 # verification sweeps
 
 
-def _check_relations(alpha: Composition) -> bool:
-    return verify_relations(alpha, "full").ok and verify_relations(alpha, "quotient").ok
+class _Shape:
+    """What the checks of one composition share, each part built on first
+    use: the row words of its standard row-increasing tableaux with their
+    ``"full"`` action table, its SET filtration with the quotient table in
+    that order, and its extended Schur function.  :func:`_run_checks`
+    drops it before the next composition."""
+
+    def __init__(self, alpha: Composition):
+        self.alpha = alpha
+
+    @cached_property
+    def words(self) -> list[RowWord]:
+        return _srit_words(self.alpha)
+
+    @cached_property
+    def full_table(self) -> ActionTable:
+        return _word_table(self.words, "full", len(self.alpha))
+
+    @cached_property
+    def filt(self) -> Filtration:
+        return filtration(self.alpha)
+
+    @cached_property
+    def quotient_table(self) -> ActionTable:
+        return action_table(self.filt.order, "quotient")
+
+    @cached_property
+    def extended_schur(self) -> QSymElement:
+        return extended_schur_in_F(self.alpha)
 
 
-def _check_characteristic(alpha: Composition) -> bool:
-    return characteristic(alpha) == extended_schur_in_F(alpha)
+def _check_relations(shape: _Shape) -> bool:
+    n = shape.alpha.weight
+    return not (
+        _relation_failures(shape.full_table, n) or _relation_failures(shape.quotient_table, n)
+    )
 
 
-def _check_endomorphism(alpha: Composition) -> bool:
-    return commutant_basis(alpha).dimension == 1
+def _check_submodule(shape: _Shape) -> bool:
+    return _submodule_closed(shape.alpha, shape.words, shape.full_table)
 
 
-def _check_roundtrip(alpha: Composition) -> bool:
+def _check_characteristic(shape: _Shape) -> bool:
+    return _characteristic(shape.filt, shape.quotient_table) == shape.extended_schur
+
+
+def _check_endomorphism(shape: _Shape) -> bool:
+    return _commutant_basis(shape.filt, shape.quotient_table).dimension == 1
+
+
+def _check_schur(shape: _Shape) -> bool:
+    alpha = shape.alpha
+    return (
+        shape.extended_schur == schur_in_F(alpha)
+        and len(shape.filt) == hook_length_count(alpha)
+    )
+
+
+def _check_roundtrip(shape: _Shape) -> bool:
+    alpha = shape.alpha
     f = fundamental(alpha)
     m = monomial(alpha)
     if monomial_to_fundamental(fundamental_to_monomial(f)) != f:
@@ -315,61 +377,57 @@ def _check_roundtrip(alpha: Composition) -> bool:
     if fundamental_to_monomial(monomial_to_fundamental(m)) != m:
         return False
     # monomial positivity of the extended Schur expansion
-    return all(c >= 0 for c in extended_schur_in_M(alpha).coeffs.values())
+    return all(c >= 0 for c in fundamental_to_monomial(shape.extended_schur).coeffs.values())
+
+
+def _check_kmatrix(m: int) -> bool:
+    try:
+        return k_matrix(m).determinant() == 1
+    except ValueError:  # an entry above the diagonal
+        return False
 
 
 _PER_ALPHA_CHECKS = {
     "relations": _check_relations,
-    "submodule": verify_submodule_closure,
+    "submodule": _check_submodule,
     "characteristic": _check_characteristic,
     "endomorphism": _check_endomorphism,
+    "schur": _check_schur,
     "roundtrip": _check_roundtrip,
 }
 
 
-def _check_units(name: str, n: int):
-    """Yield (label, ok) pairs for one named check over all weights <= n."""
-    if name == "kmatrix":
-        for m in range(1, n + 1):
-            try:
-                ok = k_matrix(m).determinant() == 1
-            except ValueError:  # an entry above the diagonal
-                ok = False
-            yield f"n={m}", ok
-        return
-    if name == "schur":
-        for m in range(1, n + 1):
-            for alpha in compositions_of(m):
-                if not is_partition(alpha):
-                    continue
-                ok = (
-                    extended_schur_in_F(alpha) == schur_in_F(alpha)
-                    and len(enumerate_set(alpha)) == hook_length_count(alpha)
-                )
-                yield f"lambda={format_composition(alpha)}", ok
-        return
-    check = _PER_ALPHA_CHECKS[name]
-    for m in range(1, n + 1):
-        for alpha in compositions_of(m):
-            yield f"alpha={format_composition(alpha)}", check(alpha)
-
-
-def _run_check(name: str, n: int) -> dict:
-    passed = failed = 0
-    first = None
-    for label, ok in _check_units(name, n):
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-            if first is None:
-                first = label
-    return {
-        "name": name,
-        "passed": passed,
-        "failed": failed,
-        "first_counterexample": first,
+def _run_checks(names, n: int) -> list[dict]:
+    """Run the named checks over every weight up to n, in one pass over
+    the compositions: ``kmatrix`` once per weight, ``schur`` on the
+    partitions, every other check on each composition, all sharing one
+    :class:`_Shape`.  One result per name, in the given order."""
+    results = {
+        name: {"name": name, "passed": 0, "failed": 0, "first_counterexample": None}
+        for name in names
     }
+
+    def record(name: str, label: str, ok: bool) -> None:
+        result = results[name]
+        if ok:
+            result["passed"] += 1
+        else:
+            result["failed"] += 1
+            if result["first_counterexample"] is None:
+                result["first_counterexample"] = label
+
+    for m in range(1, n + 1):
+        if "kmatrix" in results:
+            record("kmatrix", f"n={m}", _check_kmatrix(m))
+        for alpha in compositions_of(m):
+            shape = _Shape(alpha)
+            label = format_composition(alpha)
+            for name in results:
+                if name == "kmatrix" or (name == "schur" and not is_partition(alpha)):
+                    continue
+                prefix = "lambda" if name == "schur" else "alpha"
+                record(name, f"{prefix}={label}", _PER_ALPHA_CHECKS[name](shape))
+    return list(results.values())
 
 
 def _cmd_verify(config: CliConfig, args) -> int:
@@ -378,7 +436,7 @@ def _cmd_verify(config: CliConfig, args) -> int:
     if args.n > config.max_n:
         raise UsageError(f"--n {args.n} exceeds --max-n {config.max_n}")
     selected = [name for name in ALL_CHECKS if name in config.checks]
-    results = [_run_check(name, args.n) for name in selected]
+    results = _run_checks(selected, args.n)
     ok = all(result["failed"] == 0 for result in results)
     if config.format == "json":
         print(json.dumps({"n": args.n, "ok": ok, "checks": results}, indent=2))

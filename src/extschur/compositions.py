@@ -138,15 +138,19 @@ def refinements(alpha: Composition) -> list[Composition]:
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse comma-separated positive integers; '' is the empty composition."""
+    """Parse comma-separated positive integers; '' is the empty composition.
+
+    Each piece is ASCII digits with optional surrounding whitespace, so
+    signs, underscores and non-ASCII digits, all of which ``int`` accepts,
+    are refused.
+    """
     text = text.strip()
     if not text:
         return Composition()
-    try:
-        parts = tuple(int(piece) for piece in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed composition string: {text!r}") from None
-    return Composition(parts)
+    pieces = [piece.strip() for piece in text.split(",")]
+    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+        raise ValueError(f"malformed composition string: {text!r}")
+    return Composition(int(piece) for piece in pieces)
 
 
 def format_composition(alpha: Composition) -> str:

@@ -14,10 +14,12 @@ count of its letter up to and including it): :func:`_full_step` and
 ``pi_quotient``, ``apply_word`` and :func:`action_table` all go through
 them, converting to and from the validated ``Tableau`` at their boundary.
 
-One table per basis, built by :func:`action_table`, records where each
-operator sends each tableau; the relation sweep composes its rows, and the
-submodule closure check and every module invariant read it instead of
-applying operators.
+One table per basis records where each operator sends each tableau.
+:func:`action_table` builds it from tableaux and ``_word_table`` from
+row words; the full basis is taken straight from
+``tableaux._srit_words``, so no ``Tableau`` is built for it.  The relation
+sweep composes the table's rows, and the submodule closure check and
+every module invariant read it instead of applying operators.
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -32,9 +34,10 @@ from typing import Literal
 
 from .compositions import Composition
 from .tableaux import (
+    RowWord,
     Tableau,
+    _srit_words,
     enumerate_set,
-    enumerate_srit,
     is_standard_extended,
     reading_word,
     row_sum_vector,
@@ -44,7 +47,6 @@ from .tableaux import (
 
 Kind = Literal["full", "quotient"]
 ActionTable = tuple[tuple[int | None, ...], ...]
-RowWord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -182,21 +184,31 @@ def action_table(basis, kind: Kind) -> ActionTable:
     _check_kind(kind)
     if kind == "quotient" and not all(is_standard_extended(t) for t in basis):
         raise ValueError("tableau is not standard extended")
+    height = len(basis[0].rows) if basis else 0
+    return _word_table([_row_word(t) for t in basis], kind, height)
+
+
+def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
+    """:func:`action_table` for a basis given by the row words of its
+    tableaux, of ``height`` rows; a ``Tableau`` is built only to name an
+    image outside the basis."""
+    # the rules are looked up per call, so a substituted rule is seen here
     step = _full_step if kind == "full" else _quotient_step
-    words = [_row_word(t) for t in basis]
     index = {w: j for j, w in enumerate(words)}
-    n = basis[0].size if basis else 0
+    n = len(words[0]) if words else 0
     table = []
     for i in range(1, n):
         row = []
-        for w in words:
+        for w, j in index.items():
             image = step(i, w)
-            if image is None:
+            if image is w:
+                row.append(j)
+            elif image is None:
                 row.append(None)
             elif image in index:
                 row.append(index[image])
             else:
-                raise KeyError(_from_row_word(image, len(basis[0].rows)))
+                raise KeyError(_from_row_word(image, height))
         table.append(tuple(row))
     return tuple(table)
 
@@ -239,35 +251,58 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
     every basis tableau of the chosen action.
 
     Violations are collected, not raised, so sweeps over many shapes can
-    aggregate results.
+    aggregate results.  The full basis is swept as the row words of
+    :func:`~extschur.tableaux.enumerate_srit`, in its order, and a
+    ``Tableau`` is built only for a reported violation.
     """
     _check_kind(kind)
     alpha = Composition(alpha)
     n = alpha.weight
-    basis = enumerate_set(alpha) if kind == "quotient" else enumerate_srit(alpha)
-    table = action_table(basis, kind)
-    relations = (
+    if kind == "quotient":
+        words = [_row_word(t) for t in enumerate_set(alpha)]
+    else:
+        words = _srit_words(alpha)
+    table = _word_table(words, kind, len(alpha))
+    relations = _relations(n)
+    violations = tuple(
+        RelationViolation(*relations[r][:3], _from_row_word(words[k], len(alpha)))
+        for k, r in _relation_failures(table, n)
+    )
+    return RelationReport(alpha, kind, len(words), violations)
+
+
+def _relations(n: int) -> list[tuple[str, int, int | None, tuple[int, ...], tuple[int, ...]]]:
+    """The relations of weight n as ``(name, i, j, left_word, right_word)``,
+    idempotent, then commute, then braid."""
+    return (
         [("idempotent", i, None, (i, i), (i,)) for i in range(1, n)]
         + [("commute", i, j, (i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)]
         + [("braid", i, i + 1, (i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
     )
 
-    def act(word) -> list[int | None]:
+
+def _relation_failures(table: ActionTable, n: int) -> list[tuple[int, int]]:
+    """Sorted pairs ``(k, r)``: relation ``r`` of :func:`_relations` fails
+    on basis index ``k`` of the table.  Both words of a relation are read
+    as whole table rows composed letter by letter."""
+    m = len(table[0]) if table else 0
+    # an annihilated image becomes the extra index m, which every row fixes
+    rows = [[m if k is None else k for k in row] + [m] for row in table]
+
+    def act(word) -> list[int]:
         """Images of every basis index under the word, first letter first."""
-        images: list[int | None] = list(range(len(basis)))
-        for i in word:
-            row = table[i - 1]
-            images = [None if k is None else row[k] for k in images]
+        images = rows[word[0] - 1]
+        for i in word[1:]:
+            images = list(map(rows[i - 1].__getitem__, images))
         return images
 
     failures = []
-    for r, (_, _, _, left, right) in enumerate(relations):
+    for r, (_, _, _, left, right) in enumerate(_relations(n)):
         lhs, rhs = act(left), act(right)
         if lhs != rhs:
             failures.extend((k, r) for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
     failures.sort()
-    violations = tuple(RelationViolation(*relations[r][:3], basis[k]) for k, r in failures)
-    return RelationReport(alpha, kind, len(basis), violations)
+    return failures
 
 
 def _column_word(t: Tableau) -> tuple[int, ...]:

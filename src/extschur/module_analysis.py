@@ -18,6 +18,12 @@ entries of ``E``.  The reduction holds only when the search reaches every
 basis tableau, and the solver raises otherwise, so no module is certified
 without that check.  A one-dimensional commutant certifies
 indecomposability.
+
+The submodule closure check works on the full basis as row words: the
+``"full"`` table of ``tableaux._srit_words`` and the column condition read
+off each word.  The private ``_characteristic``, ``_submodule_closed`` and
+``_commutant_basis`` take tables already built, so a caller that checks
+one shape several ways builds each table once.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .compositions import Composition, DescentSubset, composition_of_subset
-from .hecke_action import ActionTable, Filtration, action_table, filtration
+from .hecke_action import ActionTable, Filtration, _word_table, action_table, filtration
 from .linalg import nullspace
 from .qsym import QSymElement
-from .tableaux import enumerate_srit, is_standard_extended, super_standard
+from .tableaux import RowWord, _column_strict_flags, _srit_words, super_standard
 
 Matrix = tuple[tuple[int, ...], ...]
 CompositionFactorList = tuple[Composition, ...]
@@ -94,9 +100,13 @@ def characteristic(alpha) -> QSymElement:
     Computed from the operator action alone; it coincides with the
     extended Schur function of alpha.
     """
-    alpha = Composition(alpha)
-    counts = Counter(composition_factors(alpha))
-    return QSymElement(alpha.weight, "F", dict(counts))
+    filt = filtration(Composition(alpha))
+    return _characteristic(filt, action_table(filt.order, "quotient"))
+
+
+def _characteristic(filt: Filtration, table: ActionTable) -> QSymElement:
+    counts = Counter(_composition_factors(filt, table))
+    return QSymElement(filt.alpha.weight, "F", dict(counts))
 
 
 @dataclass(frozen=True)
@@ -212,12 +222,23 @@ def is_indecomposable(alpha) -> Verdict:
 
 def verify_submodule_closure(alpha) -> bool:
     """True when every full-basis operator maps each non-extended
-    row-increasing tableau to another non-extended one."""
-    basis = enumerate_srit(Composition(alpha))
-    extended = [is_standard_extended(t) for t in basis]
+    row-increasing tableau to another non-extended one.
+
+    Reads the ``"full"`` action table of the row words of the standard
+    row-increasing tableaux; no ``Tableau`` is built.
+    """
+    alpha = Composition(alpha)
+    words = _srit_words(alpha)
+    return _submodule_closed(alpha, words, _word_table(words, "full", len(alpha)))
+
+
+def _submodule_closed(alpha: Composition, words: list[RowWord], table: ActionTable) -> bool:
+    """No column of the full table sends a non-extended word to an
+    extended one."""
+    extended = _column_strict_flags(alpha, words)
     return not any(
         extended[k] and not extended[j]
-        for images in action_table(basis, "full")
+        for images in table
         for j, k in enumerate(images)
     )
 

@@ -6,6 +6,15 @@ tableau assigns 1..n bijectively so that every row increases left to right;
 a standard extended tableau additionally has every column increasing bottom
 to top, where a column consists of all boxes with the same column index
 (rows too short to reach that column are simply skipped).
+
+A row-increasing filling is fixed by its row word, whose letter ``v-1`` is
+the 0-based row of entry ``v``: each row lists its entries in increasing
+order.  The row words of shape alpha are the arrangements of
+``0^alpha_1 1^alpha_2 ...``, and the column of ``v`` is the count of its
+letter up to and including it.  :func:`_srit_words` lists them in the
+order of :func:`enumerate_srit`, and :func:`_column_strict_flags` reads
+the column condition off each word, so the sweeps over every
+row-increasing filling build no ``Tableau``.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from .compositions import Composition, DescentSubset, composition_of_subset
 
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
+RowWord = tuple[int, ...]  # letter v-1: the 0-based row of entry v
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,80 @@ def enumerate_srit(alpha: Composition) -> list[Tableau]:
     return [Tableau(rows) for rows in fill(pool, tuple(alpha))]
 
 
+def _srit_words(alpha: Composition) -> list[RowWord]:
+    """The row words of the standard row-increasing tableaux of alpha, in
+    the order of :func:`enumerate_srit`.
+
+    Letter ``v-1`` of a row word is the 0-based row of entry ``v``, so these
+    are the arrangements of ``0^alpha_1 1^alpha_2 ...``.  As in
+    :func:`enumerate_srit`, the entry set of row 0 varies slowest and each
+    row takes the combinations, in lexicographic order, of the entries the
+    rows under it left free; the top row takes the rest.
+    """
+    alpha = Composition(alpha)
+    word = [len(alpha) - 1] * alpha.weight
+    if len(alpha) <= 1:
+        return [tuple(word)]
+    words: list[RowWord] = []
+    _fill_rows(alpha, 0, list(range(alpha.weight)), word, words)
+    return words
+
+
+def _fill_rows(
+    alpha: Composition, r: int, pool: list[int], word: list[int], words: list[RowWord]
+) -> None:
+    """Give row r, in turn, each combination of the free word positions in
+    ``pool`` (position ``v`` holds entry ``v+1``), recurse up to the row
+    under the top one, and append each finished word to ``words``.  Not a
+    closure: one that calls itself is a reference cycle, which would keep
+    ``words`` alive until the cyclic collector runs."""
+    top = len(alpha) - 1
+    for row in combinations(pool, alpha[r]):
+        for v in row:
+            word[v] = r
+        if r == top - 1:
+            words.append(tuple(word))
+        else:
+            chosen = set(row)
+            _fill_rows(alpha, r + 1, [v for v in pool if v not in chosen], word, words)
+        for v in row:
+            word[v] = top
+
+
+def _below(alpha: Composition) -> list[list[int]]:
+    """``below[r][c]``: the nearest row under row r whose length exceeds c,
+    or -1 (all 0-based), i.e. the row holding the box under (r, c) in its
+    column."""
+    return [
+        [next((s for s in range(r - 1, -1, -1) if alpha[s] > c), -1) for c in range(part)]
+        for r, part in enumerate(alpha)
+    ]
+
+
+def _column_strict_flags(alpha: Composition, words: list[RowWord]) -> list[bool]:
+    """For each row word of shape alpha, whether its tableau is standard
+    extended.
+
+    Read off the word as :func:`enumerate_set` grows a tableau: entry v
+    lands in column ``c``, the count of its letter before it, and the
+    columns increase exactly when every entry finds the box under it in
+    that column already filled.
+    """
+    below = _below(alpha)
+
+    def strict(w: RowWord) -> bool:
+        filled = [0] * len(alpha)
+        for r in w:
+            c = filled[r]
+            s = below[r][c]
+            if s >= 0 and filled[s] <= c:
+                return False
+            filled[r] = c + 1
+        return True
+
+    return [strict(w) for w in words]
+
+
 def enumerate_set(alpha: Composition) -> list[Tableau]:
     """All standard extended tableaux of shape alpha.
 
@@ -132,12 +216,7 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
     """
     alpha = Composition(alpha)
     n = alpha.weight
-    # below[r][c]: the nearest row under row r whose length exceeds c, or -1
-    # (all 0-based), i.e. the row holding the box under (r, c) in its column.
-    below = [
-        [next((s for s in range(r - 1, -1, -1) if alpha[s] > c), -1) for c in range(part)]
-        for r, part in enumerate(alpha)
-    ]
+    below = _below(alpha)
     filling: list[list[int]] = [[] for _ in alpha]
     grown: list[tuple[tuple[int, ...], ...]] = []
 

@@ -9,7 +9,9 @@ matrices rebuilt column by column from ``pi_quotient``
 (:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
 as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
 both words of every relation on every tableau (:func:`replayed_relations`),
-the triangular monomial-to-fundamental solve
+the submodule closure over validated tableaux
+(:func:`tableau_submodule_closure`), the triangular monomial-to-fundamental
+solve
 (:func:`peeled_monomial_to_fundamental`), the closure search for
 reachability (:func:`searched_preceq`) and the Bareiss determinant
 (:func:`bareiss_determinant`).  :func:`interval_module` builds the quotient
@@ -30,6 +32,7 @@ from extschur.hecke_action import (
     RelationViolation,
     Swapped,
     Zero,
+    action_table,
     apply_word,
     filtration,
     pi_quotient,
@@ -284,6 +287,20 @@ def positional_pi_quotient(i: int, t):
     return Swapped(swap_entries(t, i))
 
 
+def tableau_submodule_closure(alpha) -> bool:
+    """The submodule closure check over validated ``Tableau``s: every
+    standard row-increasing tableau tested with ``is_standard_extended``
+    and the full table built by ``action_table``.  The oracle for the
+    row-word ``verify_submodule_closure``."""
+    basis = enumerate_srit(Composition(alpha))
+    extended = [is_standard_extended(t) for t in basis]
+    return not any(
+        extended[k] and not extended[j]
+        for images in action_table(basis, "full")
+        for j, k in enumerate(images)
+    )
+
+
 def row_swapping_full_step(i: int, w):
     """A broken full operator on row words: swaps the letters of i and i+1
     whenever their rows differ.  It maps the row-increasing basis into
@@ -291,6 +308,25 @@ def row_swapping_full_step(i: int, w):
     if w[i - 1] == w[i]:
         return w
     return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+
+
+def erratic_full_step(i: int, w):
+    """Swaps the letters of i and i+1 across rows for odd i, and for even i
+    only while 1 sits in the bottom row: breaks all three relation
+    families."""
+    if w[i - 1] != w[i] and (i % 2 or w[0] == 0):
+        return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+    return w
+
+
+def swapping_quotient_step(i: int, w):
+    """A broken quotient operator that never annihilates: fixes when i and
+    i+1 share a row or a column, otherwise swaps their letters.  The swap
+    stays standard extended, but the operator is not idempotent."""
+    a, b = w[i - 1], w[i]
+    if a == b or w[:i].count(a) == w[:i + 1].count(b):
+        return w
+    return w[:i - 1] + (b, a) + w[i + 1:]
 
 
 def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:

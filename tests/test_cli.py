@@ -2,14 +2,24 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from helpers import row_swapping_full_step, swapping_quotient_step
 import extschur
 import extschur.cli as cli
-from extschur.cli import main
-from extschur.qsym import KMatrix
+from extschur import hecke_action, tableaux
+from extschur.cli import ALL_CHECKS, main
+from extschur.compositions import compositions_of, format_composition
+from extschur.hecke_action import verify_relations
+from extschur.module_analysis import (
+    characteristic,
+    commutant_basis,
+    verify_submodule_closure,
+)
+from extschur.qsym import KMatrix, extended_schur_in_F
 
 
 def run(capsys, *argv):
@@ -55,6 +65,14 @@ def test_expand_rejects_malformed_composition(capsys):
     code, _, err = run(capsys, "expand", "--alpha", "2,x,3")
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("text", ["2_0,1", "+2,1", "\u0662,1"])
+def test_expand_rejects_what_int_alone_accepts(capsys, text):
+    code, out, err = run(capsys, "expand", "--alpha", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed composition string")
 
 
 def test_expand_rejects_nonpositive_parts(capsys):
@@ -256,12 +274,72 @@ def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
         raise AssertionError("handler ran for a refused csv request")
 
     for name in ("_cmd_expand", "_cmd_tableaux", "_cmd_char", "_cmd_analyze",
-                 "_cmd_verify", "_run_check"):
+                 "_cmd_verify", "_run_checks"):
         monkeypatch.setattr(cli, name, reached)
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 2
     assert out == ""
     assert err == "error: csv output is only available for the kmatrix command\n"
+
+
+def test_verify_builds_each_shape_once(capsys, monkeypatch):
+    by_check = []
+    for name in ALL_CHECKS:
+        code, out, _ = run(capsys, "verify", "--n", "5", "--checks", name)
+        assert code == 0
+        by_check.append(out.removesuffix("result: all checks passed\n"))
+
+    calls = Counter()
+    for module, name in ((tableaux, "_srit_words"), (hecke_action, "filtration")):
+        real = getattr(module, name)
+
+        def counted(alpha, real=real, name=name):
+            calls[name, tuple(alpha)] += 1
+            return real(alpha)
+
+        # replace every reference the package holds, wherever it was imported
+        for loaded in list(sys.modules.values()):
+            if loaded.__name__.startswith("extschur") and getattr(loaded, name, None) is real:
+                monkeypatch.setattr(loaded, name, counted)
+
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 0
+    assert out == "".join(by_check) + "result: all checks passed\n"
+    assert calls == Counter({
+        (name, tuple(alpha)): 1
+        for name in ("_srit_words", "filtration")
+        for m in range(1, 6)
+        for alpha in compositions_of(m)
+    })
+
+
+@pytest.mark.parametrize("rule, mutant, check, holds", [
+    ("_full_step", row_swapping_full_step, "relations",
+     lambda alpha: verify_relations(alpha, "full").ok),
+    ("_full_step", row_swapping_full_step, "submodule", verify_submodule_closure),
+    ("_quotient_step", swapping_quotient_step, "relations",
+     lambda alpha: verify_relations(alpha, "quotient").ok),
+    ("_quotient_step", swapping_quotient_step, "characteristic",
+     lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
+    ("_quotient_step", swapping_quotient_step, "endomorphism",
+     lambda alpha: commutant_basis(alpha).dimension == 1),
+], ids=["full-relations", "full-submodule", "quotient-relations",
+        "quotient-characteristic", "quotient-endomorphism"])
+def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, mutant, check, holds):
+    # the shared per-shape tables must give each check the verdict of its
+    # public function, shape by shape
+    monkeypatch.setattr(hecke_action, rule, mutant)
+    shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
+    broken = [alpha for alpha in shapes if not holds(alpha)]
+    assert broken
+    code, out, _ = run(capsys, "verify", "--n", "5", "--checks", check, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [{
+        "name": check,
+        "passed": len(shapes) - len(broken),
+        "failed": len(broken),
+        "first_counterexample": "alpha=" + format_composition(broken[0]),
+    }]
 
 
 def test_verify_rejects_n_over_cap(capsys):
@@ -270,7 +348,7 @@ def test_verify_rejects_n_over_cap(capsys):
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._PER_ALPHA_CHECKS, "characteristic", lambda alpha: alpha.weight != 2
+        cli._PER_ALPHA_CHECKS, "characteristic", lambda shape: shape.alpha.weight != 2
     )
     code, out, _ = run(capsys, "verify", "--n", "3", "--checks", "characteristic")
     assert code == 1

@@ -157,6 +157,17 @@ def test_parse_and_format():
         parse_composition("1,,2")
 
 
+@pytest.mark.parametrize("text", ["2_0,1", "+2,1", "\u0662,1"])
+def test_parse_refuses_what_int_alone_accepts(text):
+    # int() reads these as 20, 2 and the Arabic-Indic digit 2
+    with pytest.raises(ValueError, match="malformed composition string"):
+        parse_composition(text)
+
+
+def test_parse_allows_spaces_around_each_part():
+    assert parse_composition(" 2 , 1 ") == (2, 1)
+
+
 @given(compositions())
 def test_parse_format_round_trip(alpha):
     assert parse_composition(format_composition(alpha)) == alpha

@@ -3,12 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     column_word,
+    erratic_full_step,
     interval_module,
     positional_pi_full,
     positional_pi_quotient,
     replayed_relations,
     row_swapping_full_step,
     searched_preceq,
+    swapping_quotient_step,
 )
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
@@ -227,15 +229,6 @@ def test_verify_relations_matches_replay_with_broken_operator(monkeypatch):
     assert total == 2072
 
 
-def erratic_full_step(i: int, w):
-    """Swaps the letters of i and i+1 across rows for odd i, and for even i
-    only while 1 sits in the bottom row: breaks all three relation
-    families."""
-    if w[i - 1] != w[i] and (i % 2 or w[0] == 0):
-        return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-    return w
-
-
 def test_verify_relations_matches_replay_when_every_relation_breaks(monkeypatch):
     monkeypatch.setattr(hecke_action, "_full_step", erratic_full_step)
     seen = set()
@@ -245,16 +238,6 @@ def test_verify_relations_matches_replay_when_every_relation_breaks(monkeypatch)
             assert report == replayed_relations(alpha, "full")
             seen.update(violation.relation for violation in report.violations)
     assert seen == {"idempotent", "commute", "braid"}
-
-
-def swapping_quotient_step(i: int, w):
-    """A broken quotient operator that never annihilates: fixes when i and
-    i+1 share a row or a column, otherwise swaps their letters.  The swap
-    stays standard extended, but the operator is not idempotent."""
-    a, b = w[i - 1], w[i]
-    if a == b or w[:i].count(a) == w[:i + 1].count(b):
-        return w
-    return w[:i - 1] + (b, a) + w[i + 1:]
 
 
 def test_verify_relations_matches_replay_with_broken_quotient_operator(monkeypatch):

@@ -7,11 +7,13 @@ from helpers import (
     dense_commutant_basis,
     dense_matrices,
     dense_rank,
+    erratic_full_step,
     identity_matrix,
     mat_mul,
     rank,
     row_swapping_full_step,
     table_of,
+    tableau_submodule_closure,
 )
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
@@ -252,6 +254,20 @@ def test_verify_submodule_closure_fails_with_broken_operator(monkeypatch):
     monkeypatch.setattr(hecke_action, "_full_step", row_swapping_full_step)
     assert not verify_submodule_closure(Composition((2, 2)))
     assert verify_submodule_closure(Composition((3,)))
+
+
+@pytest.mark.parametrize("step", [None, row_swapping_full_step, erratic_full_step])
+def test_verify_submodule_closure_matches_tableau_oracle(monkeypatch, step):
+    if step is not None:
+        monkeypatch.setattr(hecke_action, "_full_step", step)
+    verdicts = []
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            verdict = verify_submodule_closure(alpha)
+            assert verdict == tableau_submodule_closure(alpha), alpha
+            verdicts.append(verdict)
+    # the correct operator keeps every closure; each broken one breaks some
+    assert all(verdicts) == (step is None)
 
 
 def test_matrix_monoid_orbit_of_super_standard_spans():

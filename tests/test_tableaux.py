@@ -1,7 +1,8 @@
+import gc
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_set,
@@ -12,8 +13,11 @@ from helpers import (
     hook_length,
 )
 from extschur.compositions import Composition, compositions_of, is_partition
+from extschur.hecke_action import _row_word
 from extschur.tableaux import (
     Tableau,
+    _column_strict_flags,
+    _srit_words,
     descent_composition,
     enumerate_set,
     enumerate_srit,
@@ -100,6 +104,55 @@ def test_srit_order_is_lex_on_reading_words():
     for alpha in [Composition((2, 2)), Composition((1, 2, 1)), Composition((3, 1))]:
         words = [reading_word(t) for t in enumerate_srit(alpha)]
         assert words == sorted(words)
+
+
+def test_srit_words_are_the_row_words_of_enumerate_srit_in_order():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            assert _srit_words(alpha) == [_row_word(t) for t in enumerate_srit(alpha)], alpha
+
+
+def test_column_flag_of_each_row_word_is_column_strictness():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            srits = enumerate_srit(alpha)
+            flags = _column_strict_flags(alpha, [_row_word(t) for t in srits])
+            assert flags == [t.is_column_strict for t in srits], alpha
+
+
+def test_srit_words_leave_no_garbage_cycle():
+    # a cycle would keep each word list alive until the cyclic collector
+    # runs, so a sweep over many shapes would hold many lists at once
+    alpha = Composition((2, 1, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        _srit_words(alpha)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _srit_count(alpha) -> int:
+    return factorial(sum(alpha)) // prod(factorial(part) for part in alpha)
+
+
+# (1^10) alone has 10! = 3,628,800 SRITs; the cap keeps every shape of
+# weight up to 7 (at most 7! = 5,040) and those of weight 8 to 10 that
+# are listed in a fraction of a second
+WORD_SHAPES = [
+    alpha for n in range(0, 11) for alpha in compositions_of(n) if _srit_count(alpha) <= 20_000
+]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(WORD_SHAPES))
+def test_srit_words_are_the_arrangements_of_the_row_letters(alpha):
+    words = _srit_words(alpha)
+    assert len(words) == _srit_count(alpha)
+    assert len(set(words)) == len(words)
+    letters = [r for r, part in enumerate(alpha) for _ in range(part)]
+    assert all(sorted(w) == letters for w in words)
 
 
 def test_enumerate_set_shape_2_1_3():
