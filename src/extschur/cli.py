@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 from .compositions import (
     Composition,
@@ -20,21 +19,7 @@ from .compositions import (
     is_partition,
     parse_composition,
 )
-from .hecke_action import (
-    ActionTable,
-    Filtration,
-    _relation_failures,
-    _word_table,
-    action_table,
-    filtration,
-)
-from .module_analysis import (
-    _characteristic,
-    _commutant_basis,
-    _submodule_closed,
-    analysis_report,
-    characteristic,
-)
+from .module_analysis import _Shape, analysis_report, characteristic
 from .qsym import (
     QSymElement,
     extended_schur_in_F,
@@ -47,13 +32,7 @@ from .qsym import (
     monomial_to_fundamental,
     schur_in_F,
 )
-from .tableaux import (
-    RowWord,
-    _srit_words,
-    descent_composition,
-    enumerate_set,
-    enumerate_srit,
-)
+from .tableaux import descent_composition, enumerate_set, enumerate_srit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -310,54 +289,20 @@ def _cmd_kmatrix(config: CliConfig, args) -> int:
 # verification sweeps
 
 
-class _Shape:
-    """What the checks of one composition share, each part built on first
-    use: the row words of its standard row-increasing tableaux with their
-    ``"full"`` action table, its SET filtration with the quotient table in
-    that order, and its extended Schur function.  :func:`_run_checks`
-    drops it before the next composition."""
-
-    def __init__(self, alpha: Composition):
-        self.alpha = alpha
-
-    @cached_property
-    def words(self) -> list[RowWord]:
-        return _srit_words(self.alpha)
-
-    @cached_property
-    def full_table(self) -> ActionTable:
-        return _word_table(self.words, "full", len(self.alpha))
-
-    @cached_property
-    def filt(self) -> Filtration:
-        return filtration(self.alpha)
-
-    @cached_property
-    def quotient_table(self) -> ActionTable:
-        return action_table(self.filt.order, "quotient")
-
-    @cached_property
-    def extended_schur(self) -> QSymElement:
-        return extended_schur_in_F(self.alpha)
-
-
 def _check_relations(shape: _Shape) -> bool:
-    n = shape.alpha.weight
-    return not (
-        _relation_failures(shape.full_table, n) or _relation_failures(shape.quotient_table, n)
-    )
+    return shape.relations_hold()
 
 
 def _check_submodule(shape: _Shape) -> bool:
-    return _submodule_closed(shape.alpha, shape.words, shape.full_table)
+    return shape.submodule_closed()
 
 
 def _check_characteristic(shape: _Shape) -> bool:
-    return _characteristic(shape.filt, shape.quotient_table) == shape.extended_schur
+    return shape.characteristic() == shape.extended_schur
 
 
 def _check_endomorphism(shape: _Shape) -> bool:
-    return _commutant_basis(shape.filt, shape.quotient_table).dimension == 1
+    return shape.commutant_basis().dimension == 1
 
 
 def _check_schur(shape: _Shape) -> bool:
@@ -400,8 +345,9 @@ _PER_ALPHA_CHECKS = {
 def _run_checks(names, n: int) -> list[dict]:
     """Run the named checks over every weight up to n, in one pass over
     the compositions: ``kmatrix`` once per weight, ``schur`` on the
-    partitions, every other check on each composition, all sharing one
-    :class:`_Shape`.  One result per name, in the given order."""
+    partitions, every other check on each composition, all reading one
+    ``module_analysis._Shape``, dropped before the next composition.  One
+    result per name, in the given order."""
     results = {
         name: {"name": name, "passed": 0, "failed": 0, "first_counterexample": None}
         for name in names

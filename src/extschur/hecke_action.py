@@ -36,6 +36,8 @@ from .compositions import Composition
 from .tableaux import (
     RowWord,
     Tableau,
+    _from_row_word,
+    _row_word,
     _srit_words,
     enumerate_set,
     is_standard_extended,
@@ -77,24 +79,6 @@ def _check_index(i: int, n: int) -> None:
         raise ValueError(f"operator index must be an integer, got {i!r}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"operator index {i} outside 1..{n - 1}")
-
-
-def _row_word(t: Tableau) -> RowWord:
-    """Letter ``v-1`` is the 0-based row of entry ``v``."""
-    word = [0] * sum(map(len, t.rows))
-    for r, row in enumerate(t.rows):
-        for v in row:
-            word[v - 1] = r
-    return tuple(word)
-
-
-def _from_row_word(w: RowWord, height: int) -> Tableau:
-    """The validated tableau whose row word is ``w``; rows fill in
-    increasing order, so each row increases."""
-    rows: list[list[int]] = [[] for _ in range(height)]
-    for v, r in enumerate(w, start=1):
-        rows[r].append(v)
-    return Tableau(tuple(tuple(row) for row in rows))
 
 
 def _full_step(i: int, w: RowWord) -> RowWord:
@@ -199,7 +183,7 @@ def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
     table = []
     for i in range(1, n):
         row = []
-        for w, j in index.items():
+        for j, w in enumerate(words):
             image = step(i, w)
             if image is w:
                 row.append(j)

@@ -21,20 +21,29 @@ indecomposability.
 
 The submodule closure check works on the full basis as row words: the
 ``"full"`` table of ``tableaux._srit_words`` and the column condition read
-off each word.  The private ``_characteristic``, ``_submodule_closed`` and
-``_commutant_basis`` take tables already built, so a caller that checks
-one shape several ways builds each table once.
+off each word.  Every table of one shape is held by a private ``_Shape``,
+which builds each on first use; the public functions here are each one
+read of a fresh ``_Shape``, and a caller that checks one shape several
+ways, such as ``verify``, keeps one ``_Shape`` to build each table once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .compositions import Composition, DescentSubset, composition_of_subset
-from .hecke_action import ActionTable, Filtration, _word_table, action_table, filtration
+from .hecke_action import (
+    ActionTable,
+    Filtration,
+    _relation_failures,
+    _word_table,
+    action_table,
+    filtration,
+)
 from .linalg import nullspace
-from .qsym import QSymElement
+from .qsym import QSymElement, extended_schur_in_F
 from .tableaux import RowWord, _column_strict_flags, _srit_words, super_standard
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -56,22 +65,74 @@ class ModuleMatrices:
     mats: tuple[Matrix, ...]
 
 
+class _Shape:
+    """The tables of one composition, each built on first use and kept as
+    long as the object: the row words of its standard row-increasing
+    tableaux with their ``"full"`` action table, its filtration with the
+    quotient action table in that order, and its extended Schur
+    function."""
+
+    def __init__(self, alpha):
+        self.alpha = Composition(alpha)
+
+    @cached_property
+    def words(self) -> list[RowWord]:
+        return _srit_words(self.alpha)
+
+    @cached_property
+    def full_table(self) -> ActionTable:
+        return _word_table(self.words, "full", len(self.alpha))
+
+    @cached_property
+    def filt(self) -> Filtration:
+        return filtration(self.alpha)
+
+    @cached_property
+    def quotient_table(self) -> ActionTable:
+        return action_table(self.filt.order, "quotient")
+
+    @cached_property
+    def extended_schur(self) -> QSymElement:
+        return extended_schur_in_F(self.alpha)
+
+    def characteristic(self) -> QSymElement:
+        return _characteristic(self.filt, self.quotient_table)
+
+    def commutant_basis(self) -> EndomorphismSpace:
+        return _commutant_basis(self.filt, self.quotient_table)
+
+    def relations_hold(self) -> bool:
+        """Every relation holds on both bases; unlike
+        ``hecke_action.verify_relations`` it names no violation."""
+        n = self.alpha.weight
+        return not (
+            _relation_failures(self.full_table, n)
+            or _relation_failures(self.quotient_table, n)
+        )
+
+    def submodule_closed(self) -> bool:
+        """No column of the full table sends a non-extended word to an
+        extended one."""
+        extended = _column_strict_flags(self.alpha, self.words)
+        return not any(
+            extended[k] and not extended[j]
+            for images in self.full_table
+            for j, k in enumerate(images)
+        )
+
+
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
-    filt = filtration(Composition(alpha))
-    return _matrices(filt, action_table(filt.order, "quotient"))
-
-
-def _matrices(filt: Filtration, table: ActionTable) -> ModuleMatrices:
-    m = len(filt)
+    shape = _Shape(alpha)
+    m = len(shape.filt)
     mats = []
-    for images in table:
+    for images in shape.quotient_table:
         mat = [[0] * m for _ in range(m)]
         for j, k in enumerate(images):
             if k is not None:
                 mat[k][j] = 1
         mats.append(tuple(tuple(row) for row in mat))
-    return ModuleMatrices(filt.alpha, filt, tuple(mats))
+    return ModuleMatrices(shape.alpha, shape.filt, tuple(mats))
 
 
 def composition_factors(alpha) -> CompositionFactorList:
@@ -81,8 +142,8 @@ def composition_factors(alpha) -> CompositionFactorList:
     or kills it, so the factor is the composition whose subset collects
     the non-fixing operator indices.
     """
-    filt = filtration(Composition(alpha))
-    return _composition_factors(filt, action_table(filt.order, "quotient"))
+    shape = _Shape(alpha)
+    return _composition_factors(shape.filt, shape.quotient_table)
 
 
 def _composition_factors(filt: Filtration, table: ActionTable) -> CompositionFactorList:
@@ -100,8 +161,7 @@ def characteristic(alpha) -> QSymElement:
     Computed from the operator action alone; it coincides with the
     extended Schur function of alpha.
     """
-    filt = filtration(Composition(alpha))
-    return _characteristic(filt, action_table(filt.order, "quotient"))
+    return _Shape(alpha).characteristic()
 
 
 def _characteristic(filt: Filtration, table: ActionTable) -> QSymElement:
@@ -136,8 +196,7 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     identity.  Raises ValueError, naming the first basis tableau the search
     misses, when the module is not generated by g.
     """
-    filt = filtration(Composition(alpha))
-    return _commutant_basis(filt, action_table(filt.order, "quotient"))
+    return _Shape(alpha).commutant_basis()
 
 
 def _commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
@@ -227,34 +286,19 @@ def verify_submodule_closure(alpha) -> bool:
     Reads the ``"full"`` action table of the row words of the standard
     row-increasing tableaux; no ``Tableau`` is built.
     """
-    alpha = Composition(alpha)
-    words = _srit_words(alpha)
-    return _submodule_closed(alpha, words, _word_table(words, "full", len(alpha)))
-
-
-def _submodule_closed(alpha: Composition, words: list[RowWord], table: ActionTable) -> bool:
-    """No column of the full table sends a non-extended word to an
-    extended one."""
-    extended = _column_strict_flags(alpha, words)
-    return not any(
-        extended[k] and not extended[j]
-        for images in table
-        for j, k in enumerate(images)
-    )
+    return _Shape(alpha).submodule_closed()
 
 
 def analysis_report(alpha) -> dict:
     """JSON-ready summary: dimension, factors in filtration order, the
     characteristic, and the commutant verdict."""
-    alpha = Composition(alpha)
-    filt = filtration(alpha)
-    table = action_table(filt.order, "quotient")
-    factors = _composition_factors(filt, table)
+    shape = _Shape(alpha)
+    factors = _composition_factors(shape.filt, shape.quotient_table)
     counts = Counter(factors)
-    element = QSymElement(alpha.weight, "F", dict(counts))
-    space = _commutant_basis(filt, table)
+    element = QSymElement(shape.alpha.weight, "F", dict(counts))
+    space = shape.commutant_basis()
     return {
-        "alpha": list(alpha),
+        "alpha": list(shape.alpha),
         "dim": len(factors),
         "factors": [list(beta) for beta in factors],
         "characteristic": element.to_json(),

@@ -11,10 +11,12 @@ A row-increasing filling is fixed by its row word, whose letter ``v-1`` is
 the 0-based row of entry ``v``: each row lists its entries in increasing
 order.  The row words of shape alpha are the arrangements of
 ``0^alpha_1 1^alpha_2 ...``, and the column of ``v`` is the count of its
-letter up to and including it.  :func:`_srit_words` lists them in the
-order of :func:`enumerate_srit`, and :func:`_column_strict_flags` reads
-the column condition off each word, so the sweeps over every
-row-increasing filling build no ``Tableau``.
+letter up to and including it.  :func:`_srit_words` lists them,
+:func:`enumerate_srit` turns them into tableaux, and
+:func:`_column_strict_flags` reads the column condition off each word, so
+the sweeps over every row-increasing filling build no ``Tableau``.
+:func:`_row_word` and :func:`_from_row_word` convert one way and the
+other.
 """
 
 from __future__ import annotations
@@ -108,33 +110,39 @@ def enumerate_srit(alpha: Composition) -> list[Tableau]:
     """All standard row-increasing tableaux of shape alpha.
 
     There are n!/prod(alpha_i!) of them, listed in lexicographic order on
-    the bottom-up reading word.
+    the bottom-up reading word: the tableaux of :func:`_srit_words`.
     """
     alpha = Composition(alpha)
+    return [_from_row_word(w, len(alpha)) for w in _srit_words(alpha)]
 
-    def fill(pool: tuple[int, ...], parts: tuple[int, ...]):
-        if not parts:
-            yield ()
-            return
-        for row in combinations(pool, parts[0]):
-            chosen = set(row)
-            rest = tuple(v for v in pool if v not in chosen)
-            for tail in fill(rest, parts[1:]):
-                yield (row,) + tail
 
-    pool = tuple(range(1, alpha.weight + 1))
-    return [Tableau(rows) for rows in fill(pool, tuple(alpha))]
+def _row_word(t: Tableau) -> RowWord:
+    """Letter ``v-1`` is the 0-based row of entry ``v``."""
+    word = [0] * sum(map(len, t.rows))
+    for r, row in enumerate(t.rows):
+        for v in row:
+            word[v - 1] = r
+    return tuple(word)
+
+
+def _from_row_word(w: RowWord, height: int) -> Tableau:
+    """The validated tableau whose row word is ``w``; rows fill in
+    increasing order, so each row increases."""
+    rows: list[list[int]] = [[] for _ in range(height)]
+    for v, r in enumerate(w, start=1):
+        rows[r].append(v)
+    return Tableau(tuple(tuple(row) for row in rows))
 
 
 def _srit_words(alpha: Composition) -> list[RowWord]:
-    """The row words of the standard row-increasing tableaux of alpha, in
-    the order of :func:`enumerate_srit`.
+    """The row words of the standard row-increasing tableaux of alpha.
 
     Letter ``v-1`` of a row word is the 0-based row of entry ``v``, so these
-    are the arrangements of ``0^alpha_1 1^alpha_2 ...``.  As in
-    :func:`enumerate_srit`, the entry set of row 0 varies slowest and each
-    row takes the combinations, in lexicographic order, of the entries the
-    rows under it left free; the top row takes the rest.
+    are the arrangements of ``0^alpha_1 1^alpha_2 ...``.  The entry set of
+    row 0 varies slowest and each row takes the combinations, in
+    lexicographic order, of the entries the rows under it left free; the
+    top row takes the rest.  So the tableaux come in lexicographic order on
+    the bottom-up reading word, though the words themselves do not.
     """
     alpha = Composition(alpha)
     word = [len(alpha) - 1] * alpha.weight

@@ -2,7 +2,9 @@
 
 Everything here is computed from first principles (permutation filters,
 Laplace expansion, dense rational elimination) or by the slower route a
-fast path in the package replaced: the SRIT filter (:func:`filtered_set`),
+fast path in the package replaced: the SRITs chosen row by row as
+combinations of tableau entries (:func:`combination_srit`), the SRIT
+filter (:func:`filtered_set`),
 the operators read off entry positions and applied by ``swap_entries``
 (:func:`positional_pi_full`, :func:`positional_pi_quotient`), the operator
 matrices rebuilt column by column from ``pi_quotient``
@@ -22,7 +24,7 @@ against each other.  The matrix helpers (:func:`rank`, :func:`mat_mul`,
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from extschur.compositions import Composition, refinements
@@ -88,6 +90,25 @@ def brute_set(shape) -> set[Rows]:
         for rows in brute_fillings(shape)
         if rows_increase(rows) and columns_increase(rows)
     }
+
+
+def combination_srit(alpha) -> list[Tableau]:
+    """The standard row-increasing tableaux of alpha, each row in turn
+    taking every combination of the entries the rows under it left free:
+    the oracle for the row words of ``tableaux._srit_words``."""
+
+    def fill(pool: tuple[int, ...], parts: tuple[int, ...]):
+        if not parts:
+            yield ()
+            return
+        for row in combinations(pool, parts[0]):
+            chosen = set(row)
+            rest = tuple(v for v in pool if v not in chosen)
+            for tail in fill(rest, parts[1:]):
+                yield (row,) + tail
+
+    pool = tuple(range(1, sum(alpha) + 1))
+    return [Tableau(rows) for rows in fill(pool, tuple(alpha))]
 
 
 def filtered_set(alpha) -> list:

@@ -18,8 +18,6 @@ from extschur.hecke_action import (
     Fixed,
     Swapped,
     Zero,
-    _from_row_word,
-    _row_word,
     action_table,
     apply_word,
     filtration,
@@ -31,6 +29,8 @@ from extschur.hecke_action import (
 )
 from extschur.tableaux import (
     Tableau,
+    _from_row_word,
+    _row_word,
     descent_composition,
     enumerate_set,
     enumerate_srit,

@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     brute_set,
     brute_srit,
+    combination_srit,
     composition_from_descents,
     descents_by_row_rule,
     filtered_set,
     hook_length,
 )
 from extschur.compositions import Composition, compositions_of, is_partition
-from extschur.hecke_action import _row_word
 from extschur.tableaux import (
     Tableau,
     _column_strict_flags,
+    _row_word,
     _srit_words,
     descent_composition,
     enumerate_set,
@@ -109,7 +110,9 @@ def test_srit_order_is_lex_on_reading_words():
 def test_srit_words_are_the_row_words_of_enumerate_srit_in_order():
     for n in range(0, 8):
         for alpha in compositions_of(n):
-            assert _srit_words(alpha) == [_row_word(t) for t in enumerate_srit(alpha)], alpha
+            oracle = combination_srit(alpha)
+            assert _srit_words(alpha) == [_row_word(t) for t in oracle], alpha
+            assert enumerate_srit(alpha) == oracle, alpha
 
 
 def test_column_flag_of_each_row_word_is_column_strictness():
