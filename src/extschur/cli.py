@@ -289,14 +289,6 @@ def _cmd_kmatrix(config: CliConfig, args) -> int:
 # verification sweeps
 
 
-def _check_relations(shape: _Shape) -> bool:
-    return shape.relations_hold()
-
-
-def _check_submodule(shape: _Shape) -> bool:
-    return shape.submodule_closed()
-
-
 def _check_characteristic(shape: _Shape) -> bool:
     return shape.characteristic() == shape.extended_schur
 
@@ -333,8 +325,8 @@ def _check_kmatrix(m: int) -> bool:
 
 
 _PER_ALPHA_CHECKS = {
-    "relations": _check_relations,
-    "submodule": _check_submodule,
+    "relations": _Shape.relations_hold,
+    "submodule": _Shape.submodule_closed,
     "characteristic": _check_characteristic,
     "endomorphism": _check_endomorphism,
     "schur": _check_schur,
