@@ -9,15 +9,20 @@ later one, so the chain of leading subspaces is a composition series with
 one-dimensional subquotients.
 
 The module is cyclic, generated by the super-standard tableau ``g``, so an
-endomorphism ``E`` is fixed by the vector ``v = E(g)``.  A breadth-first
-search from ``g`` over the swaps in the table reaches each basis tableau
-``t`` as ``pi_w(g)`` for a word ``w``, which forces ``E(t) = pi_w(v)``;
-requiring ``E pi_i = pi_i E`` on every basis tableau then leaves an exact
-linear system in the ``m`` entries of ``v`` instead of the ``m * m``
-entries of ``E``.  The reduction holds only when the search reaches every
-basis tableau, and the solver raises otherwise, so no module is certified
-without that check.  A one-dimensional commutant certifies
-indecomposability.
+endomorphism ``E`` is fixed by the vector ``v = E(g)``, once a
+breadth-first search from ``g`` over the swaps in the table has reached
+every basis tableau; the solver raises otherwise, so no module is
+certified without that check.  Commuting with ``E`` carries the weight of
+``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``, and
+``pi_i v = 0`` whenever ``pi_i g = 0``.  These equations cut out a space
+``W`` with ``dim End <= dim W``, and the identity lies in the commutant, so
+``dim W = 1`` certifies a one-dimensional commutant.  Only when
+``dim W > 1`` does the solver fall back to the cyclic solve: the search
+reaches each basis tableau ``t`` as ``pi_w(g)`` for a word ``w``, which
+forces ``E(t) = pi_w(v)``, and requiring ``E pi_i = pi_i E`` on every basis
+tableau leaves an exact linear system in the ``m`` entries of ``v``
+instead of the ``m * m`` entries of ``E``.  A one-dimensional commutant
+certifies indecomposability.
 
 The submodule closure check works on the full basis as row words: the
 ``"full"`` table of ``tableaux._srit_words`` and the column condition read
@@ -187,8 +192,12 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     """Solve E*A = A*E for all operator matrices A, exactly.
 
     The module is generated by the super-standard tableau g, so E is fixed
-    by v = E(g): the m entries of v are the unknowns.  A breadth-first
-    search over the operator swaps reaches every basis tableau t as
+    by v = E(g).  First a breadth-first search checks that the operators
+    reach every basis tableau from g; then v must satisfy pi_i v = v for
+    each operator fixing g and pi_i v = 0 for each one annihilating g.  When
+    those equations leave a one-dimensional space, the commutant is
+    spanned by the identity.  Otherwise the cyclic solve takes the m
+    entries of v as unknowns: the search reaches every basis tableau t as
     pi_w(g), which forces E(t) = pi_w(v), and each operator contributes one
     sparse constraint per nonzero entry of E(pi_i t) - pi_i E(t).  The
     solution space is extracted by exact fraction-free elimination and each
@@ -200,10 +209,74 @@ def commutant_basis(alpha) -> EndomorphismSpace:
 
 
 def _commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
+    g = _generator(filt, table)
+    m = len(filt)
+    if len(_weight_space(table, g, m)) == 1:
+        zeros = (0,) * m
+        identity = tuple(zeros[:k] + (1,) + zeros[k + 1 :] for k in range(m))
+        return EndomorphismSpace(filt.alpha, (identity,))
+    return _cyclic_commutant_basis(filt, table)
+
+
+def _generator(filt: Filtration, table: ActionTable) -> int:
+    """Filtration index of the super-standard tableau, once a breadth-first
+    search from it over the table has reached every basis tableau."""
+    g = filt.index_of(super_standard(filt.alpha))
+    reached = [False] * len(filt)
+    reached[g] = True
+    queue = deque([g])
+    while queue:
+        s = queue.popleft()
+        for row in table:
+            t = row[s]
+            if t is not None and not reached[t]:
+                reached[t] = True
+                queue.append(t)
+    if not all(reached):
+        raise ValueError(
+            f"tableau {filt.order[reached.index(False)].rows} is not reached "
+            f"from the super-standard tableau {filt.order[g].rows}; the module "
+            "is not cyclic on it, so its commutant cannot be certified"
+        )
+    return g
+
+
+def _weight_space(table: ActionTable, g: int, m: int) -> list[tuple[int, ...]]:
+    """Primitive basis of W, the v with pi_i v = v for each operator fixing
+    basis index g and pi_i v = 0 for each one annihilating it.
+
+    Each such operator gives one row per coordinate k of pi_i v - v, or of
+    pi_i v when it annihilates g: the sum of the v_u it sends to k, less v_k
+    when it fixes g.  These are the equations themselves, so W contains
+    E(g) for every E in the commutant whatever the table.  On a module,
+    where pi_i is idempotent, the rows of a fixing operator reduce to
+    v_u = 0 for each u it does not fix.
+    """
+    rows = []
+    for images in table:
+        fixes = images[g] == g
+        if not fixes and images[g] is not None:
+            continue
+        forms: dict[int, dict[int, int]] = {}
+        for u, k in enumerate(images):
+            if k is not None:
+                forms.setdefault(k, {})[u] = 1
+        if fixes:
+            for k in range(m):
+                form = forms.setdefault(k, {})
+                form[k] = form.get(k, 0) - 1
+        rows.extend(forms.values())
+    return nullspace(rows, m)
+
+
+def _cyclic_commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
+    """The commutant with the m entries of v = E(g) as unknowns; the
+    fallback of ``_commutant_basis`` when the weight space of g is not
+    one-dimensional."""
     m = len(filt)
     # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
     # once an operator on the way from g annihilated it.
-    g = filt.index_of(super_standard(filt.alpha))
+    g = _generator(filt, table)
     images: list[tuple[int | None, ...] | None] = [None] * m
     images[g] = tuple(range(m))
     queue = deque([g])
@@ -214,13 +287,6 @@ def _commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
             if t is not None and images[t] is None:
                 images[t] = tuple(None if k is None else row[k] for k in images[s])
                 queue.append(t)
-    for t, image in enumerate(images):
-        if image is None:
-            raise ValueError(
-                f"tableau {filt.order[t].rows} is not reached from the "
-                f"super-standard tableau {filt.order[g].rows}; the module is "
-                "not cyclic on it, so its commutant cannot be certified"
-            )
     rows = []
     for row in table:
         for t, image in enumerate(images):

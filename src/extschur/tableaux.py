@@ -223,28 +223,35 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
     tableaux.
     """
     alpha = Composition(alpha)
-    n = alpha.weight
-    below = _below(alpha)
-    filling: list[list[int]] = [[] for _ in alpha]
     grown: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(v: int) -> None:
-        if v > n:
-            grown.append(tuple(tuple(row) for row in filling))
-            return
-        for r, row in enumerate(filling):
-            c = len(row)
-            if c < alpha[r]:
-                s = below[r][c]
-                if s < 0 or len(filling[s]) > c:
-                    row.append(v)
-                    place(v + 1)
-                    row.pop()
-
-    place(1)
+    _grow(alpha, _below(alpha), alpha.weight, 1, [[] for _ in alpha], grown)
     # Row tuples of one shape compare exactly as their reading words do.
     grown.sort()
     return [Tableau(rows) for rows in grown]
+
+
+def _grow(
+    alpha: Composition,
+    below: list[list[int]],
+    n: int,
+    v: int,
+    filling: list[list[int]],
+    grown: list[tuple[tuple[int, ...], ...]],
+) -> None:
+    """Place entry v in every box open to it, recurse on v+1, and append
+    each finished filling to ``grown``.  Module-level, as ``_fill_rows``,
+    because a closure that calls itself is a reference cycle."""
+    if v > n:
+        grown.append(tuple(tuple(row) for row in filling))
+        return
+    for r, row in enumerate(filling):
+        c = len(row)
+        if c < alpha[r]:
+            s = below[r][c]
+            if s < 0 or len(filling[s]) > c:
+                row.append(v)
+                _grow(alpha, below, n, v + 1, filling, grown)
+                row.pop()
 
 
 def is_standard_extended(t: Tableau) -> bool:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     dense_commutant_basis,
@@ -35,12 +35,14 @@ from extschur.module_analysis import (
     composition_factors,
     ModuleMatrices,
     _commutant_basis,
+    _cyclic_commutant_basis,
+    _weight_space,
     is_indecomposable,
     matrices,
     verify_submodule_closure,
 )
 from extschur.qsym import QSymElement, extended_schur_in_F
-from extschur.tableaux import descent_composition, enumerate_set
+from extschur.tableaux import descent_composition, enumerate_set, super_standard
 
 
 def test_matrices_one_dimensional_cases():
@@ -205,16 +207,130 @@ def test_commutant_matches_dense_rank_computation():
 
 
 def test_commutant_matches_dense_oracle():
+    # both the certificate route and the cyclic fallback it skips here
     for n in range(0, 8):
         for alpha in compositions_of(n):
-            assert commutant_basis(alpha) == dense_commutant_basis(matrices(alpha)), alpha
+            mod = matrices(alpha)
+            dense = dense_commutant_basis(mod)
+            assert commutant_basis(alpha) == dense, alpha
+            assert _cyclic_commutant_basis(mod.order, table_of(mod)) == dense, alpha
 
 
 def test_commutant_dimension_matches_dense_oracle_weight_8():
     for alpha in compositions_of(8):
         if len(alpha) <= 4:
-            dense = dense_commutant_basis(matrices(alpha))
+            mod = matrices(alpha)
+            dense = dense_commutant_basis(mod)
             assert commutant_basis(alpha).dimension == dense.dimension, alpha
+            cyclic = _cyclic_commutant_basis(mod.order, table_of(mod))
+            assert cyclic.dimension == dense.dimension, alpha
+
+
+def generator_weight_space(alpha):
+    filt = filtration(alpha)
+    table = action_table(filt.order, "quotient")
+    return filt, table, _weight_space(table, filt.index_of(super_standard(alpha)), len(filt))
+
+
+def test_weight_space_of_the_generator_is_a_line():
+    # so the certificate decides every shape here; the cyclic solve agrees
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            filt, table, space = generator_weight_space(alpha)
+            assert len(space) == 1, alpha
+            assert _commutant_basis(filt, table) == _cyclic_commutant_basis(filt, table), alpha
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([
+    alpha for n in (9, 10) for alpha in compositions_of(n) if len(alpha) <= 4
+]))
+def test_weight_space_of_the_generator_is_a_line_at_weights_9_and_10(alpha):
+    assert len(generator_weight_space(alpha)[2]) == 1
+
+
+def module_of(alpha, table) -> ModuleMatrices:
+    """0/1 operator matrices on the filtration of alpha with the given
+    images, column by column (None for an annihilated tableau); the
+    super-standard tableau is the last index."""
+    filt = filtration(Composition(alpha))
+    assert filt.order[-1] == super_standard(filt.alpha)
+    m = len(filt)
+    mats = tuple(
+        tuple(tuple(int(images[j] == k) for j in range(m)) for k in range(m))
+        for images in table
+    )
+    return ModuleMatrices(filt.alpha, filt, mats)
+
+
+def same_span(a, b) -> bool:
+    flat_a = [[v for row in e for v in row] for e in a]
+    flat_b = [[v for row in e for v in row] for e in b]
+    return rank(flat_a) == rank(flat_b) == rank(flat_a + flat_b)
+
+
+def test_commutant_checks_generation_before_the_weight_space():
+    # on (2,1) the super-standard tableau is index 1; both operators kill it
+    # and fix index 0, so W is the line of g, yet the commutant is a plane
+    mod = module_of((2, 1), [(0, None), (0, None)])
+    table = table_of(mod)
+    assert len(_weight_space(table, 1, 2)) == 1
+    assert dense_commutant_basis(mod).dimension == 2
+    with pytest.raises(ValueError, match="not reached"):
+        _commutant_basis(mod.order, table)
+    with pytest.raises(ValueError, match="not reached"):
+        _cyclic_commutant_basis(mod.order, table)
+
+
+def test_commutant_falls_back_to_the_cyclic_solve():
+    # operator 1 sends g (index 1) to index 0 and fixes it, operator 2 is
+    # the identity: g generates, W is the whole plane and so is End
+    mod = module_of((2, 1), [(0, 0), (0, 1)])
+    table = table_of(mod)
+    assert len(_weight_space(table, 1, 2)) == 2
+    dense = dense_commutant_basis(mod)
+    assert dense.dimension == 2
+    assert _commutant_basis(mod.order, table) == dense
+
+
+def test_weight_space_rows_hold_without_idempotence():
+    # operator 3 swaps indices 0 and 1 (g is index 2), so pi_3 is not
+    # idempotent: dropping v_u for each u it does not fix would leave only
+    # the line of g, but the commutant is a plane
+    mod = module_of((3, 1), [(None, None, None), (None, None, 0), (1, 0, 2)])
+    table = table_of(mod)
+    dense = dense_commutant_basis(mod)
+    assert dense.dimension == 2
+    space = _commutant_basis(mod.order, table)
+    assert space.dimension == 2
+    assert same_span(space.basis, dense.basis)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(
+    st.tuples(*[st.sampled_from([None, 0, 1, 2])] * 3), min_size=3, max_size=3
+))
+def test_commutant_matches_dense_oracle_on_arbitrary_tables(table):
+    # any table on the three SETs of (3,1): the solver refuses exactly when
+    # g (index 2) does not generate, and otherwise spans the dense commutant
+    mod = module_of((3, 1), table)
+    reached = {2}
+    frontier = [2]
+    while frontier:
+        s = frontier.pop()
+        for images in table:
+            t = images[s]
+            if t is not None and t not in reached:
+                reached.add(t)
+                frontier.append(t)
+    if len(reached) < 3:
+        with pytest.raises(ValueError, match="not reached"):
+            _commutant_basis(mod.order, tuple(table))
+        return
+    space = _commutant_basis(mod.order, tuple(table))
+    dense = dense_commutant_basis(mod)
+    assert space.dimension == dense.dimension
+    assert same_span(space.basis, dense.basis)
 
 
 def test_commutant_refuses_a_module_not_generated_by_super_standard():

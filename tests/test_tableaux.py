@@ -136,6 +136,17 @@ def test_srit_words_leave_no_garbage_cycle():
         gc.enable()
 
 
+def test_enumerate_set_leaves_no_garbage_cycle():
+    alpha = Composition((2, 1, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_set(alpha)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _srit_count(alpha) -> int:
     return factorial(sum(alpha)) // prod(factorial(part) for part in alpha)
 
