@@ -4,13 +4,22 @@ A composition of n is a finite sequence of positive integers summing to n.
 Compositions of n are in bijection with subsets of {1, ..., n-1} via partial
 sums, and beta refines alpha exactly when the subset of alpha is contained
 in the subset of beta.
+
+Inside the package a subset of {1, ..., n-1} is held as an ``n-1``-bit
+mask, its descent mask: bit ``i-1`` is set when ``i`` is in the subset, so
+the mask of a composition has a bit for each proper partial sum
+(:func:`_mask`).  This module alone turns masks back into compositions,
+through one table per ``n`` indexed by mask (:func:`_by_mask`).  The
+refinements of a composition are the masks holding its own, that is its
+mask joined with each submask of the bits it leaves free
+(:func:`_refinement_masks`).  The public ``DescentSubset`` is the
+validated form of the same subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 
 class Composition(tuple):
@@ -121,20 +130,50 @@ def compositions_of(n: int) -> list[Composition]:
     return list(_compositions_of(n))
 
 
+def _mask(alpha) -> int:
+    """The descent mask of alpha: bit ``i-1`` set for each proper partial
+    sum ``i``."""
+    mask = 0
+    total = 0
+    for part in alpha[:-1]:
+        total += part
+        mask |= 1 << total - 1
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _by_mask(n: int) -> tuple[Composition, ...]:
+    """The compositions of n indexed by descent mask; one entry, the empty
+    composition, when n is 0."""
+    table: list = [None] * (1 << max(n - 1, 0))
+    for alpha in _compositions_of(n):
+        table[_mask(alpha)] = alpha
+    return tuple(table)
+
+
+def _refinement_masks(mask: int, n: int) -> list[int]:
+    """The descent masks of the compositions of n refining the one whose
+    mask is ``mask``: ``mask`` joined with each submask of the bits it
+    leaves free, the finest first and ``mask`` itself last."""
+    free = ((1 << max(n - 1, 0)) - 1) & ~mask
+    out = []
+    sub = free
+    while True:
+        out.append(mask | sub)
+        if not sub:
+            return out
+        sub = (sub - 1) & free
+
+
 def refinements(alpha: Composition) -> list[Composition]:
-    """All compositions refining alpha.
+    """All compositions refining alpha, in lexicographic order.
 
     Each part is subdivided independently, so there are 2^(n - length)
     of them.
     """
-    pools = [_compositions_of(part) for part in alpha]
-    out = []
-    for pieces in product(*pools):
-        parts: list[int] = []
-        for piece in pieces:
-            parts.extend(piece)
-        out.append(Composition(parts))
-    return out
+    n = sum(alpha)
+    table = _by_mask(n)
+    return sorted(table[m] for m in _refinement_masks(_mask(alpha), n))
 
 
 def parse_composition(text: str) -> Composition:

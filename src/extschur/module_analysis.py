@@ -1,9 +1,11 @@
 """Matrix realization of the quotient modules and their invariants.
 
-Every per-shape result is read from one ``hecke_action.action_table`` on
-the filtration order: entry ``[i-1][j]`` is the filtration index of the
-i-th operator's image of the j-th basis tableau, ``j`` when fixed and
-``None`` when annihilated.  In the filtration basis every operator matrix
+Every per-shape result is read from one action table on the filtration
+order, built by ``hecke_action._word_table`` from the row words: entry
+``[i-1][j]`` is the filtration index of the i-th operator's image of the
+j-th basis tableau, ``j`` when fixed and ``None`` when annihilated.  The
+operators that move the j-th tableau make the descent mask of its
+composition factor.  In the filtration basis every operator matrix
 therefore has at most one 1 per column and never maps a basis vector to a
 later one, so the chain of leading subspaces is a composition series with
 one-dimensional subquotients.
@@ -38,18 +40,23 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .compositions import Composition, DescentSubset, composition_of_subset
+from .compositions import Composition, _by_mask
 from .hecke_action import (
     ActionTable,
     Filtration,
     _relation_failures,
     _word_table,
-    action_table,
     filtration,
 )
 from .linalg import nullspace
 from .qsym import QSymElement, extended_schur_in_F
-from .tableaux import RowWord, _column_strict_flags, _srit_words, super_standard
+from .tableaux import (
+    RowWord,
+    _column_strict_flags,
+    _row_word,
+    _srit_words,
+    super_standard,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 CompositionFactorList = tuple[Composition, ...]
@@ -94,7 +101,10 @@ class _Shape:
 
     @cached_property
     def quotient_table(self) -> ActionTable:
-        return action_table(self.filt.order, "quotient")
+        # enumerate_set grows only standard extended tableaux, so the
+        # check action_table would make again is skipped
+        words = [_row_word(t) for t in self.filt.order]
+        return _word_table(words, "quotient", len(self.alpha))
 
     @cached_property
     def extended_schur(self) -> QSymElement:
@@ -152,11 +162,14 @@ def composition_factors(alpha) -> CompositionFactorList:
 
 
 def _composition_factors(filt: Filtration, table: ActionTable) -> CompositionFactorList:
-    n = filt.alpha.weight
+    by_mask = _by_mask(filt.alpha.weight)
     factors = []
     for j in range(len(filt)):
-        moved = tuple(i for i in range(1, n) if table[i - 1][j] != j)
-        factors.append(composition_of_subset(DescentSubset(n, moved)))
+        moved = 0
+        for bit, images in enumerate(table):
+            if images[j] != j:
+                moved |= 1 << bit
+        factors.append(by_mask[moved])
     return tuple(factors)
 
 

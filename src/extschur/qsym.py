@@ -4,6 +4,14 @@ Supports the monomial and fundamental bases, the change of basis through
 refinement, the expansions indexed by standard extended tableaux, the
 descent-count matrix recording those expansions, and an independent
 standard-Young-tableau route for partition shapes used as a cross-check.
+
+Internally a composition of n is its descent mask (see ``compositions``):
+the basis changes walk the submasks of the bits each term leaves free,
+with sign ``(-1)^popcount`` of the added bits towards F, and the
+expansions, ``K`` and the ribbon columns read the counts of descent masks
+that ``tableaux._descent_masks`` records while it grows the standard
+extended tableaux, so none of them builds a ``Tableau``.  Masks turn back
+into compositions only for the nonzero terms of a result.
 """
 
 from __future__ import annotations
@@ -20,12 +28,14 @@ from types import MappingProxyType
 
 from .compositions import (
     Composition,
+    _by_mask,
+    _mask,
+    _refinement_masks,
     compositions_of,
     format_composition,
     is_partition,
-    refinements,
 )
-from .tableaux import descent_composition, enumerate_set
+from .tableaux import _descent_masks
 
 BASES = ("M", "F")
 
@@ -51,7 +61,8 @@ class QSymElement:
             raise ValueError("degree must be nonnegative")
         clean: dict[Composition, int] = {}
         for key, value in self.coeffs.items():
-            alpha = Composition(key)
+            # a Composition was validated when it was made
+            alpha = key if type(key) is Composition else Composition(key)
             if alpha.weight != self.degree:
                 raise ValueError(
                     f"key {alpha} has weight {alpha.weight}, expected degree {self.degree}"
@@ -108,11 +119,7 @@ def fundamental_to_monomial(x: QSymElement) -> QSymElement:
     refinements of its index."""
     if x.basis != "F":
         raise ValueError("expected a fundamental-basis element")
-    out: dict[Composition, int] = {}
-    for alpha, c in x.coeffs.items():
-        for beta in refinements(alpha):
-            out[beta] = out.get(beta, 0) + c
-    return QSymElement(x.degree, "M", out)
+    return _refine(x, "M")
 
 
 def monomial_to_fundamental(x: QSymElement) -> QSymElement:
@@ -120,11 +127,24 @@ def monomial_to_fundamental(x: QSymElement) -> QSymElement:
     M_a = sum over b refining a of (-1)^(l(b)-l(a)) F_b."""
     if x.basis != "M":
         raise ValueError("expected a monomial-basis element")
-    out: dict[Composition, int] = {}
+    return _refine(x, "F")
+
+
+def _refine(x: QSymElement, basis: str) -> QSymElement:
+    """Spread each term of x over the refinements of its index, as descent
+    masks; towards F each refinement that adds k parts carries (-1)^k."""
+    n = x.degree
+    signed = basis == "F"
+    out: dict[int, int] = {}
     for alpha, c in x.coeffs.items():
-        for beta in refinements(alpha):
-            out[beta] = out.get(beta, 0) + (-1) ** (len(beta) - len(alpha)) * c
-    return QSymElement(x.degree, "F", out)
+        mask = _mask(alpha)
+        for beta in _refinement_masks(mask, n):
+            if signed and (beta ^ mask).bit_count() & 1:
+                out[beta] = out.get(beta, 0) - c
+            else:
+                out[beta] = out.get(beta, 0) + c
+    table = _by_mask(n)
+    return QSymElement(n, basis, {table[beta]: c for beta, c in out.items() if c})
 
 
 def extended_schur_in_F(alpha) -> QSymElement:
@@ -132,8 +152,12 @@ def extended_schur_in_F(alpha) -> QSymElement:
     one term per standard extended tableau, indexed by its descent
     composition."""
     alpha = Composition(alpha)
-    counts = Counter(descent_composition(t) for t in enumerate_set(alpha))
-    return QSymElement(alpha.weight, "F", dict(counts))
+    table = _by_mask(alpha.weight)
+    return QSymElement(
+        alpha.weight,
+        "F",
+        {table[mask]: count for mask, count in _descent_masks(alpha).items()},
+    )
 
 
 def extended_schur_in_M(alpha) -> QSymElement:
@@ -222,11 +246,12 @@ def k_matrix(n: int) -> KMatrix:
         raise ValueError("n must be at least 1")
     comps = compositions_of(n)
     index = {alpha: i for i, alpha in enumerate(comps)}
+    column = [index[beta] for beta in _by_mask(n)]
     rows = []
     for alpha in comps:
         row = [0] * len(comps)
-        for t in enumerate_set(alpha):
-            row[index[descent_composition(t)]] += 1
+        for mask, count in _descent_masks(alpha).items():
+            row[column[mask]] = count
         rows.append(tuple(row))
     return KMatrix(n, tuple(comps), tuple(rows))
 
@@ -238,9 +263,10 @@ def ribbon_in_shin(beta) -> dict[Composition, int]:
     beta (the beta column of the descent-count matrix), nonzero values
     only."""
     beta = Composition(beta)
+    mask = _mask(beta)
     out: dict[Composition, int] = {}
     for alpha in compositions_of(beta.weight):
-        count = sum(1 for t in enumerate_set(alpha) if descent_composition(t) == beta)
+        count = _descent_masks(alpha).get(mask, 0)
         if count:
             out[alpha] = count
     return out

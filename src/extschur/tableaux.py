@@ -16,11 +16,21 @@ letter up to and including it.  :func:`_srit_words` lists them,
 :func:`_column_strict_flags` reads the column condition off each word, so
 the sweeps over every row-increasing filling build no ``Tableau``.
 :func:`_row_word` and :func:`_from_row_word` convert one way and the
-other.
+other; a tableau builds its row word once and keeps it.
+
+:func:`enumerate_set` grows the standard extended tableaux entry by entry
+(:func:`_grow`) and records, as it goes, the descent mask of each filling
+(bit ``i-1`` set when ``i`` is a descent; see ``compositions``): ``v-1``
+is a descent when the column of ``v-1`` is at least the column of ``v``,
+so the column of the last entry placed is all the growth carries.
+:func:`enumerate_set` keeps the fillings and drops the masks, and
+:func:`_descent_masks` counts the masks, which is all the extended Schur
+expansions need, without building a ``Tableau``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -30,6 +40,7 @@ from .compositions import Composition, DescentSubset, composition_of_subset
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
 RowWord = tuple[int, ...]  # letter v-1: the 0-based row of entry v
+Grown = list[tuple[tuple[tuple[int, ...], ...], int]]  # rows and descent mask
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,16 @@ class Tableau:
         return pos
 
     @cached_property
+    def _word(self) -> RowWord:
+        """The row word, built once per tableau; read it through
+        :func:`_row_word`."""
+        word = [0] * self.size
+        for r, row in enumerate(self.rows):
+            for v in row:
+                word[v - 1] = r
+        return tuple(word)
+
+    @cached_property
     def is_column_strict(self) -> bool:
         """True when every column strictly increases bottom to top."""
         width = max((len(row) for row in self.rows), default=0)
@@ -118,11 +139,7 @@ def enumerate_srit(alpha: Composition) -> list[Tableau]:
 
 def _row_word(t: Tableau) -> RowWord:
     """Letter ``v-1`` is the 0-based row of entry ``v``."""
-    word = [0] * sum(map(len, t.rows))
-    for r, row in enumerate(t.rows):
-        for v in row:
-            word[v - 1] = r
-    return tuple(word)
+    return t._word
 
 
 def _from_row_word(w: RowWord, height: int) -> Tableau:
@@ -223,11 +240,22 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
     tableaux.
     """
     alpha = Composition(alpha)
-    grown: list[tuple[tuple[int, ...], ...]] = []
-    _grow(alpha, _below(alpha), alpha.weight, 1, [[] for _ in alpha], grown)
     # Row tuples of one shape compare exactly as their reading words do.
-    grown.sort()
-    return [Tableau(rows) for rows in grown]
+    return [Tableau(rows) for rows, _ in sorted(_grown(alpha))]
+
+
+def _descent_masks(alpha: Composition) -> Counter[int]:
+    """How many standard extended tableaux of shape alpha have each
+    descent mask (see ``compositions``); no ``Tableau`` is built."""
+    return Counter(mask for _, mask in _grown(alpha))
+
+
+def _grown(alpha: Composition) -> Grown:
+    """The rows and the descent mask of every standard extended tableau of
+    shape alpha, in growth order."""
+    grown: Grown = []
+    _grow(alpha, _below(alpha), alpha.weight, 1, -1, 0, [[] for _ in alpha], grown)
+    return grown
 
 
 def _grow(
@@ -235,14 +263,19 @@ def _grow(
     below: list[list[int]],
     n: int,
     v: int,
+    col: int,
+    mask: int,
     filling: list[list[int]],
-    grown: list[tuple[tuple[int, ...], ...]],
+    grown: Grown,
 ) -> None:
     """Place entry v in every box open to it, recurse on v+1, and append
-    each finished filling to ``grown``.  Module-level, as ``_fill_rows``,
-    because a closure that calls itself is a reference cycle."""
+    each finished filling to ``grown`` with its descent mask.  ``col`` is
+    the 0-based column of v-1 (-1 for v = 1) and ``mask`` the descents
+    below v-1: v-1 is a descent when v lands in column ``col`` or left of
+    it, which sets bit v-2.  Module-level, as ``_fill_rows``, because a
+    closure that calls itself is a reference cycle."""
     if v > n:
-        grown.append(tuple(tuple(row) for row in filling))
+        grown.append((tuple(map(tuple, filling)), mask))
         return
     for r, row in enumerate(filling):
         c = len(row)
@@ -250,7 +283,8 @@ def _grow(
             s = below[r][c]
             if s < 0 or len(filling[s]) > c:
                 row.append(v)
-                _grow(alpha, below, n, v + 1, filling, grown)
+                step = mask | 1 << v - 2 if col >= c else mask
+                _grow(alpha, below, n, v + 1, c, step, filling, grown)
                 row.pop()
 
 

@@ -12,8 +12,13 @@ matrices rebuilt column by column from ``pi_quotient``
 as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
 both words of every relation on every tableau (:func:`replayed_relations`),
 the submodule closure over validated tableaux
-(:func:`tableau_submodule_closure`), the triangular monomial-to-fundamental
-solve
+(:func:`tableau_submodule_closure`), the extended Schur expansions and the
+descent-count matrix counted over validated tableaux by
+``descent_composition`` (:func:`tableau_schur_in_F`,
+:func:`tableau_k_matrix`), the refinements as products of the
+compositions of each part and the basis changes through them
+(:func:`product_refinements`, :func:`product_basis_change`), the
+triangular monomial-to-fundamental solve
 (:func:`peeled_monomial_to_fundamental`), the closure search for
 reachability (:func:`searched_preceq`) and the Bareiss determinant
 (:func:`bareiss_determinant`).  :func:`interval_module` builds the quotient
@@ -23,11 +28,12 @@ against each other.  The matrix helpers (:func:`rank`, :func:`mat_mul`,
 :func:`identity_matrix`) serve only the tests.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
-from extschur.compositions import Composition, refinements
+from extschur.compositions import Composition, compositions_of
 from extschur.hecke_action import (
     Fixed,
     RelationReport,
@@ -44,6 +50,7 @@ from extschur.module_analysis import EndomorphismSpace, ModuleMatrices
 from extschur.qsym import QSymElement
 from extschur.tableaux import (
     Tableau,
+    descent_composition,
     enumerate_set,
     enumerate_srit,
     is_standard_extended,
@@ -350,6 +357,56 @@ def swapping_quotient_step(i: int, w):
     return w[:i - 1] + (b, a) + w[i + 1:]
 
 
+def tableau_schur_in_F(alpha) -> QSymElement:
+    """The fundamental expansion of the extended Schur function counted
+    over the validated tableaux of ``enumerate_set``, one
+    ``descent_composition`` each: the oracle for the descent masks of
+    ``qsym.extended_schur_in_F``."""
+    counts = Counter(descent_composition(t) for t in enumerate_set(alpha))
+    return QSymElement(sum(alpha), "F", dict(counts))
+
+
+def tableau_k_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The entries of the descent-count matrix, each row counted over the
+    validated tableaux of ``enumerate_set``: the oracle for
+    ``qsym.k_matrix``."""
+    comps = compositions_of(n)
+    index = {alpha: i for i, alpha in enumerate(comps)}
+    rows = []
+    for alpha in comps:
+        row = [0] * len(comps)
+        for t in enumerate_set(alpha):
+            row[index[descent_composition(t)]] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def product_refinements(alpha) -> list[Composition]:
+    """The refinements of alpha as the concatenations of one composition
+    of each part, in lexicographic order: the oracle for the submask walk
+    of ``compositions.refinements``."""
+    pools = [compositions_of(part) for part in alpha]
+    out = []
+    for pieces in product(*pools):
+        parts: list[int] = []
+        for piece in pieces:
+            parts.extend(piece)
+        out.append(Composition(parts))
+    return out
+
+
+def product_basis_change(x: QSymElement) -> QSymElement:
+    """F to M or M to F, each term spread over :func:`product_refinements`
+    of its index, signed (-1)^(l(b)-l(a)) towards F: the oracle for the
+    descent-mask basis changes of ``qsym``."""
+    out: dict[Composition, int] = {}
+    for alpha, c in x.coeffs.items():
+        for beta in product_refinements(alpha):
+            sign = -1 if x.basis == "M" and (len(beta) - len(alpha)) % 2 else 1
+            out[beta] = out.get(beta, 0) + sign * c
+    return QSymElement(x.degree, "F" if x.basis == "M" else "M", out)
+
+
 def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:
     """Invert the refinement expansion by a triangular solve: refining
     strictly increases length, so peeling off the shortest remaining index
@@ -362,7 +419,7 @@ def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:
         if not c:
             continue
         result[alpha] = c
-        for beta in refinements(alpha):
+        for beta in product_refinements(alpha):
             if beta != alpha:
                 remaining[beta] = remaining.get(beta, 0) - c
     return QSymElement(x.degree, "F", result)

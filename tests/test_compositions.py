@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import product_refinements
 from extschur.compositions import (
     Composition,
     DescentSubset,
+    _by_mask,
+    _mask,
     composition_of_subset,
     compositions_of,
     descent_subset,
@@ -133,6 +136,22 @@ def test_refinements():
     assert set(fine) == {(1, 3, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 1, 1)}
     for beta in fine:
         assert refines(beta, Composition((1, 3, 1)))
+
+
+def test_refinements_match_product_route():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            assert refinements(alpha) == product_refinements(alpha), alpha
+
+
+def test_mask_table_is_indexed_by_descent_subsets():
+    for n in range(0, 11):
+        table = _by_mask(n)
+        assert len(table) == 2 ** max(n - 1, 0)
+        for mask, alpha in enumerate(table):
+            members = descent_subset(alpha).members
+            assert mask == sum(1 << i - 1 for i in members) == _mask(alpha), alpha
+            assert alpha == composition_of_subset(DescentSubset(n, members))
 
 
 @given(compositions(max_weight=8))

@@ -9,6 +9,9 @@ from helpers import (
     hook_length,
     laplace_determinant,
     peeled_monomial_to_fundamental,
+    product_basis_change,
+    tableau_k_matrix,
+    tableau_schur_in_F,
 )
 from extschur.compositions import Composition, compositions_of, is_partition
 from extschur.qsym import (
@@ -82,6 +85,14 @@ def test_element_validation():
         QSymElement(-1, "M", {})
     with pytest.raises(ValueError):
         QSymElement(2, "M", {(2,): 1.5})
+    # plain tuples are validated as parts, a Composition key keeps its
+    # weight check
+    with pytest.raises(ValueError, match="positive integers"):
+        QSymElement(3, "M", {(0, 3): 1})
+    with pytest.raises(ValueError, match="positive integers"):
+        QSymElement(3, "M", {(True, 2): 1})
+    with pytest.raises(ValueError, match="weight 2"):
+        QSymElement(3, "F", {Composition((1, 1)): 1})
 
 
 def test_element_rejects_bool_coefficients():
@@ -127,6 +138,23 @@ def test_monomial_to_fundamental_matches_triangular_solve():
                 assert monomial_to_fundamental(x) == peeled_monomial_to_fundamental(x)
 
 
+def _change_basis(x):
+    return fundamental_to_monomial(x) if x.basis == "F" else monomial_to_fundamental(x)
+
+
+def test_basis_changes_match_product_route_on_basis_elements():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            for x in (fundamental(alpha), monomial(alpha)):
+                assert _change_basis(x) == product_basis_change(x), x
+
+
+@settings(deadline=None)
+@given(st.sampled_from(("F", "M")).flatmap(lambda basis: qsym_elements(basis, max_degree=7)))
+def test_basis_changes_match_product_route(x):
+    assert _change_basis(x) == product_basis_change(x)
+
+
 def test_conversion_rejects_wrong_basis():
     with pytest.raises(ValueError):
         fundamental_to_monomial(monomial((2,)))
@@ -162,6 +190,12 @@ def test_extended_schur_in_F_examples():
     assert extended_schur_in_F((5,)) == fundamental((5,))
     assert extended_schur_in_F((1, 2)) == fundamental((1, 2))
     assert extended_schur_in_F(()) == fundamental(())
+
+
+def test_extended_schur_in_F_matches_tableau_route():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            assert extended_schur_in_F(alpha) == tableau_schur_in_F(alpha), alpha
 
 
 def test_extended_schur_in_M_examples():
@@ -262,6 +296,11 @@ def test_k_matrix_determinant_matches_bareiss():
     for n in range(1, 9):
         km = k_matrix(n)
         assert km.determinant() == bareiss_determinant(km.entries) == 1, n
+
+
+def test_k_matrix_matches_tableau_route():
+    for n in range(1, 9):
+        assert k_matrix(n).entries == tableau_k_matrix(n), n
 
 
 def test_k_matrix_determinant_refuses_entry_above_diagonal():

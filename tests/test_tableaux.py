@@ -17,6 +17,7 @@ from extschur.compositions import Composition, compositions_of, is_partition
 from extschur.tableaux import (
     Tableau,
     _column_strict_flags,
+    _descent_masks,
     _row_word,
     _srit_words,
     descent_composition,
@@ -189,6 +190,14 @@ def test_enumerate_set_matches_filter_in_order():
     for n in range(0, 9):
         for alpha in compositions_of(n):
             assert enumerate_set(alpha) == filtered_set(alpha)
+
+
+def test_descent_mask_totals_count_the_tableaux():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            masks = _descent_masks(alpha)
+            assert sum(masks.values()) == len(enumerate_set(alpha)), alpha
+            assert all(0 <= mask < 2 ** max(n - 1, 0) for mask in masks), alpha
 
 
 @given(small_compositions(max_weight=10))
