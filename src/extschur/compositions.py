@@ -9,7 +9,8 @@ Inside the package a subset of {1, ..., n-1} is held as an ``n-1``-bit
 mask, its descent mask: bit ``i-1`` is set when ``i`` is in the subset, so
 the mask of a composition has a bit for each proper partial sum
 (:func:`_mask`).  This module alone turns masks back into compositions,
-through one table per ``n`` indexed by mask (:func:`_by_mask`).  The
+one at a time from the set bits (:func:`_composition_of_mask`), so a
+result with few terms costs no table of all 2^(n-1) compositions.  The
 refinements of a composition are the masks holding its own, that is its
 mask joined with each submask of the bits it leaves free
 (:func:`_refinement_masks`).  The public ``DescentSubset`` is the
@@ -141,14 +142,20 @@ def _mask(alpha) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _by_mask(n: int) -> tuple[Composition, ...]:
-    """The compositions of n indexed by descent mask; one entry, the empty
-    composition, when n is 0."""
-    table: list = [None] * (1 << max(n - 1, 0))
-    for alpha in _compositions_of(n):
-        table[_mask(alpha)] = alpha
-    return tuple(table)
+def _composition_of_mask(mask: int, n: int) -> Composition:
+    """The composition of n whose descent mask is ``mask``, read off its
+    set bits, lowest first; the inverse of :func:`_mask`."""
+    parts = []
+    last = 0
+    while mask:
+        low = mask & -mask
+        total = low.bit_length()
+        parts.append(total - last)
+        last = total
+        mask ^= low
+    if n:
+        parts.append(n - last)
+    return Composition(parts)
 
 
 def _refinement_masks(mask: int, n: int) -> list[int]:
@@ -172,8 +179,9 @@ def refinements(alpha: Composition) -> list[Composition]:
     of them.
     """
     n = sum(alpha)
-    table = _by_mask(n)
-    return sorted(table[m] for m in _refinement_masks(_mask(alpha), n))
+    return sorted(
+        _composition_of_mask(m, n) for m in _refinement_masks(_mask(alpha), n)
+    )
 
 
 def parse_composition(text: str) -> Composition:

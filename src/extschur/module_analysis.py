@@ -40,7 +40,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .compositions import Composition, _by_mask
+from .compositions import Composition, _composition_of_mask
 from .hecke_action import (
     ActionTable,
     Filtration,
@@ -162,14 +162,14 @@ def composition_factors(alpha) -> CompositionFactorList:
 
 
 def _composition_factors(filt: Filtration, table: ActionTable) -> CompositionFactorList:
-    by_mask = _by_mask(filt.alpha.weight)
+    n = filt.alpha.weight
     factors = []
     for j in range(len(filt)):
         moved = 0
         for bit, images in enumerate(table):
             if images[j] != j:
                 moved |= 1 << bit
-        factors.append(by_mask[moved])
+        factors.append(_composition_of_mask(moved, n))
     return tuple(factors)
 
 

@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from .compositions import (
     Composition,
-    _by_mask,
+    _composition_of_mask,
     _mask,
     _refinement_masks,
     compositions_of,
@@ -143,8 +143,11 @@ def _refine(x: QSymElement, basis: str) -> QSymElement:
                 out[beta] = out.get(beta, 0) - c
             else:
                 out[beta] = out.get(beta, 0) + c
-    table = _by_mask(n)
-    return QSymElement(n, basis, {table[beta]: c for beta, c in out.items() if c})
+    return QSymElement(
+        n,
+        basis,
+        {_composition_of_mask(beta, n): c for beta, c in out.items() if c},
+    )
 
 
 def extended_schur_in_F(alpha) -> QSymElement:
@@ -152,11 +155,14 @@ def extended_schur_in_F(alpha) -> QSymElement:
     one term per standard extended tableau, indexed by its descent
     composition."""
     alpha = Composition(alpha)
-    table = _by_mask(alpha.weight)
+    n = alpha.weight
     return QSymElement(
-        alpha.weight,
+        n,
         "F",
-        {table[mask]: count for mask, count in _descent_masks(alpha).items()},
+        {
+            _composition_of_mask(mask, n): count
+            for mask, count in _descent_masks(alpha).items()
+        },
     )
 
 
@@ -245,8 +251,7 @@ def k_matrix(n: int) -> KMatrix:
     if n < 1:
         raise ValueError("n must be at least 1")
     comps = compositions_of(n)
-    index = {alpha: i for i, alpha in enumerate(comps)}
-    column = [index[beta] for beta in _by_mask(n)]
+    column = {_mask(beta): i for i, beta in enumerate(comps)}
     rows = []
     for alpha in comps:
         row = [0] * len(comps)

@@ -38,6 +38,9 @@ def test_expand_single_part(capsys):
     code, out, _ = run(capsys, "expand", "--alpha", "3", "--basis", "F")
     assert code == 0
     assert out == "F[3]\n"
+    code, out, _ = run(capsys, "expand", "--alpha", "40", "--max-n", "40", "--basis", "F")
+    assert code == 0
+    assert out == "F[40]\n"
 
 
 def test_expand_monomial(capsys):

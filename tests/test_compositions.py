@@ -5,7 +5,7 @@ from helpers import product_refinements
 from extschur.compositions import (
     Composition,
     DescentSubset,
-    _by_mask,
+    _composition_of_mask,
     _mask,
     composition_of_subset,
     compositions_of,
@@ -144,14 +144,17 @@ def test_refinements_match_product_route():
             assert refinements(alpha) == product_refinements(alpha), alpha
 
 
-def test_mask_table_is_indexed_by_descent_subsets():
+def test_masks_are_the_descent_subsets():
     for n in range(0, 11):
-        table = _by_mask(n)
-        assert len(table) == 2 ** max(n - 1, 0)
-        for mask, alpha in enumerate(table):
+        masks = set()
+        for alpha in compositions_of(n):
             members = descent_subset(alpha).members
-            assert mask == sum(1 << i - 1 for i in members) == _mask(alpha), alpha
-            assert alpha == composition_of_subset(DescentSubset(n, members))
+            mask = _mask(alpha)
+            assert mask == sum(1 << i - 1 for i in members), alpha
+            assert _composition_of_mask(mask, n) == alpha
+            assert type(_composition_of_mask(mask, n)) is Composition
+            masks.add(mask)
+        assert masks == set(range(2 ** max(n - 1, 0)))
 
 
 @given(compositions(max_weight=8))

@@ -133,6 +133,9 @@ def test_composition_factors_examples():
     )
     assert composition_factors(Composition((4,))) == ((4,),)
     assert composition_factors(Composition((1, 1))) == ((1, 1),)
+    # weight 40 has 2^39 compositions, but each shape has one factor
+    assert composition_factors(Composition((40,))) == ((40,),)
+    assert composition_factors(Composition((1,) * 40)) == ((1,) * 40,)
 
 
 def test_composition_factors_match_descent_compositions():

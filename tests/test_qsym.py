@@ -13,7 +13,12 @@ from helpers import (
     tableau_k_matrix,
     tableau_schur_in_F,
 )
-from extschur.compositions import Composition, compositions_of, is_partition
+from extschur.compositions import (
+    Composition,
+    compositions_of,
+    is_partition,
+    refinements,
+)
 from extschur.qsym import (
     KMatrix,
     QSymElement,
@@ -196,6 +201,21 @@ def test_extended_schur_in_F_matches_tableau_route():
     for n in range(0, 9):
         for alpha in compositions_of(n):
             assert extended_schur_in_F(alpha) == tableau_schur_in_F(alpha), alpha
+
+
+def test_few_term_results_at_large_weight():
+    # weight 40 has 2^39 compositions; a result with one term must not
+    # build anything of that size
+    ones = Composition((1,) * 40)
+    assert refinements(ones) == [ones]
+    assert extended_schur_in_F((40,)) == fundamental((40,))
+    assert extended_schur_in_F(ones) == fundamental(ones)
+    assert extended_schur_in_F((1, 39)) == fundamental((1, 39))
+    assert monomial_to_fundamental(monomial(ones)) == fundamental(ones)
+    assert fundamental_to_monomial(fundamental(ones)) == monomial(ones)
+    assert fundamental_to_monomial(fundamental((1,) * 38 + (2,))) == QSymElement(
+        40, "M", {(1,) * 38 + (2,): 1, ones: 1}
+    )
 
 
 def test_extended_schur_in_M_examples():
