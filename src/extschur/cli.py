@@ -301,7 +301,7 @@ def _check_schur(shape: _Shape) -> bool:
     alpha = shape.alpha
     return (
         shape.extended_schur == schur_in_F(alpha)
-        and len(shape.filt) == hook_length_count(alpha)
+        and len(shape.words) == hook_length_count(alpha)
     )
 
 

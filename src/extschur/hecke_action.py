@@ -17,9 +17,10 @@ them, converting to and from the validated ``Tableau`` at their boundary.
 One table per basis records where each operator sends each tableau.
 :func:`action_table` builds it from tableaux and ``_word_table`` from
 row words; the full basis is taken straight from
-``tableaux._srit_words``, so no ``Tableau`` is built for it.  The relation
-sweep composes the table's rows, and the submodule closure check and
-every module invariant read it instead of applying operators.
+``tableaux._srit_words``, and the quotient basis in filtration order from
+:func:`_filtration_words`, so no ``Tableau`` is built for either.  The
+relation sweep composes the table's rows, and the submodule closure check
+and every module invariant read it instead of applying operators.
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -30,19 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Literal
 
 from .compositions import Composition
 from .tableaux import (
+    Grown,
     RowWord,
     Tableau,
     _from_row_word,
+    _grown,
     _row_word,
     _srit_words,
     enumerate_set,
     is_standard_extended,
-    reading_word,
-    row_sum_vector,
     super_standard,
     swap_entries,
 )
@@ -358,6 +360,11 @@ class Filtration:
     def position(self) -> dict[Tableau, int]:
         return {t: k for k, t in enumerate(self.order)}
 
+    @cached_property
+    def words(self) -> tuple[RowWord, ...]:
+        """The row words of the order."""
+        return tuple(_row_word(t) for t in self.order)
+
     def index_of(self, t: Tableau) -> int:
         """0-based position of t in the order."""
         return self.position[t]
@@ -372,12 +379,32 @@ def filtration(alpha: Composition) -> Filtration:
 
     Sorted by row-sum vector in descending lexicographic order (a genuine
     swap strictly increases the row-sum vector, so reachable tableaux sort
-    earlier), with ties broken by ascending reading word.
+    earlier), with ties broken by ascending reading word; the
+    super-standard tableau comes last.  The order is defined once, on row
+    words, by :func:`_filtration_words`, which the module invariants read
+    directly; the tableaux here are built from those words.
     """
     alpha = Composition(alpha)
-    tableaux = enumerate_set(alpha)
+    words = _filtration_words(alpha, _grown(alpha))
+    return Filtration(alpha, tuple(_from_row_word(w, len(alpha)) for w in words))
 
-    def key(t: Tableau):
-        return tuple(-x for x in row_sum_vector(t)), reading_word(t)
 
-    return Filtration(alpha, tuple(sorted(tableaux, key=key)))
+def _filtration_words(alpha: Composition, grown: Grown) -> list[RowWord]:
+    """The row words of the standard extended tableaux ``grown`` by
+    ``tableaux._grown`` for alpha, in filtration order: row-sum vector
+    descending, then rows ascending, which compare as the reading words
+    do.  The super-standard tableau comes last.  No ``Tableau`` is
+    built."""
+
+    def key(item):
+        rows = item[0]
+        return [-s for s in accumulate(map(sum, rows))], rows
+
+    words = []
+    for rows, _ in sorted(grown, key=key):
+        word = [0] * alpha.weight
+        for r, row in enumerate(rows):
+            for v in row:
+                word[v - 1] = r
+        words.append(tuple(word))
+    return words

@@ -2,19 +2,20 @@
 
 Sparse rows are dicts mapping column index to a nonzero integer.
 Elimination uses integer cross-multiplication with content removal, so no
-fractions appear during reduction; nullspace back-substitution produces
-rationals that are cleared to primitive integer vectors.
+fractions appear anywhere: :func:`rank` counts the pivots and runs no
+back-substitution, and :func:`nullspace` back-substitutes over one common
+integer denominator and returns primitive integer vectors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd
 
 
 def _as_sparse(row) -> dict[int, int]:
-    if isinstance(row, Mapping):
+    # dict first: the Mapping check alone is slow on the many sparse rows
+    if isinstance(row, (dict, Mapping)):
         return {c: v for c, v in row.items() if v}
     return {c: v for c, v in enumerate(row) if v}
 
@@ -53,11 +54,34 @@ class _Echelon:
             row = _strip_content({c: v for c, v in combined.items() if v})
 
 
+def rank(rows) -> int:
+    """Rank of the row family (rows given sparse or dense).
+
+    A row with one nonzero entry pins its column: ``rank R = |Z| +
+    rank(R without the columns in Z)``, ``Z`` the pinned columns, and the
+    pinning rows vanish there.  So those rows and columns are counted and
+    dropped before the rest goes through the echelon accumulator, and
+    nothing is back-substituted.
+    """
+    rows = [_as_sparse(row) for row in rows]
+    pinned = {c for row in rows if len(row) == 1 for c in row}
+    echelon = _Echelon()
+    for row in rows:
+        if len(row) > 1:
+            row = {c: v for c, v in row.items() if c not in pinned}
+            if row:
+                echelon.insert(row)
+    return len(pinned) + len(echelon.pivot_rows)
+
+
 def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {x : R x = 0}, one vector per free column.
 
     Each basis vector is scaled to coprime integer entries with positive
-    first nonzero entry.
+    first nonzero entry.  Back-substitution stays in integers: the whole
+    vector, a multiple of the solution over one common denominator, is
+    scaled up whenever a pivot does not divide the sum it must cancel,
+    and the gcd is divided out at the end.
     """
     echelon = _Echelon()
     for row in rows:
@@ -68,34 +92,31 @@ def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
     for free in range(ncols):
         if free in pivots:
             continue
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
+        x = {free: 1}
         for p in reversed(pivot_cols):
             if p > free:
                 continue
             prow = pivots[p]
-            total = Fraction(0)
-            for c, v in prow.items():
-                if c > p:
-                    total += v * x[c]
-            x[p] = -total / prow[p]
-        basis.append(_to_primitive(x))
+            total = sum(v * x[c] for c, v in prow.items() if c in x)
+            if total:
+                g = gcd(total, prow[p])
+                scale = prow[p] // g
+                if scale > 1:
+                    x = {c: v * scale for c, v in x.items()}
+                x[p] = -total // g
+        basis.append(_to_primitive(x, ncols))
     return basis
 
 
-def _to_primitive(vector: list[Fraction]) -> tuple[int, ...]:
-    denominator = 1
-    for value in vector:
-        denominator = denominator * value.denominator // gcd(denominator, value.denominator)
-    ints = [int(value * denominator) for value in vector]
+def _to_primitive(x: dict[int, int], ncols: int) -> tuple[int, ...]:
+    """The vector with entries ``x``, zero elsewhere, divided by the gcd of
+    its entries and signed so that its first nonzero entry is positive."""
     g = 0
-    for value in ints:
+    for value in x.values():
         g = gcd(g, value)
-    if g > 1:
-        ints = [value // g for value in ints]
-    for value in ints:
-        if value:
-            if value < 0:
-                ints = [-w for w in ints]
-            break
+    if x[min(x)] < 0:
+        g = -g
+    ints = [0] * ncols
+    for c, v in x.items():
+        ints[c] = v // g
     return tuple(ints)

@@ -1,24 +1,30 @@
 """Matrix realization of the quotient modules and their invariants.
 
-Every per-shape result is read from one action table on the filtration
-order, built by ``hecke_action._word_table`` from the row words: entry
-``[i-1][j]`` is the filtration index of the i-th operator's image of the
-j-th basis tableau, ``j`` when fixed and ``None`` when annihilated.  The
-operators that move the j-th tableau make the descent mask of its
-composition factor.  In the filtration basis every operator matrix
-therefore has at most one 1 per column and never maps a basis vector to a
-later one, so the chain of leading subspaces is a composition series with
-one-dimensional subquotients.
+The quotient side of one shape reads row words only: the standard extended
+tableaux are grown once (``tableaux._grown``), put in filtration order as
+row words (``hecke_action._filtration_words``), and every per-shape result
+is read from one action table on that order, built by
+``hecke_action._word_table``: entry ``[i-1][j]`` is the filtration index of
+the i-th operator's image of the j-th basis tableau, ``j`` when fixed and
+``None`` when annihilated.  The operators that move the j-th tableau make
+the descent mask of its composition factor.  In the filtration basis every
+operator matrix therefore has at most one 1 per column and never maps a
+basis vector to a later one, so the chain of leading subspaces is a
+composition series with one-dimensional subquotients.  A ``Tableau`` is
+built only for output: the ``Filtration`` of :func:`matrices` and the
+tableau named when the generator check fails.
 
-The module is cyclic, generated by the super-standard tableau ``g``, so an
-endomorphism ``E`` is fixed by the vector ``v = E(g)``, once a
-breadth-first search from ``g`` over the swaps in the table has reached
-every basis tableau; the solver raises otherwise, so no module is
-certified without that check.  Commuting with ``E`` carries the weight of
-``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``, and
-``pi_i v = 0`` whenever ``pi_i g = 0``.  These equations cut out a space
-``W`` with ``dim End <= dim W``, and the identity lies in the commutant, so
-``dim W = 1`` certifies a one-dimensional commutant.  Only when
+The module is cyclic, generated by the super-standard tableau ``g``, whose
+row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
+by the vector ``v = E(g)``, once a breadth-first search from ``g`` over the
+swaps in the table has reached every basis tableau; the solver raises
+otherwise, so no module is certified without that check.  Commuting with
+``E`` carries the weight of ``g`` over to ``v``: ``pi_i v = v`` whenever
+``pi_i g = g``, and ``pi_i v = 0`` whenever ``pi_i g = 0``.  These
+equations cut out a space ``W`` with ``dim End <= dim W``, and the
+identity lies in the commutant, so ``dim W = 1`` certifies a
+one-dimensional commutant.  The certificate counts a rank, ``dim W = m -
+rank``, with ``linalg.rank``; no basis of ``W`` is built.  Only when
 ``dim W > 1`` does the solver fall back to the cyclic solve: the search
 reaches each basis tableau ``t`` as ``pi_w(g)`` for a word ``w``, which
 forces ``E(t) = pi_w(v)``, and requiring ``E pi_i = pi_i E`` on every basis
@@ -31,7 +37,8 @@ The submodule closure check works on the full basis as row words: the
 off each word.  Every table of one shape is held by a private ``_Shape``,
 which builds each on first use; the public functions here are each one
 read of a fresh ``_Shape``, and a caller that checks one shape several
-ways, such as ``verify``, keeps one ``_Shape`` to build each table once.
+ways, such as ``verify``, keeps one ``_Shape`` to grow the tableaux and
+build each table once.
 """
 
 from __future__ import annotations
@@ -44,16 +51,19 @@ from .compositions import Composition, _composition_of_mask
 from .hecke_action import (
     ActionTable,
     Filtration,
+    _filtration_words,
     _relation_failures,
     _word_table,
     filtration,
 )
-from .linalg import nullspace
-from .qsym import QSymElement, extended_schur_in_F
+from .linalg import nullspace, rank
+from .qsym import QSymElement, _fundamental_of_masks
 from .tableaux import (
+    Grown,
     RowWord,
     _column_strict_flags,
-    _row_word,
+    _from_row_word,
+    _grown,
     _srit_words,
     super_standard,
 )
@@ -80,41 +90,46 @@ class ModuleMatrices:
 class _Shape:
     """The tables of one composition, each built on first use and kept as
     long as the object: the row words of its standard row-increasing
-    tableaux with their ``"full"`` action table, its filtration with the
-    quotient action table in that order, and its extended Schur
-    function."""
+    tableaux with their ``"full"`` action table, the standard extended
+    tableaux grown once with their descent masks, their row words in
+    filtration order with the quotient action table in that order, and its
+    extended Schur function read off the masks.  ``alpha`` and ``words``
+    make it a basis for the module invariants below, as a ``Filtration``
+    is."""
 
     def __init__(self, alpha):
         self.alpha = Composition(alpha)
 
     @cached_property
-    def words(self) -> list[RowWord]:
+    def srit_words(self) -> list[RowWord]:
         return _srit_words(self.alpha)
 
     @cached_property
     def full_table(self) -> ActionTable:
-        return _word_table(self.words, "full", len(self.alpha))
+        return _word_table(self.srit_words, "full", len(self.alpha))
 
     @cached_property
-    def filt(self) -> Filtration:
-        return filtration(self.alpha)
+    def grown(self) -> Grown:
+        return _grown(self.alpha)
+
+    @cached_property
+    def words(self) -> list[RowWord]:
+        return _filtration_words(self.alpha, self.grown)
 
     @cached_property
     def quotient_table(self) -> ActionTable:
-        # enumerate_set grows only standard extended tableaux, so the
-        # check action_table would make again is skipped
-        words = [_row_word(t) for t in self.filt.order]
-        return _word_table(words, "quotient", len(self.alpha))
+        return _quotient_table(self)
 
     @cached_property
     def extended_schur(self) -> QSymElement:
-        return extended_schur_in_F(self.alpha)
+        masks = Counter(mask for _, mask in self.grown)
+        return _fundamental_of_masks(self.alpha.weight, masks)
 
     def characteristic(self) -> QSymElement:
-        return _characteristic(self.filt, self.quotient_table)
+        return _characteristic(self, self.quotient_table)
 
     def commutant_basis(self) -> EndomorphismSpace:
-        return _commutant_basis(self.filt, self.quotient_table)
+        return _commutant_basis(self, self.quotient_table)
 
     def relations_hold(self) -> bool:
         """Every relation holds on both bases; unlike
@@ -128,7 +143,7 @@ class _Shape:
     def submodule_closed(self) -> bool:
         """No column of the full table sends a non-extended word to an
         extended one."""
-        extended = _column_strict_flags(self.alpha, self.words)
+        extended = _column_strict_flags(self.alpha, self.srit_words)
         return not any(
             extended[k] and not extended[j]
             for images in self.full_table
@@ -136,18 +151,24 @@ class _Shape:
         )
 
 
+def _quotient_table(basis: Filtration | _Shape) -> ActionTable:
+    # the basis holds only standard extended tableaux, so the check
+    # action_table would make again is skipped
+    return _word_table(basis.words, "quotient", len(basis.alpha))
+
+
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
-    shape = _Shape(alpha)
-    m = len(shape.filt)
+    filt = filtration(alpha)
+    m = len(filt)
     mats = []
-    for images in shape.quotient_table:
+    for images in _quotient_table(filt):
         mat = [[0] * m for _ in range(m)]
         for j, k in enumerate(images):
             if k is not None:
                 mat[k][j] = 1
         mats.append(tuple(tuple(row) for row in mat))
-    return ModuleMatrices(shape.alpha, shape.filt, tuple(mats))
+    return ModuleMatrices(filt.alpha, filt, tuple(mats))
 
 
 def composition_factors(alpha) -> CompositionFactorList:
@@ -158,13 +179,13 @@ def composition_factors(alpha) -> CompositionFactorList:
     the non-fixing operator indices.
     """
     shape = _Shape(alpha)
-    return _composition_factors(shape.filt, shape.quotient_table)
+    return _composition_factors(shape, shape.quotient_table)
 
 
-def _composition_factors(filt: Filtration, table: ActionTable) -> CompositionFactorList:
-    n = filt.alpha.weight
+def _composition_factors(basis: Filtration | _Shape, table: ActionTable) -> CompositionFactorList:
+    n = basis.alpha.weight
     factors = []
-    for j in range(len(filt)):
+    for j in range(len(basis.words)):
         moved = 0
         for bit, images in enumerate(table):
             if images[j] != j:
@@ -182,9 +203,9 @@ def characteristic(alpha) -> QSymElement:
     return _Shape(alpha).characteristic()
 
 
-def _characteristic(filt: Filtration, table: ActionTable) -> QSymElement:
-    counts = Counter(_composition_factors(filt, table))
-    return QSymElement(filt.alpha.weight, "F", dict(counts))
+def _characteristic(basis: Filtration | _Shape, table: ActionTable) -> QSymElement:
+    counts = Counter(_composition_factors(basis, table))
+    return QSymElement(basis.alpha.weight, "F", dict(counts))
 
 
 @dataclass(frozen=True)
@@ -208,34 +229,38 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     by v = E(g).  First a breadth-first search checks that the operators
     reach every basis tableau from g; then v must satisfy pi_i v = v for
     each operator fixing g and pi_i v = 0 for each one annihilating g.  When
-    those equations leave a one-dimensional space, the commutant is
-    spanned by the identity.  Otherwise the cyclic solve takes the m
-    entries of v as unknowns: the search reaches every basis tableau t as
-    pi_w(g), which forces E(t) = pi_w(v), and each operator contributes one
-    sparse constraint per nonzero entry of E(pi_i t) - pi_i E(t).  The
-    solution space is extracted by exact fraction-free elimination and each
-    primitive v is mapped back to its matrix E; a lone basis matrix is the
-    identity.  Raises ValueError, naming the first basis tableau the search
-    misses, when the module is not generated by g.
+    the rank of those equations leaves a one-dimensional space, the
+    commutant is spanned by the identity.  Otherwise the cyclic solve takes
+    the m entries of v as unknowns: the search reaches every basis tableau
+    t as pi_w(g), which forces E(t) = pi_w(v), and each operator
+    contributes one sparse constraint per nonzero entry of
+    E(pi_i t) - pi_i E(t).  The solution space is extracted by exact
+    fraction-free elimination and each primitive v is mapped back to its
+    matrix E; a lone basis matrix is the identity.  Raises ValueError,
+    naming the first basis tableau the search misses, when the module is
+    not generated by g.
     """
     return _Shape(alpha).commutant_basis()
 
 
-def _commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
-    g = _generator(filt, table)
-    m = len(filt)
-    if len(_weight_space(table, g, m)) == 1:
+def _commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> EndomorphismSpace:
+    g = _generator(basis, table)
+    m = len(basis.words)
+    if _weight_dimension(table, g, m) == 1:
         zeros = (0,) * m
         identity = tuple(zeros[:k] + (1,) + zeros[k + 1 :] for k in range(m))
-        return EndomorphismSpace(filt.alpha, (identity,))
-    return _cyclic_commutant_basis(filt, table)
+        return EndomorphismSpace(basis.alpha, (identity,))
+    return _cyclic_commutant_basis(basis, table)
 
 
-def _generator(filt: Filtration, table: ActionTable) -> int:
-    """Filtration index of the super-standard tableau, once a breadth-first
-    search from it over the table has reached every basis tableau."""
-    g = filt.index_of(super_standard(filt.alpha))
-    reached = [False] * len(filt)
+def _generator(basis: Filtration | _Shape, table: ActionTable) -> int:
+    """Index of the super-standard row word ``0^alpha_1 1^alpha_2 ...`` in
+    the basis, once a breadth-first search from it over the table has
+    reached every basis tableau."""
+    alpha = basis.alpha
+    words = basis.words
+    g = words.index(tuple(r for r, part in enumerate(alpha) for _ in range(part)))
+    reached = [False] * len(words)
     reached[g] = True
     queue = deque([g])
     while queue:
@@ -246,17 +271,19 @@ def _generator(filt: Filtration, table: ActionTable) -> int:
                 reached[t] = True
                 queue.append(t)
     if not all(reached):
+        missed = _from_row_word(words[reached.index(False)], len(alpha))
         raise ValueError(
-            f"tableau {filt.order[reached.index(False)].rows} is not reached "
-            f"from the super-standard tableau {filt.order[g].rows}; the module "
+            f"tableau {missed.rows} is not reached "
+            f"from the super-standard tableau {super_standard(alpha).rows}; the module "
             "is not cyclic on it, so its commutant cannot be certified"
         )
     return g
 
 
-def _weight_space(table: ActionTable, g: int, m: int) -> list[tuple[int, ...]]:
-    """Primitive basis of W, the v with pi_i v = v for each operator fixing
-    basis index g and pi_i v = 0 for each one annihilating it.
+def _weight_dimension(table: ActionTable, g: int, m: int) -> int:
+    """Dimension of W, the v with pi_i v = v for each operator fixing
+    basis index g and pi_i v = 0 for each one annihilating it: m less the
+    rank of its equations, so no basis of W is built.
 
     Each such operator gives one row per coordinate k of pi_i v - v, or of
     pi_i v when it annihilates g: the sum of the v_u it sends to k, less v_k
@@ -279,17 +306,17 @@ def _weight_space(table: ActionTable, g: int, m: int) -> list[tuple[int, ...]]:
                 form = forms.setdefault(k, {})
                 form[k] = form.get(k, 0) - 1
         rows.extend(forms.values())
-    return nullspace(rows, m)
+    return m - rank(rows)
 
 
-def _cyclic_commutant_basis(filt: Filtration, table: ActionTable) -> EndomorphismSpace:
+def _cyclic_commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> EndomorphismSpace:
     """The commutant with the m entries of v = E(g) as unknowns; the
     fallback of ``_commutant_basis`` when the weight space of g is not
     one-dimensional."""
-    m = len(filt)
+    m = len(basis.words)
     # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
     # once an operator on the way from g annihilated it.
-    g = _generator(filt, table)
+    g = _generator(basis, table)
     images: list[tuple[int | None, ...] | None] = [None] * m
     images[g] = tuple(range(m))
     queue = deque([g])
@@ -317,15 +344,15 @@ def _cyclic_commutant_basis(filt: Filtration, table: ActionTable) -> Endomorphis
                 form = {u: c for u, c in form.items() if c}
                 if form:
                     rows.append(form)
-    basis = []
+    space = []
     for v in nullspace(rows, m):
         e = [[0] * m for _ in range(m)]
         for t, image in enumerate(images):
             for u, k in enumerate(image):
                 if k is not None:
                     e[k][t] += v[u]
-        basis.append(tuple(tuple(r) for r in e))
-    return EndomorphismSpace(filt.alpha, tuple(basis))
+        space.append(tuple(tuple(r) for r in e))
+    return EndomorphismSpace(basis.alpha, tuple(space))
 
 
 @dataclass(frozen=True)
@@ -372,7 +399,7 @@ def analysis_report(alpha) -> dict:
     """JSON-ready summary: dimension, factors in filtration order, the
     characteristic, and the commutant verdict."""
     shape = _Shape(alpha)
-    factors = _composition_factors(shape.filt, shape.quotient_table)
+    factors = _composition_factors(shape, shape.quotient_table)
     counts = Counter(factors)
     element = QSymElement(shape.alpha.weight, "F", dict(counts))
     space = shape.commutant_basis()

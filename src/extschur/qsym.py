@@ -155,14 +155,14 @@ def extended_schur_in_F(alpha) -> QSymElement:
     one term per standard extended tableau, indexed by its descent
     composition."""
     alpha = Composition(alpha)
-    n = alpha.weight
+    return _fundamental_of_masks(alpha.weight, _descent_masks(alpha))
+
+
+def _fundamental_of_masks(n: int, masks: Mapping[int, int]) -> QSymElement:
+    """The fundamental expansion with the given count on the composition
+    of each descent mask of weight n."""
     return QSymElement(
-        n,
-        "F",
-        {
-            _composition_of_mask(mask, n): count
-            for mask, count in _descent_masks(alpha).items()
-        },
+        n, "F", {_composition_of_mask(mask, n): count for mask, count in masks.items()}
     )
 
 

@@ -12,7 +12,11 @@ matrices rebuilt column by column from ``pi_quotient``
 as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
 both words of every relation on every tableau (:func:`replayed_relations`),
 the submodule closure over validated tableaux
-(:func:`tableau_submodule_closure`), the extended Schur expansions and the
+(:func:`tableau_submodule_closure`), the filtration order sorted over
+validated tableaux (:func:`tableau_filtration_order`), the primitive
+basis of the generator's weight space (:func:`weight_space`), the
+nullspace read off the reduced row echelon form over the rationals
+(:func:`rref_nullspace`), the extended Schur expansions and the
 descent-count matrix counted over validated tableaux by
 ``descent_composition`` (:func:`tableau_schur_in_F`,
 :func:`tableau_k_matrix`), the refinements as products of the
@@ -24,14 +28,15 @@ reachability (:func:`searched_preceq`) and the Bareiss determinant
 (:func:`bareiss_determinant`).  :func:`interval_module` builds the quotient
 module a second way, as a left weak order interval of permutations,
 without tableaux or the row-word rules.  The tests pit the two routes
-against each other.  The matrix helpers (:func:`rank`, :func:`mat_mul`,
-:func:`identity_matrix`) serve only the tests.
+against each other.  The matrix helpers (:func:`rank`, the plain echelon rank
+that ``linalg.rank`` must match, :func:`mat_mul`, :func:`identity_matrix`)
+serve only the tests.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, gcd
 
 from extschur.compositions import Composition, compositions_of
 from extschur.hecke_action import (
@@ -54,6 +59,8 @@ from extschur.tableaux import (
     enumerate_set,
     enumerate_srit,
     is_standard_extended,
+    reading_word,
+    row_sum_vector,
     swap_entries,
 )
 
@@ -184,7 +191,14 @@ def laplace_determinant(matrix) -> int:
 
 def dense_rank(rows, ncols) -> int:
     """Rank via plain dense elimination over exact rationals."""
+    return len(dense_rref(rows, ncols)[1])
+
+
+def dense_rref(rows, ncols) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over exact rationals, nonzero rows first,
+    and its pivot columns."""
     m = [[Fraction(row[c] if c < len(row) else 0) for c in range(ncols)] for row in rows]
+    pivots: list[int] = []
     rank = 0
     for col in range(ncols):
         pivot = None
@@ -201,10 +215,37 @@ def dense_rank(rows, ncols) -> int:
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
         rank += 1
         if rank == len(m):
             break
-    return rank
+    return m, pivots
+
+
+def rref_nullspace(rows, ncols) -> list[tuple[int, ...]]:
+    """One vector per free column f of the reduced row echelon form: 1 at
+    f, minus the f entry of each pivot row at its pivot, 0 elsewhere,
+    cleared to coprime integers with positive first nonzero entry.  The
+    oracle for the integer back-substitution of ``linalg.nullspace``."""
+    m, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            x[p] = -m[r][f]
+        scale = 1
+        for v in x:
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+        ints = [int(v * scale) for v in x]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        basis.append(tuple(sign * v // g for v in ints))
+    return basis
 
 
 def dense_matrices(alpha) -> ModuleMatrices:
@@ -223,6 +264,44 @@ def dense_matrices(alpha) -> ModuleMatrices:
                 mat[filt.index_of(result.tableau)][j] = 1
         mats.append(tuple(tuple(row) for row in mat))
     return ModuleMatrices(filt.alpha, filt, tuple(mats))
+
+
+def tableau_filtration_order(alpha) -> list[Tableau]:
+    """The standard extended tableaux of alpha sorted as validated
+    tableaux, by descending row-sum vector, then ascending reading word:
+    the oracle for the row-word order of ``hecke_action._filtration_words``."""
+
+    def key(t: Tableau):
+        return tuple(-x for x in row_sum_vector(t)), reading_word(t)
+
+    return sorted(enumerate_set(Composition(alpha)), key=key)
+
+
+def weight_space(table, g: int, m: int) -> list[tuple[int, ...]]:
+    """Primitive basis of W, the v with pi_i v = v for each operator of the
+    action table fixing basis index g and pi_i v = 0 for each one
+    annihilating it, from ``nullspace``: the oracle for the rank-only
+    ``dim W`` of ``module_analysis._commutant_basis``.
+
+    Each such operator gives one row per coordinate k of pi_i v - v, or of
+    pi_i v when it annihilates g: the sum of the v_u it sends to k, less v_k
+    when it fixes g.
+    """
+    rows = []
+    for images in table:
+        fixes = images[g] == g
+        if not fixes and images[g] is not None:
+            continue
+        forms: dict[int, dict[int, int]] = {}
+        for u, k in enumerate(images):
+            if k is not None:
+                forms.setdefault(k, {})[u] = 1
+        if fixes:
+            for k in range(m):
+                form = forms.setdefault(k, {})
+                form[k] = form.get(k, 0) - 1
+        rows.extend(forms.values())
+    return nullspace(rows, m)
 
 
 def table_of(mod: ModuleMatrices) -> tuple[tuple[int | None, ...], ...]:

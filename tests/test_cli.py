@@ -293,7 +293,9 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
         by_check.append(out.removesuffix("result: all checks passed\n"))
 
     calls = Counter()
-    for module, name in ((tableaux, "_srit_words"), (hecke_action, "filtration")):
+    for module, name in (
+        (tableaux, "_srit_words"), (tableaux, "_grown"), (hecke_action, "filtration")
+    ):
         real = getattr(module, name)
 
         def counted(alpha, real=real, name=name):
@@ -308,12 +310,14 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 0
     assert out == "".join(by_check) + "result: all checks passed\n"
-    assert calls == Counter({
-        (name, tuple(alpha)): 1
-        for name in ("_srit_words", "filtration")
-        for m in range(1, 6)
-        for alpha in compositions_of(m)
-    })
+    # each shape's row-increasing words and standard extended tableaux are
+    # grown once and no Filtration is built; the second growth of each
+    # shape is the kmatrix check's, inside k_matrix
+    shapes = [tuple(alpha) for m in range(1, 6) for alpha in compositions_of(m)]
+    assert calls == Counter(
+        {("_srit_words", alpha): 1 for alpha in shapes}
+        | {("_grown", alpha): 2 for alpha in shapes}
+    )
 
 
 @pytest.mark.parametrize("rule, mutant, check, holds", [

@@ -11,6 +11,7 @@ from helpers import (
     row_swapping_full_step,
     searched_preceq,
     swapping_quotient_step,
+    tableau_filtration_order,
 )
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
@@ -18,6 +19,7 @@ from extschur.hecke_action import (
     Fixed,
     Swapped,
     Zero,
+    _filtration_words,
     action_table,
     apply_word,
     filtration,
@@ -30,6 +32,7 @@ from extschur.hecke_action import (
 from extschur.tableaux import (
     Tableau,
     _from_row_word,
+    _grown,
     _row_word,
     descent_composition,
     enumerate_set,
@@ -500,3 +503,15 @@ def test_filtration_images_never_move_later():
                         continue
                     if isinstance(result, Swapped):
                         assert filt.index_of(result.tableau) < j
+
+
+def test_filtration_words_match_tableau_sort():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            order = tableau_filtration_order(alpha)
+            words = _filtration_words(alpha, _grown(alpha))
+            assert words == [_row_word(t) for t in order], alpha
+            assert filtration(alpha).order == tuple(order), alpha
+            assert filtration(alpha).words == tuple(words), alpha
+            # the super-standard tableau comes last
+            assert order[-1] == super_standard(alpha), alpha

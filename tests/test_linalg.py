@@ -7,8 +7,9 @@ from helpers import (
     laplace_determinant,
     mat_mul,
     rank,
+    rref_nullspace,
 )
-from extschur.linalg import nullspace
+from extschur.linalg import nullspace, rank as linalg_rank
 
 import pytest
 
@@ -91,6 +92,49 @@ def test_nullspace_properties(matrix):
             assert sum(r * v for r, v in zip(row, vector)) == 0
     # the vectors are independent
     assert rank(basis) == len(basis)
+
+
+# sparse rows over at most six columns, with explicit zero coefficients,
+# negative entries, empty rows and many one-entry rows
+sparse_rows = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=5), st.integers(min_value=-3, max_value=3),
+        max_size=3,
+    ),
+    max_size=8,
+)
+
+
+def dense(rows, ncols=6):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def test_linalg_rank_examples():
+    assert linalg_rank([[1, 2], [2, 4]]) == 1
+    assert linalg_rank([[0, 3], [1, 1], [0, 0]]) == 2
+    assert linalg_rank([{0: 1, 1: 0}, {0: 2, 1: 5}]) == 2  # a zero entry does not count
+    assert linalg_rank([{0: -1}, {0: 3}, {1: 0}]) == 1
+    assert linalg_rank([]) == 0
+
+
+@given(rect_matrices)
+def test_linalg_rank_matches_echelon_rank_dense(matrix):
+    assert linalg_rank(matrix) == rank(matrix) == dense_rank(matrix, len(matrix[0]))
+
+
+@given(sparse_rows)
+def test_linalg_rank_matches_echelon_rank_sparse(rows):
+    assert linalg_rank(rows) == rank(rows) == dense_rank(dense(rows), 6)
+
+
+@given(rect_matrices)
+def test_nullspace_matches_reduced_echelon_form(matrix):
+    assert nullspace(matrix, len(matrix[0])) == rref_nullspace(matrix, len(matrix[0]))
+
+
+@given(sparse_rows)
+def test_nullspace_matches_reduced_echelon_form_sparse(rows):
+    assert nullspace(rows, 6) == rref_nullspace(dense(rows), 6)
 
 
 def test_mat_mul():

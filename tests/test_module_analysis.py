@@ -14,6 +14,7 @@ from helpers import (
     row_swapping_full_step,
     table_of,
     tableau_submodule_closure,
+    weight_space as _weight_space,
 )
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
@@ -36,7 +37,9 @@ from extschur.module_analysis import (
     ModuleMatrices,
     _commutant_basis,
     _cyclic_commutant_basis,
-    _weight_space,
+    _generator,
+    _Shape,
+    _weight_dimension,
     is_indecomposable,
     matrices,
     verify_submodule_closure,
@@ -242,6 +245,36 @@ def test_weight_space_of_the_generator_is_a_line():
             filt, table, space = generator_weight_space(alpha)
             assert len(space) == 1, alpha
             assert _commutant_basis(filt, table) == _cyclic_commutant_basis(filt, table), alpha
+
+
+def test_shape_reads_the_filtration_words_with_the_generator_last():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            shape = _Shape(alpha)
+            filt = filtration(alpha)
+            assert shape.words == list(filt.words), alpha
+            assert shape.quotient_table == action_table(filt.order, "quotient"), alpha
+            assert _generator(shape, shape.quotient_table) == len(shape.words) - 1, alpha
+
+
+def test_weight_rank_matches_weight_space_oracle():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            shape = _Shape(alpha)
+            table = shape.quotient_table
+            g = _generator(shape, table)
+            m = len(shape.words)
+            assert _weight_dimension(table, g, m) == len(_weight_space(table, g, m)), alpha
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(
+    st.tuples(*[st.sampled_from([None, 0, 1, 2])] * 3), min_size=3, max_size=3
+))
+def test_weight_rank_matches_weight_space_oracle_on_arbitrary_tables(table):
+    # any table on the three SETs of (3,1), generated by g (index 2) or not
+    table = tuple(table)
+    assert _weight_dimension(table, 2, 3) == len(_weight_space(table, 2, 3))
 
 
 @settings(deadline=None, max_examples=20)
