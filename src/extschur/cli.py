@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .compositions import (
@@ -22,6 +23,7 @@ from .compositions import (
 from .module_analysis import _Shape, analysis_report, characteristic
 from .qsym import (
     QSymElement,
+    _k_matrix_of_masks,
     extended_schur_in_F,
     extended_schur_in_M,
     fundamental,
@@ -294,7 +296,7 @@ def _check_characteristic(shape: _Shape) -> bool:
 
 
 def _check_endomorphism(shape: _Shape) -> bool:
-    return shape.commutant_basis().dimension == 1
+    return shape.commutant_dimension() == 1
 
 
 def _check_schur(shape: _Shape) -> bool:
@@ -317,9 +319,9 @@ def _check_roundtrip(shape: _Shape) -> bool:
     return all(c >= 0 for c in fundamental_to_monomial(shape.extended_schur).coeffs.values())
 
 
-def _check_kmatrix(m: int) -> bool:
+def _check_kmatrix(m: int, masks_by_shape: list[Counter[int]]) -> bool:
     try:
-        return k_matrix(m).determinant() == 1
+        return _k_matrix_of_masks(m, masks_by_shape).determinant() == 1
     except ValueError:  # an entry above the diagonal
         return False
 
@@ -336,10 +338,11 @@ _PER_ALPHA_CHECKS = {
 
 def _run_checks(names, n: int) -> list[dict]:
     """Run the named checks over every weight up to n, in one pass over
-    the compositions: ``kmatrix`` once per weight, ``schur`` on the
-    partitions, every other check on each composition, all reading one
-    ``module_analysis._Shape``, dropped before the next composition.  One
-    result per name, in the given order."""
+    the compositions: ``schur`` on the partitions, every other check on
+    each composition, all reading one ``module_analysis._Shape``, dropped
+    before the next composition, and ``kmatrix`` once per weight, from the
+    descent masks of that weight's shapes.  One result per name, in the
+    given order."""
     results = {
         name: {"name": name, "passed": 0, "failed": 0, "first_counterexample": None}
         for name in names
@@ -355,8 +358,7 @@ def _run_checks(names, n: int) -> list[dict]:
                 result["first_counterexample"] = label
 
     for m in range(1, n + 1):
-        if "kmatrix" in results:
-            record("kmatrix", f"n={m}", _check_kmatrix(m))
+        masks_by_shape = []
         for alpha in compositions_of(m):
             shape = _Shape(alpha)
             label = format_composition(alpha)
@@ -365,6 +367,10 @@ def _run_checks(names, n: int) -> list[dict]:
                     continue
                 prefix = "lambda" if name == "schur" else "alpha"
                 record(name, f"{prefix}={label}", _PER_ALPHA_CHECKS[name](shape))
+            if "kmatrix" in results:
+                masks_by_shape.append(shape.descent_masks)
+        if "kmatrix" in results:
+            record("kmatrix", f"n={m}", _check_kmatrix(m, masks_by_shape))
     return list(results.values())
 
 

@@ -2,9 +2,8 @@
 
 Sparse rows are dicts mapping column index to a nonzero integer.
 Elimination uses integer cross-multiplication with content removal, so no
-fractions appear anywhere: :func:`rank` counts the pivots and runs no
-back-substitution, and :func:`nullspace` back-substitutes over one common
-integer denominator and returns primitive integer vectors.
+fractions appear anywhere: :func:`nullspace` back-substitutes over one
+common integer denominator and returns primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -52,26 +51,6 @@ class _Echelon:
             for c, v in pivot_row.items():
                 combined[c] = combined.get(c, 0) - a * v
             row = _strip_content({c: v for c, v in combined.items() if v})
-
-
-def rank(rows) -> int:
-    """Rank of the row family (rows given sparse or dense).
-
-    A row with one nonzero entry pins its column: ``rank R = |Z| +
-    rank(R without the columns in Z)``, ``Z`` the pinned columns, and the
-    pinning rows vanish there.  So those rows and columns are counted and
-    dropped before the rest goes through the echelon accumulator, and
-    nothing is back-substituted.
-    """
-    rows = [_as_sparse(row) for row in rows]
-    pinned = {c for row in rows if len(row) == 1 for c in row}
-    echelon = _Echelon()
-    for row in rows:
-        if len(row) > 1:
-            row = {c: v for c, v in row.items() if c not in pinned}
-            if row:
-                echelon.insert(row)
-    return len(pinned) + len(echelon.pivot_rows)
 
 
 def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:

@@ -20,17 +20,23 @@ by the vector ``v = E(g)``, once a breadth-first search from ``g`` over the
 swaps in the table has reached every basis tableau; the solver raises
 otherwise, so no module is certified without that check.  Commuting with
 ``E`` carries the weight of ``g`` over to ``v``: ``pi_i v = v`` whenever
-``pi_i g = g``, and ``pi_i v = 0`` whenever ``pi_i g = 0``.  These
-equations cut out a space ``W`` with ``dim End <= dim W``, and the
-identity lies in the commutant, so ``dim W = 1`` certifies a
-one-dimensional commutant.  The certificate counts a rank, ``dim W = m -
-rank``, with ``linalg.rank``; no basis of ``W`` is built.  Only when
-``dim W > 1`` does the solver fall back to the cyclic solve: the search
-reaches each basis tableau ``t`` as ``pi_w(g)`` for a word ``w``, which
-forces ``E(t) = pi_w(v)``, and requiring ``E pi_i = pi_i E`` on every basis
-tableau leaves an exact linear system in the ``m`` entries of ``v``
-instead of the ``m * m`` entries of ``E``.  A one-dimensional commutant
-certifies indecomposability.
+``pi_i g = g``.  When each such ``pi_i`` is idempotent on the table, sending
+every basis tableau it does not kill to one it fixes, ``pi_i v = v`` puts
+``v`` in the span of the basis tableaux ``pi_i`` fixes.  So ``dim End`` is
+at most the number of basis tableaux fixed by every operator that fixes
+``g``, and the identity lies in the commutant, so a count of 1 certifies a
+one-dimensional commutant.  On a module ``pi_i`` fixes a tableau exactly
+when ``i`` is not one of its descents, and the descents of ``g`` are the
+partial sums of ``alpha``, so the count is the coefficient of ``M_alpha``
+in the extended Schur function.  Only when an operator fixing ``g`` is not
+idempotent or the count is above 1 does the solver fall back to the cyclic
+solve: the search reaches each basis tableau ``t`` as ``pi_w(g)`` for a
+word ``w``, which forces ``E(t) = pi_w(v)``, and requiring ``E pi_i = pi_i
+E`` on every basis tableau leaves an exact linear system in the ``m``
+entries of ``v`` instead of the ``m * m`` entries of ``E``.  A
+one-dimensional commutant certifies indecomposability; the matrices of the
+commutant are built only for :func:`commutant_basis`, and every verdict
+reads its dimension alone.
 
 The submodule closure check works on the full basis as row words: the
 ``"full"`` table of ``tableaux._srit_words`` and the column condition read
@@ -56,7 +62,7 @@ from .hecke_action import (
     _word_table,
     filtration,
 )
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .qsym import QSymElement, _fundamental_of_masks
 from .tableaux import (
     Grown,
@@ -92,10 +98,10 @@ class _Shape:
     long as the object: the row words of its standard row-increasing
     tableaux with their ``"full"`` action table, the standard extended
     tableaux grown once with their descent masks, their row words in
-    filtration order with the quotient action table in that order, and its
-    extended Schur function read off the masks.  ``alpha`` and ``words``
-    make it a basis for the module invariants below, as a ``Filtration``
-    is."""
+    filtration order with the quotient action table in that order, and the
+    count of each descent mask with the extended Schur function read off
+    it.  ``alpha`` and ``words`` make it a basis for the module invariants
+    below, as a ``Filtration`` is."""
 
     def __init__(self, alpha):
         self.alpha = Composition(alpha)
@@ -121,15 +127,18 @@ class _Shape:
         return _quotient_table(self)
 
     @cached_property
+    def descent_masks(self) -> Counter[int]:
+        return Counter(mask for _, mask in self.grown)
+
+    @cached_property
     def extended_schur(self) -> QSymElement:
-        masks = Counter(mask for _, mask in self.grown)
-        return _fundamental_of_masks(self.alpha.weight, masks)
+        return _fundamental_of_masks(self.alpha.weight, self.descent_masks)
 
     def characteristic(self) -> QSymElement:
         return _characteristic(self, self.quotient_table)
 
-    def commutant_basis(self) -> EndomorphismSpace:
-        return _commutant_basis(self, self.quotient_table)
+    def commutant_dimension(self) -> int:
+        return _commutant_dimension(self, self.quotient_table)
 
     def relations_hold(self) -> bool:
         """Every relation holds on both bases; unlike
@@ -184,14 +193,15 @@ def composition_factors(alpha) -> CompositionFactorList:
 
 def _composition_factors(basis: Filtration | _Shape, table: ActionTable) -> CompositionFactorList:
     n = basis.alpha.weight
-    factors = []
+    masks = []
     for j in range(len(basis.words)):
         moved = 0
         for bit, images in enumerate(table):
             if images[j] != j:
                 moved |= 1 << bit
-        factors.append(_composition_of_mask(moved, n))
-    return tuple(factors)
+        masks.append(moved)
+    factor = {mask: _composition_of_mask(mask, n) for mask in set(masks)}
+    return tuple(factor[mask] for mask in masks)
 
 
 def characteristic(alpha) -> QSymElement:
@@ -228,29 +238,38 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     The module is generated by the super-standard tableau g, so E is fixed
     by v = E(g).  First a breadth-first search checks that the operators
     reach every basis tableau from g; then v must satisfy pi_i v = v for
-    each operator fixing g and pi_i v = 0 for each one annihilating g.  When
-    the rank of those equations leaves a one-dimensional space, the
-    commutant is spanned by the identity.  Otherwise the cyclic solve takes
-    the m entries of v as unknowns: the search reaches every basis tableau
-    t as pi_w(g), which forces E(t) = pi_w(v), and each operator
-    contributes one sparse constraint per nonzero entry of
-    E(pi_i t) - pi_i E(t).  The solution space is extracted by exact
-    fraction-free elimination and each primitive v is mapped back to its
-    matrix E; a lone basis matrix is the identity.  Raises ValueError,
-    naming the first basis tableau the search misses, when the module is
-    not generated by g.
+    each operator fixing g.  When each of those operators is idempotent on
+    the basis, v lies in the span of the basis tableaux they all fix, and
+    when that count is 1 the commutant is spanned by the identity.
+    Otherwise (an operator fixing g that is not idempotent, or a count
+    above 1) the cyclic solve takes the m entries of v as unknowns: the
+    search reaches every basis tableau t as pi_w(g), which forces E(t) =
+    pi_w(v), and each operator contributes one sparse constraint per
+    nonzero entry of E(pi_i t) - pi_i E(t).  The solution space is
+    extracted by exact fraction-free elimination and each primitive v is
+    mapped back to its matrix E; a lone basis matrix is the identity.
+    Raises ValueError, naming the first basis tableau the search misses,
+    when the module is not generated by g.
     """
-    return _Shape(alpha).commutant_basis()
+    shape = _Shape(alpha)
+    return _commutant_basis(shape, shape.quotient_table)
 
 
 def _commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> EndomorphismSpace:
-    g = _generator(basis, table)
-    m = len(basis.words)
-    if _weight_dimension(table, g, m) == 1:
+    if _fixed_point_count(basis, table) == 1:
+        m = len(basis.words)
         zeros = (0,) * m
         identity = tuple(zeros[:k] + (1,) + zeros[k + 1 :] for k in range(m))
         return EndomorphismSpace(basis.alpha, (identity,))
     return _cyclic_commutant_basis(basis, table)
+
+
+def _commutant_dimension(basis: Filtration | _Shape, table: ActionTable) -> int:
+    """The dimension of ``_commutant_basis``, building no matrix when the
+    fixed-point count certifies it."""
+    if _fixed_point_count(basis, table) == 1:
+        return 1
+    return _cyclic_commutant_basis(basis, table).dimension
 
 
 def _generator(basis: Filtration | _Shape, table: ActionTable) -> int:
@@ -280,39 +299,25 @@ def _generator(basis: Filtration | _Shape, table: ActionTable) -> int:
     return g
 
 
-def _weight_dimension(table: ActionTable, g: int, m: int) -> int:
-    """Dimension of W, the v with pi_i v = v for each operator fixing
-    basis index g and pi_i v = 0 for each one annihilating it: m less the
-    rank of its equations, so no basis of W is built.
-
-    Each such operator gives one row per coordinate k of pi_i v - v, or of
-    pi_i v when it annihilates g: the sum of the v_u it sends to k, less v_k
-    when it fixes g.  These are the equations themselves, so W contains
-    E(g) for every E in the commutant whatever the table.  On a module,
-    where pi_i is idempotent, the rows of a fixing operator reduce to
-    v_u = 0 for each u it does not fix.
-    """
-    rows = []
-    for images in table:
-        fixes = images[g] == g
-        if not fixes and images[g] is not None:
-            continue
-        forms: dict[int, dict[int, int]] = {}
-        for u, k in enumerate(images):
-            if k is not None:
-                forms.setdefault(k, {})[u] = 1
-        if fixes:
-            for k in range(m):
-                form = forms.setdefault(k, {})
-                form[k] = form.get(k, 0) - 1
-        rows.extend(forms.values())
-    return m - rank(rows)
+def _fixed_point_count(basis: Filtration | _Shape, table: ActionTable) -> int | None:
+    """How many basis indices every operator fixing the generator fixes,
+    once ``_generator`` has accepted the table; ``None`` when one of those
+    operators is not idempotent on the table, that is, sends some index to
+    one it does not fix."""
+    g = _generator(basis, table)
+    rows = [row for row in table if row[g] == g]
+    if any(k is not None and row[k] != k for row in rows for k in row):
+        return None
+    fixed = range(len(basis.words))
+    for row in rows:
+        fixed = [u for u in fixed if row[u] == u]
+    return len(fixed)
 
 
 def _cyclic_commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> EndomorphismSpace:
     """The commutant with the m entries of v = E(g) as unknowns; the
-    fallback of ``_commutant_basis`` when the weight space of g is not
-    one-dimensional."""
+    fallback of ``_commutant_basis`` when the fixed-point count does not
+    certify a one-dimensional commutant."""
     m = len(basis.words)
     # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
     # once an operator on the way from g annihilated it.
@@ -379,10 +384,10 @@ def is_indecomposable(alpha) -> Verdict:
     identity; anything larger is reported as inconclusive, never as
     decomposable.
     """
-    space = commutant_basis(alpha)
-    if space.dimension == 1:
+    dimension = _Shape(alpha).commutant_dimension()
+    if dimension == 1:
         return Indecomposable()
-    return Inconclusive(space.dimension)
+    return Inconclusive(dimension)
 
 
 def verify_submodule_closure(alpha) -> bool:
@@ -402,12 +407,12 @@ def analysis_report(alpha) -> dict:
     factors = _composition_factors(shape, shape.quotient_table)
     counts = Counter(factors)
     element = QSymElement(shape.alpha.weight, "F", dict(counts))
-    space = shape.commutant_basis()
+    dimension = shape.commutant_dimension()
     return {
         "alpha": list(shape.alpha),
         "dim": len(factors),
         "factors": [list(beta) for beta in factors],
         "characteristic": element.to_json(),
-        "commutant_dimension": space.dimension,
-        "indecomposable": True if space.dimension == 1 else "inconclusive",
+        "commutant_dimension": dimension,
+        "indecomposable": True if dimension == 1 else "inconclusive",
     }

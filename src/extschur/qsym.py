@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -250,12 +250,18 @@ def k_matrix(n: int) -> KMatrix:
     """The full descent-count matrix in degree n."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    return _k_matrix_of_masks(n, (_descent_masks(alpha) for alpha in compositions_of(n)))
+
+
+def _k_matrix_of_masks(n: int, masks_by_shape: Iterable[Mapping[int, int]]) -> KMatrix:
+    """The descent-count matrix in degree n from the count of each descent
+    mask of each shape, given in the order of ``compositions_of(n)``."""
     comps = compositions_of(n)
     column = {_mask(beta): i for i, beta in enumerate(comps)}
     rows = []
-    for alpha in comps:
+    for masks in masks_by_shape:
         row = [0] * len(comps)
-        for mask, count in _descent_masks(alpha).items():
+        for mask, count in masks.items():
             row[column[mask]] = count
         rows.append(tuple(row))
     return KMatrix(n, tuple(comps), tuple(rows))

