@@ -396,12 +396,11 @@ def _filtration_words(alpha: Composition, grown: Grown) -> list[RowWord]:
     do.  The super-standard tableau comes last.  No ``Tableau`` is
     built."""
 
-    def key(item):
-        rows = item[0]
+    def key(rows):
         return [-s for s in accumulate(map(sum, rows))], rows
 
     words = []
-    for rows, _ in sorted(grown, key=key):
+    for rows in sorted(grown, key=key):
         word = [0] * alpha.weight
         for r, row in enumerate(rows):
             for v in row:

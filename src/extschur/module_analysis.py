@@ -65,9 +65,9 @@ from .hecke_action import (
 from .linalg import nullspace
 from .qsym import QSymElement, _fundamental_of_masks
 from .tableaux import (
-    Grown,
     RowWord,
     _column_strict_flags,
+    _descent_masks,
     _from_row_word,
     _grown,
     _srit_words,
@@ -97,11 +97,13 @@ class _Shape:
     """The tables of one composition, each built on first use and kept as
     long as the object: the row words of its standard row-increasing
     tableaux with their ``"full"`` action table, the standard extended
-    tableaux grown once with their descent masks, their row words in
-    filtration order with the quotient action table in that order, and the
-    count of each descent mask with the extended Schur function read off
-    it.  ``alpha`` and ``words`` make it a basis for the module invariants
-    below, as a ``Filtration`` is."""
+    tableaux grown once and kept as row words in filtration order with the
+    quotient action table in that order, and the count of each descent
+    mask with the extended Schur function read off it.  The counts come
+    from ``tableaux._descent_masks``, which grows no tableau, so the
+    characteristic read off the action table and the extended Schur
+    function share no enumeration.  ``alpha`` and ``words`` make it a
+    basis for the module invariants below, as a ``Filtration`` is."""
 
     def __init__(self, alpha):
         self.alpha = Composition(alpha)
@@ -115,12 +117,8 @@ class _Shape:
         return _word_table(self.srit_words, "full", len(self.alpha))
 
     @cached_property
-    def grown(self) -> Grown:
-        return _grown(self.alpha)
-
-    @cached_property
     def words(self) -> list[RowWord]:
-        return _filtration_words(self.alpha, self.grown)
+        return _filtration_words(self.alpha, _grown(self.alpha))
 
     @cached_property
     def quotient_table(self) -> ActionTable:
@@ -128,7 +126,7 @@ class _Shape:
 
     @cached_property
     def descent_masks(self) -> Counter[int]:
-        return Counter(mask for _, mask in self.grown)
+        return _descent_masks(self.alpha)
 
     @cached_property
     def extended_schur(self) -> QSymElement:
@@ -276,10 +274,8 @@ def _generator(basis: Filtration | _Shape, table: ActionTable) -> int:
     """Index of the super-standard row word ``0^alpha_1 1^alpha_2 ...`` in
     the basis, once a breadth-first search from it over the table has
     reached every basis tableau."""
-    alpha = basis.alpha
-    words = basis.words
-    g = words.index(tuple(r for r, part in enumerate(alpha) for _ in range(part)))
-    reached = [False] * len(words)
+    g = _super_standard_index(basis)
+    reached = [False] * len(basis.words)
     reached[g] = True
     queue = deque([g])
     while queue:
@@ -290,13 +286,26 @@ def _generator(basis: Filtration | _Shape, table: ActionTable) -> int:
                 reached[t] = True
                 queue.append(t)
     if not all(reached):
-        missed = _from_row_word(words[reached.index(False)], len(alpha))
-        raise ValueError(
-            f"tableau {missed.rows} is not reached "
-            f"from the super-standard tableau {super_standard(alpha).rows}; the module "
-            "is not cyclic on it, so its commutant cannot be certified"
-        )
+        raise _not_reached(basis, reached.index(False))
     return g
+
+
+def _super_standard_index(basis: Filtration | _Shape) -> int:
+    """Index of the row word ``0^alpha_1 1^alpha_2 ...`` in the basis."""
+    alpha = basis.alpha
+    return basis.words.index(tuple(r for r, part in enumerate(alpha) for _ in range(part)))
+
+
+def _not_reached(basis: Filtration | _Shape, k: int) -> ValueError:
+    """The refusal naming basis tableau ``k``, which a search from the
+    generator missed."""
+    alpha = basis.alpha
+    missed = _from_row_word(basis.words[k], len(alpha))
+    return ValueError(
+        f"tableau {missed.rows} is not reached "
+        f"from the super-standard tableau {super_standard(alpha).rows}; the module "
+        "is not cyclic on it, so its commutant cannot be certified"
+    )
 
 
 def _fixed_point_count(basis: Filtration | _Shape, table: ActionTable) -> int | None:
@@ -320,8 +329,9 @@ def _cyclic_commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> E
     certify a one-dimensional commutant."""
     m = len(basis.words)
     # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
-    # once an operator on the way from g annihilated it.
-    g = _generator(basis, table)
+    # once an operator on the way from g annihilated it.  The search is
+    # the one ``_generator`` makes, so it refuses the same tables.
+    g = _super_standard_index(basis)
     images: list[tuple[int | None, ...] | None] = [None] * m
     images[g] = tuple(range(m))
     queue = deque([g])
@@ -332,6 +342,8 @@ def _cyclic_commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> E
             if t is not None and images[t] is None:
                 images[t] = tuple(None if k is None else row[k] for k in images[s])
                 queue.append(t)
+    if None in images:
+        raise _not_reached(basis, images.index(None))
     rows = []
     for row in table:
         for t, image in enumerate(images):

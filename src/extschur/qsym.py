@@ -9,9 +9,10 @@ Internally a composition of n is its descent mask (see ``compositions``):
 the basis changes walk the submasks of the bits each term leaves free,
 with sign ``(-1)^popcount`` of the added bits towards F, and the
 expansions, ``K`` and the ribbon columns read the counts of descent masks
-that ``tableaux._descent_masks`` records while it grows the standard
-extended tableaux, so none of them builds a ``Tableau``.  Masks turn back
-into compositions only for the nonzero terms of a result.
+that ``tableaux._descent_masks`` takes from its recursion over sub-shapes,
+so none of them grows or builds a ``Tableau``; the monomial expansion
+refines those counts directly.  Masks turn back into compositions only
+for the nonzero terms of a result.
 """
 
 from __future__ import annotations
@@ -131,13 +132,18 @@ def monomial_to_fundamental(x: QSymElement) -> QSymElement:
 
 
 def _refine(x: QSymElement, basis: str) -> QSymElement:
-    """Spread each term of x over the refinements of its index, as descent
-    masks; towards F each refinement that adds k parts carries (-1)^k."""
-    n = x.degree
+    """Spread each term of x over the refinements of its index; towards F
+    each refinement that adds k parts carries (-1)^k."""
+    return _refine_masks(x.degree, {_mask(alpha): c for alpha, c in x.coeffs.items()}, basis)
+
+
+def _refine_masks(n: int, masks: Mapping[int, int], basis: str) -> QSymElement:
+    """The element of the given basis that :func:`_refine` makes from the
+    coefficient of each descent mask of weight n, read in the other
+    basis."""
     signed = basis == "F"
     out: dict[int, int] = {}
-    for alpha, c in x.coeffs.items():
-        mask = _mask(alpha)
+    for mask, c in masks.items():
         for beta in _refinement_masks(mask, n):
             if signed and (beta ^ mask).bit_count() & 1:
                 out[beta] = out.get(beta, 0) - c
@@ -168,8 +174,11 @@ def _fundamental_of_masks(n: int, masks: Mapping[int, int]) -> QSymElement:
 
 def extended_schur_in_M(alpha) -> QSymElement:
     """Monomial expansion of the extended Schur function; all
-    coefficients are nonnegative."""
-    return fundamental_to_monomial(extended_schur_in_F(alpha))
+    coefficients are nonnegative.  Equal to
+    ``fundamental_to_monomial(extended_schur_in_F(alpha))``, refined
+    straight from the descent mask counts."""
+    alpha = Composition(alpha)
+    return _refine_masks(alpha.weight, _descent_masks(alpha), "M")
 
 
 def specialize(x: QSymElement, k: int) -> dict[tuple[int, ...], int]:

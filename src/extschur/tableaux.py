@@ -19,13 +19,22 @@ the sweeps over every row-increasing filling build no ``Tableau``.
 other; a tableau builds its row word once and keeps it.
 
 :func:`enumerate_set` grows the standard extended tableaux entry by entry
-(:func:`_grow`) and records, as it goes, the descent mask of each filling
-(bit ``i-1`` set when ``i`` is a descent; see ``compositions``): ``v-1``
-is a descent when the column of ``v-1`` is at least the column of ``v``,
-so the column of the last entry placed is all the growth carries.
-:func:`enumerate_set` keeps the fillings and drops the masks, and
-:func:`_descent_masks` counts the masks, which is all the extended Schur
-expansions need, without building a ``Tableau``.
+(:func:`_grow`), carrying only the rows of each filling.
+
+The extended Schur expansions need only how many standard extended
+tableaux have each descent mask (bit ``i-1`` set when ``i`` is a descent;
+see ``compositions``), and :func:`_descent_masks` counts them without
+growing a tableau.  The largest entry n of a standard extended tableau
+ends a row that no higher row reaches in length; removing it leaves a
+standard extended tableau of the shape with that part lowered by one (or
+dropped, when it was 1 and so the top row), and ``n-1`` is a descent
+exactly when its column is at least the column of n.  So
+:func:`_masks_by_last_column` keeps, for each column of n, the count of
+each mask: it sums the counts of the smaller shape over the columns of
+n-1, setting bit ``n-2`` on those at or right of the column of n.
+Sub-shapes are shared between shapes, so
+the counts are kept in one memo for every later call, filled in order of
+weight from a work list rather than by Python recursion.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .compositions import Composition, DescentSubset, composition_of_subset
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
 RowWord = tuple[int, ...]  # letter v-1: the 0-based row of entry v
-Grown = list[tuple[tuple[tuple[int, ...], ...], int]]  # rows and descent mask
+Grown = list[tuple[tuple[int, ...], ...]]  # the rows of each filling
 
 
 @dataclass(frozen=True)
@@ -241,20 +250,85 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
     """
     alpha = Composition(alpha)
     # Row tuples of one shape compare exactly as their reading words do.
-    return [Tableau(rows) for rows, _ in sorted(_grown(alpha))]
+    return [Tableau(rows) for rows in sorted(_grown(alpha))]
+
+
+# shape -> 0-based column of the largest entry -> descent mask -> count,
+# over the standard extended tableaux of the shape; filled bottom-up by
+# _masks_by_last_column.  Only the fresh sums of _descent_masks leave
+# this module.
+_MASKS_BY_LAST_COLUMN: dict[tuple[int, ...], dict[int, dict[int, int]]] = {(): {-1: {0: 1}}}
 
 
 def _descent_masks(alpha: Composition) -> Counter[int]:
     """How many standard extended tableaux of shape alpha have each
-    descent mask (see ``compositions``); no ``Tableau`` is built."""
-    return Counter(mask for _, mask in _grown(alpha))
+    descent mask (see ``compositions``): a fresh ``Counter``, summed over
+    the columns of :func:`_masks_by_last_column`.  Nothing is grown and
+    no ``Tableau`` is built."""
+    counts: Counter[int] = Counter()
+    for masks in _masks_by_last_column(alpha).values():
+        counts.update(masks)
+    return counts
+
+
+def _masks_by_last_column(alpha: Composition) -> dict[int, dict[int, int]]:
+    """For each 0-based column that the largest entry takes in a standard
+    extended tableau of shape alpha, the count of each descent mask over
+    those tableaux, by the recurrence of the module docstring.
+
+    The shape and each of its sub-shapes not yet in
+    ``_MASKS_BY_LAST_COLUMN`` are computed once and stored there, in
+    order of weight from a work list, so no shape needs Python recursion.
+    The result is the stored value: read it, never change it.
+    """
+    memo = _MASKS_BY_LAST_COLUMN
+    alpha = tuple(alpha)
+    if alpha in memo:
+        return memo[alpha]
+    todo = {alpha}
+    stack = [alpha]
+    while stack:
+        for _, smaller in _removals(stack.pop()):
+            if smaller not in memo and smaller not in todo:
+                todo.add(smaller)
+                stack.append(smaller)
+    for shape in sorted(todo, key=sum):
+        n = sum(shape)
+        bit = 1 << n - 2 if n > 1 else 0
+        by_column = {}
+        for c, smaller in _removals(shape):
+            counts: dict[int, int] = {}
+            for previous, masks in memo[smaller].items():
+                if previous >= c:
+                    masks = {mask | bit: count for mask, count in masks.items()}
+                for mask, count in masks.items():
+                    counts[mask] = counts.get(mask, 0) + count
+            by_column[c] = counts
+        memo[shape] = by_column
+    return memo[alpha]
+
+
+def _removals(alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The 0-based column of each box that can hold the largest entry,
+    the end of a row longer than every row above it, with the shape left
+    without that box; a part of 1 can only be the top row, and is
+    dropped."""
+    removals = []
+    longest = 0
+    for r in range(len(alpha) - 1, -1, -1):
+        part = alpha[r]
+        if part > longest:
+            rest = alpha[:r] + (part - 1,) + alpha[r + 1 :] if part > 1 else alpha[:r]
+            removals.append((part - 1, rest))
+            longest = part
+    return removals
 
 
 def _grown(alpha: Composition) -> Grown:
-    """The rows and the descent mask of every standard extended tableau of
-    shape alpha, in growth order."""
+    """The rows of every standard extended tableau of shape alpha, in
+    growth order."""
     grown: Grown = []
-    _grow(alpha, _below(alpha), alpha.weight, 1, -1, 0, [[] for _ in alpha], grown)
+    _grow(alpha, _below(alpha), alpha.weight, 1, [[] for _ in alpha], grown)
     return grown
 
 
@@ -263,19 +337,14 @@ def _grow(
     below: list[list[int]],
     n: int,
     v: int,
-    col: int,
-    mask: int,
     filling: list[list[int]],
     grown: Grown,
 ) -> None:
     """Place entry v in every box open to it, recurse on v+1, and append
-    each finished filling to ``grown`` with its descent mask.  ``col`` is
-    the 0-based column of v-1 (-1 for v = 1) and ``mask`` the descents
-    below v-1: v-1 is a descent when v lands in column ``col`` or left of
-    it, which sets bit v-2.  Module-level, as ``_fill_rows``, because a
-    closure that calls itself is a reference cycle."""
+    each finished filling to ``grown``.  Module-level, as ``_fill_rows``,
+    because a closure that calls itself is a reference cycle."""
     if v > n:
-        grown.append((tuple(map(tuple, filling)), mask))
+        grown.append(tuple(map(tuple, filling)))
         return
     for r, row in enumerate(filling):
         c = len(row)
@@ -283,8 +352,7 @@ def _grow(
             s = below[r][c]
             if s < 0 or len(filling[s]) > c:
                 row.append(v)
-                step = mask | 1 << v - 2 if col >= c else mask
-                _grow(alpha, below, n, v + 1, c, step, filling, grown)
+                _grow(alpha, below, n, v + 1, filling, grown)
                 row.pop()
 
 

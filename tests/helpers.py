@@ -18,8 +18,9 @@ basis of the generator's weight space (:func:`weight_space`) and its
 dimension as a rank (:func:`weight_dimension`, with the rank that drops
 pinned columns first, :func:`pinned_rank`), the
 nullspace read off the reduced row echelon form over the rationals
-(:func:`rref_nullspace`), the extended Schur expansions and the
-descent-count matrix counted over validated tableaux by
+(:func:`rref_nullspace`), the count of each descent mask over the grown
+tableaux (:func:`grown_descent_masks`), the extended Schur expansions and
+the descent-count matrix counted over validated tableaux by
 ``descent_composition`` (:func:`tableau_schur_in_F`,
 :func:`tableau_k_matrix`), the refinements as products of the
 compositions of each part and the basis changes through them
@@ -40,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd
 
-from extschur.compositions import Composition, compositions_of
+from extschur.compositions import Composition, _mask, compositions_of
 from extschur.hecke_action import (
     Fixed,
     RelationReport,
@@ -464,6 +465,13 @@ def swapping_quotient_step(i: int, w):
     if a == b or w[:i].count(a) == w[:i + 1].count(b):
         return w
     return w[:i - 1] + (b, a) + w[i + 1:]
+
+
+def grown_descent_masks(alpha) -> Counter:
+    """The count of each descent mask, one ``_mask(descent_composition(t))``
+    per validated tableau of ``enumerate_set``, which grows every one: the
+    oracle for the sub-shape recursion of ``tableaux._descent_masks``."""
+    return Counter(_mask(descent_composition(t)) for t in enumerate_set(alpha))
 
 
 def tableau_schur_in_F(alpha) -> QSymElement:

@@ -19,7 +19,13 @@ from extschur.module_analysis import (
     commutant_basis,
     verify_submodule_closure,
 )
-from extschur.qsym import KMatrix, extended_schur_in_F
+from extschur.qsym import (
+    KMatrix,
+    extended_schur_in_F,
+    extended_schur_in_M,
+    k_matrix,
+    ribbon_in_shin,
+)
 
 
 def run(capsys, *argv):
@@ -285,6 +291,16 @@ def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
     assert err == "error: csv output is only available for the kmatrix command\n"
 
 
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace every reference the package holds to ``module.name``,
+    wherever it was imported."""
+    real = getattr(module, name)
+    for loaded in list(sys.modules.values()):
+        if loaded.__name__.startswith("extschur") and getattr(loaded, name, None) is real:
+            monkeypatch.setattr(loaded, name, replacement)
+    return real
+
+
 def test_verify_builds_each_shape_once(capsys, monkeypatch):
     by_check = []
     for name in ALL_CHECKS:
@@ -296,16 +312,11 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
     for module, name in (
         (tableaux, "_srit_words"), (tableaux, "_grown"), (hecke_action, "filtration")
     ):
-        real = getattr(module, name)
-
-        def counted(alpha, real=real, name=name):
+        def counted(alpha, real=getattr(module, name), name=name):
             calls[name, tuple(alpha)] += 1
             return real(alpha)
 
-        # replace every reference the package holds, wherever it was imported
-        for loaded in list(sys.modules.values()):
-            if loaded.__name__.startswith("extschur") and getattr(loaded, name, None) is real:
-                monkeypatch.setattr(loaded, name, counted)
+        patch_everywhere(monkeypatch, module, name, counted)
 
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 0
@@ -317,6 +328,57 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
         {("_srit_words", alpha): 1 for alpha in shapes}
         | {("_grown", alpha): 1 for alpha in shapes}
     )
+
+
+def test_expansions_and_kmatrix_never_grow_tableaux(capsys, monkeypatch):
+    # an empty memo, so the sub-shape recursion runs here
+    monkeypatch.setattr(tableaux, "_MASKS_BY_LAST_COLUMN", {(): {-1: {0: 1}}})
+    calls = Counter()
+    real = patch_everywhere(
+        monkeypatch, tableaux, "_grown",
+        lambda alpha: calls.update([tuple(alpha)]) or real(alpha),
+    )
+    for alpha in compositions_of(5):
+        extended_schur_in_F(alpha)
+        extended_schur_in_M(alpha)
+    k_matrix(5)
+    ribbon_in_shin((2, 1, 2))
+    for argv in (
+        ("expand", "--alpha", "2,1,3", "--basis", "F"),
+        ("expand", "--alpha", "2,1,3", "--basis", "M", "--format", "json"),
+        ("kmatrix", "--n", "6"),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert calls == Counter()
+    # the check is live: enumerate_set still grows
+    tableaux.enumerate_set((2, 1))
+    assert calls == Counter({(2, 1): 1})
+
+
+def test_verify_characteristic_fails_on_skewed_descent_masks(capsys, monkeypatch):
+    # the operator route shares no enumeration with the descent masks, so
+    # one extra count in the masks shows as a failure
+    def skewed(alpha):
+        masks = real(alpha)
+        if sum(alpha) >= 2:
+            masks[0] += 1
+        return masks
+
+    real = patch_everywhere(monkeypatch, tableaux, "_descent_masks", skewed)
+    code, out, err = run(capsys, "verify", "--n", "3", "--checks", "characteristic")
+    assert code == 1
+    assert "characteristic: 1 pass, 6 fail" in out
+    assert "first counterexample: alpha=1,1" in out
+    assert "Traceback" not in out + err
+
+
+def test_expand_deeper_than_the_recursion_limit(capsys):
+    n = 1200
+    assert n > sys.getrecursionlimit()
+    code, out, _ = run(capsys, "expand", "--alpha", str(n), "--max-n", str(n))
+    assert code == 0
+    assert out == f"F[{n}]\n"
 
 
 @pytest.mark.parametrize("rule, mutant, check, holds", [

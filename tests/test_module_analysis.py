@@ -438,6 +438,26 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     assert len(solves) == (count != 1)
 
 
+def test_fallback_searches_the_table_once(monkeypatch):
+    # operator 3 swaps indices 0 and 1 and fixes g (index 2), so it is not
+    # idempotent and the cyclic solve runs after the fixed-point count
+    mod = module_of((3, 1), [(None, None, None), (None, None, 0), (1, 0, 2)])
+    table = table_of(mod)
+    searches = []
+    real = module_analysis._generator
+    monkeypatch.setattr(
+        module_analysis, "_generator",
+        lambda basis, t: searches.append(t) or real(basis, t),
+    )
+    assert _fixed_point_count(mod.order, table) is None
+    searches.clear()
+    assert _commutant_dimension(mod.order, table) == 2
+    assert len(searches) == 1
+    searches.clear()
+    assert _commutant_basis(mod.order, table).dimension == 2
+    assert len(searches) == 1
+
+
 def test_commutant_refuses_a_module_not_generated_by_super_standard():
     # identity operators on the two tableaux of (2,1): nothing moves, so the
     # super-standard tableau generates only itself

@@ -11,6 +11,7 @@ from helpers import (
     composition_from_descents,
     descents_by_row_rule,
     filtered_set,
+    grown_descent_masks,
     hook_length,
 )
 from extschur.compositions import Composition, compositions_of, is_partition
@@ -198,6 +199,29 @@ def test_descent_mask_totals_count_the_tableaux():
             masks = _descent_masks(alpha)
             assert sum(masks.values()) == len(enumerate_set(alpha)), alpha
             assert all(0 <= mask < 2 ** max(n - 1, 0) for mask in masks), alpha
+
+
+def test_descent_mask_recursion_matches_the_grown_tableaux():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            assert _descent_masks(alpha) == grown_descent_masks(alpha), alpha
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([alpha for n in range(9, 13) for alpha in compositions_of(n)]))
+def test_descent_mask_recursion_matches_the_grown_tableaux_at_weights_9_to_12(alpha):
+    assert _descent_masks(alpha) == grown_descent_masks(alpha)
+
+
+def test_descent_masks_hand_out_a_fresh_counter():
+    alpha = Composition((2, 1, 3))
+    expected = grown_descent_masks(alpha)
+    masks = _descent_masks(alpha)
+    masks[0] += 5
+    masks[1 << 4] = 7
+    assert _descent_masks(alpha) == expected
+    masks.clear()
+    assert _descent_masks(alpha) == expected
 
 
 @given(small_compositions(max_weight=10))
