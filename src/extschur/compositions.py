@@ -10,11 +10,14 @@ mask, its descent mask: bit ``i-1`` is set when ``i`` is in the subset, so
 the mask of a composition has a bit for each proper partial sum
 (:func:`_mask`).  This module alone turns masks back into compositions,
 one at a time from the set bits (:func:`_composition_of_mask`), so a
-result with few terms costs no table of all 2^(n-1) compositions.  The
-refinements of a composition are the masks holding its own, that is its
-mask joined with each submask of the bits it leaves free
-(:func:`_refinement_masks`).  The public ``DescentSubset`` is the
-validated form of the same subset.
+result with few terms costs no table of all 2^(n-1) compositions; the
+parts read off a mask are positive, so that ``Composition`` skips the
+per-part check.  The refinements of a composition are the masks holding
+its own, that is its mask joined with each submask of the bits it leaves
+free (:func:`_refinement_masks`); only the public :func:`refinements`
+lists them, since the basis changes of ``qsym`` sum over supersets one
+bit at a time instead.  The public ``DescentSubset`` is the validated
+form of the same subset.
 """
 
 from __future__ import annotations
@@ -144,7 +147,9 @@ def _mask(alpha) -> int:
 
 def _composition_of_mask(mask: int, n: int) -> Composition:
     """The composition of n whose descent mask is ``mask``, read off its
-    set bits, lowest first; the inverse of :func:`_mask`."""
+    set bits, lowest first; the inverse of :func:`_mask`.  Each part is a
+    gap between partial sums, so positive, and the per-part check of
+    ``Composition`` is skipped."""
     parts = []
     last = 0
     while mask:
@@ -155,7 +160,7 @@ def _composition_of_mask(mask: int, n: int) -> Composition:
         mask ^= low
     if n:
         parts.append(n - last)
-    return Composition(parts)
+    return tuple.__new__(Composition, parts)
 
 
 def _refinement_masks(mask: int, n: int) -> list[int]:
@@ -202,4 +207,4 @@ def parse_composition(text: str) -> Composition:
 
 def format_composition(alpha: Composition) -> str:
     """Render as comma-separated parts; the empty composition is ''."""
-    return ",".join(str(part) for part in alpha)
+    return ",".join(map(str, alpha))

@@ -63,7 +63,7 @@ from .hecke_action import (
     filtration,
 )
 from .linalg import nullspace
-from .qsym import QSymElement, _fundamental_of_masks
+from .qsym import QSymElement, _element, _fundamental_of_masks
 from .tableaux import (
     RowWord,
     _column_strict_flags,
@@ -213,7 +213,7 @@ def characteristic(alpha) -> QSymElement:
 
 def _characteristic(basis: Filtration | _Shape, table: ActionTable) -> QSymElement:
     counts = Counter(_composition_factors(basis, table))
-    return QSymElement(basis.alpha.weight, "F", dict(counts))
+    return _element(basis.alpha.weight, "F", dict(counts))
 
 
 @dataclass(frozen=True)
@@ -418,7 +418,7 @@ def analysis_report(alpha) -> dict:
     shape = _Shape(alpha)
     factors = _composition_factors(shape, shape.quotient_table)
     counts = Counter(factors)
-    element = QSymElement(shape.alpha.weight, "F", dict(counts))
+    element = _element(shape.alpha.weight, "F", dict(counts))
     dimension = shape.commutant_dimension()
     return {
         "alpha": list(shape.alpha),

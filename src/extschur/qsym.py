@@ -5,14 +5,23 @@ refinement, the expansions indexed by standard extended tableaux, the
 descent-count matrix recording those expansions, and an independent
 standard-Young-tableau route for partition shapes used as a cross-check.
 
-Internally a composition of n is its descent mask (see ``compositions``):
-the basis changes walk the submasks of the bits each term leaves free,
-with sign ``(-1)^popcount`` of the added bits towards F, and the
-expansions, ``K`` and the ribbon columns read the counts of descent masks
-that ``tableaux._descent_masks`` takes from its recursion over sub-shapes,
-so none of them grows or builds a ``Tableau``; the monomial expansion
+Internally a composition of n is its descent mask (see ``compositions``).
+Refinement adds bits to a mask, so the basis changes are sums over
+supersets: :func:`_refine_masks` makes one pass per bit that some term
+leaves free, moving every coefficient whose mask lacks the bit onto the
+mask with it, negated towards F, so each added bit carries a factor -1.
+That costs the free bits times the terms kept, where walking the
+submasks of each term's free bits cost 2^free per term.  The expansions,
+``K`` and the ribbon columns read the counts of descent masks that
+``tableaux._descent_masks`` takes from its recursion over sub-shapes, so
+none of them grows or builds a ``Tableau``; the monomial expansion
 refines those counts directly.  Masks turn back into compositions only
 for the nonzero terms of a result.
+
+``QSymElement(...)`` checks every key and coefficient it is given.  The
+results built here from masks are clean by construction (``Composition``
+keys of the right weight, nonzero ``int`` coefficients), so they go
+through :func:`_element`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -22,16 +31,16 @@ import io
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import factorial, prod
+from operator import and_, itemgetter
 from types import MappingProxyType
 
 from .compositions import (
     Composition,
     _composition_of_mask,
     _mask,
-    _refinement_masks,
     compositions_of,
     format_composition,
     is_partition,
@@ -84,7 +93,8 @@ class QSymElement:
 
     def terms(self) -> list[tuple[Composition, int]]:
         """Terms sorted lexicographically by composition."""
-        return sorted(self.coeffs.items())
+        # the keys are distinct, so the coefficients never break a tie
+        return sorted(self.coeffs.items(), key=itemgetter(0))
 
     def coefficient(self, alpha) -> int:
         return self.coeffs.get(Composition(alpha), 0)
@@ -140,20 +150,31 @@ def _refine(x: QSymElement, basis: str) -> QSymElement:
 def _refine_masks(n: int, masks: Mapping[int, int], basis: str) -> QSymElement:
     """The element of the given basis that :func:`_refine` makes from the
     coefficient of each descent mask of weight n, read in the other
-    basis."""
-    signed = basis == "F"
-    out: dict[int, int] = {}
-    for mask, c in masks.items():
-        for beta in _refinement_masks(mask, n):
-            if signed and (beta ^ mask).bit_count() & 1:
-                out[beta] = out.get(beta, 0) - c
-            else:
-                out[beta] = out.get(beta, 0) + c
-    return QSymElement(
-        n,
-        basis,
-        {_composition_of_mask(beta, n): c for beta, c in out.items() if c},
-    )
+    basis: the sum over supersets of the module docstring, one pass per
+    bit that some mask leaves free, zeros dropped at the end."""
+    full = (1 << max(n - 1, 0)) - 1
+    free = full & ~reduce(and_, masks, full)
+    sign = -1 if basis == "F" else 1
+    out = dict(masks)
+    get = out.get
+    while free:
+        bit = free & -free
+        free ^= bit
+        for mask, c in [(m | bit, c) for m, c in out.items() if not m & bit]:
+            out[mask] = get(mask, 0) + sign * c
+    return _element(n, basis, {_composition_of_mask(m, n): c for m, c in out.items() if c})
+
+
+def _element(degree: int, basis: str, coeffs: dict[Composition, int]) -> QSymElement:
+    """The element with these coefficients, taken as they are: the keys
+    must be ``Composition`` objects of weight ``degree`` and the values
+    nonzero ``int`` objects, as everything built from masks here is.
+    ``QSymElement(...)`` is the checking constructor."""
+    x = object.__new__(QSymElement)
+    object.__setattr__(x, "degree", degree)
+    object.__setattr__(x, "basis", basis)
+    object.__setattr__(x, "coeffs", MappingProxyType(coeffs))
+    return x
 
 
 def extended_schur_in_F(alpha) -> QSymElement:
@@ -167,8 +188,8 @@ def extended_schur_in_F(alpha) -> QSymElement:
 def _fundamental_of_masks(n: int, masks: Mapping[int, int]) -> QSymElement:
     """The fundamental expansion with the given count on the composition
     of each descent mask of weight n."""
-    return QSymElement(
-        n, "F", {_composition_of_mask(mask, n): count for mask, count in masks.items()}
+    return _element(
+        n, "F", {_composition_of_mask(mask, n): count for mask, count in masks.items() if count}
     )
 
 

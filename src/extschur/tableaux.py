@@ -19,7 +19,8 @@ the sweeps over every row-increasing filling build no ``Tableau``.
 other; a tableau builds its row word once and keeps it.
 
 :func:`enumerate_set` grows the standard extended tableaux entry by entry
-(:func:`_grow`), carrying only the rows of each filling.
+(:func:`_grown`), carrying only the rows of each filling, from an explicit
+stack rather than by Python recursion.
 
 The extended Schur expansions need only how many standard extended
 tableaux have each descent mask (bit ``i-1`` set when ``i`` is a descent;
@@ -326,34 +327,39 @@ def _removals(alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
 
 def _grown(alpha: Composition) -> Grown:
     """The rows of every standard extended tableau of shape alpha, in
-    growth order."""
+    growth order: entry v goes in each box open to it, lowest row first,
+    and everything v+1 onwards can grow from there is listed before v
+    moves up.  The placements are kept on an explicit stack, one row per
+    entry, so no shape needs Python recursion."""
+    n = alpha.weight
+    below = _below(alpha)
+    height = len(alpha)
+    filling: list[list[int]] = [[] for _ in alpha]
+    placed: list[int] = []  # the row of each entry placed so far
     grown: Grown = []
-    _grow(alpha, _below(alpha), alpha.weight, 1, [[] for _ in alpha], grown)
-    return grown
-
-
-def _grow(
-    alpha: Composition,
-    below: list[list[int]],
-    n: int,
-    v: int,
-    filling: list[list[int]],
-    grown: Grown,
-) -> None:
-    """Place entry v in every box open to it, recurse on v+1, and append
-    each finished filling to ``grown``.  Module-level, as ``_fill_rows``,
-    because a closure that calls itself is a reference cycle."""
-    if v > n:
-        grown.append(tuple(map(tuple, filling)))
-        return
-    for r, row in enumerate(filling):
-        c = len(row)
-        if c < alpha[r]:
-            s = below[r][c]
-            if s < 0 or len(filling[s]) > c:
-                row.append(v)
-                _grow(alpha, below, n, v + 1, filling, grown)
-                row.pop()
+    r = 0  # the lowest row still to try for the next entry
+    while True:
+        if len(placed) == n:
+            grown.append(tuple(map(tuple, filling)))
+            r = height
+        while r < height:
+            row = filling[r]
+            c = len(row)
+            if c < alpha[r]:
+                s = below[r][c]
+                if s < 0 or len(filling[s]) > c:
+                    break
+            r += 1
+        if r < height:
+            filling[r].append(len(placed) + 1)
+            placed.append(r)
+            r = 0
+        elif placed:
+            r = placed.pop()
+            filling[r].pop()
+            r += 1
+        else:
+            return grown
 
 
 def is_standard_extended(t: Tableau) -> bool:

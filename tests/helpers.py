@@ -25,7 +25,8 @@ the descent-count matrix counted over validated tableaux by
 :func:`tableau_k_matrix`), the refinements as products of the
 compositions of each part and the basis changes through them
 (:func:`product_refinements`, :func:`product_basis_change`), the
-triangular monomial-to-fundamental solve
+basis changes walking the submasks of each term's free bits
+(:func:`walked_refine_masks`), the triangular monomial-to-fundamental solve
 (:func:`peeled_monomial_to_fundamental`), the closure search for
 reachability (:func:`searched_preceq`) and the Bareiss determinant
 (:func:`bareiss_determinant`).  :func:`interval_module` builds the quotient
@@ -41,7 +42,14 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd
 
-from extschur.compositions import Composition, _mask, compositions_of
+from extschur.compositions import (
+    Composition,
+    DescentSubset,
+    _mask,
+    _refinement_masks,
+    composition_of_subset,
+    compositions_of,
+)
 from extschur.hecke_action import (
     Fixed,
     RelationReport,
@@ -522,6 +530,25 @@ def product_basis_change(x: QSymElement) -> QSymElement:
             sign = -1 if x.basis == "M" and (len(beta) - len(alpha)) % 2 else 1
             out[beta] = out.get(beta, 0) + sign * c
     return QSymElement(x.degree, "F" if x.basis == "M" else "M", out)
+
+
+def walked_refine_masks(n: int, masks, basis: str) -> QSymElement:
+    """The coefficient of each descent mask of weight n spread over the
+    refinements of its composition, each submask of the bits it leaves
+    free (``compositions._refinement_masks``), signed (-1)^(bits added)
+    towards F, and built by the checking ``QSymElement(...)``: the walk
+    that the superset sums of ``qsym._refine_masks`` replaced, its
+    oracle."""
+    out: dict[int, int] = {}
+    for mask, c in masks.items():
+        for beta in _refinement_masks(mask, n):
+            sign = -1 if basis == "F" and (beta ^ mask).bit_count() & 1 else 1
+            out[beta] = out.get(beta, 0) + sign * c
+    terms = {}
+    for beta, c in out.items():
+        members = tuple(i + 1 for i in range(n - 1) if beta >> i & 1)
+        terms[composition_of_subset(DescentSubset(n, members))] = c
+    return QSymElement(n, basis, terms)
 
 
 def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:

@@ -381,6 +381,59 @@ def test_expand_deeper_than_the_recursion_limit(capsys):
     assert out == f"F[{n}]\n"
 
 
+@pytest.mark.parametrize("command", ["tableaux", "char", "analyze"])
+def test_one_row_deeper_than_the_recursion_limit(capsys, command):
+    # the SET growth keeps its own stack, so a shape of more entries than
+    # the recursion limit answers instead of raising RecursionError
+    n = 1200
+    assert n > sys.getrecursionlimit()
+    code, out, err = run(capsys, command, "--alpha", str(n), "--max-n", str(n))
+    assert code == 0, err
+    expected = {
+        "tableaux": " ".join(map(str, range(1, n + 1))) + "\n",
+        "char": f"F[{n}]\n",
+    }
+    if command in expected:
+        assert out == expected[command]
+    else:
+        assert f"characteristic: F[{n}]\n" in out
+        assert out.endswith("indecomposable: true\n")
+
+
+def _refine_masks_must_not_run(*_):
+    raise AssertionError("the refused expansion was refined")
+
+
+@pytest.mark.parametrize("alpha, free", [("1200", 1199), ("21", 20), ("1,1,21", 20)])
+def test_expand_refuses_an_m_expansion_over_budget_before_refining(
+    capsys, monkeypatch, alpha, free
+):
+    monkeypatch.setattr(cli, "_refine_masks", _refine_masks_must_not_run)
+    code, out, err = run(capsys, "expand", "--alpha", alpha, "--max-n", "1200", "--basis", "M")
+    assert code == 2
+    assert out == ""
+    assert f"has at least 2^{free} terms" in err
+    assert str(cli.M_TERM_BUDGET) in err
+    assert "Traceback" not in err
+    # the F expansion is not refined, so it is not refused
+    code, out, _ = run(capsys, "expand", "--alpha", alpha, "--max-n", "1200")
+    assert code == 0 and out.startswith("F[")
+
+
+def test_expand_budget_counts_the_coarsest_mask(capsys, monkeypatch):
+    # the SETs of 2,2 have descent masks 010 and 101; the coarser refines
+    # into 2^2 terms, so a budget of 3 refuses the shape and one of 4 does not
+    monkeypatch.setattr(cli, "M_TERM_BUDGET", 4)
+    code, out, _ = run(capsys, "expand", "--alpha", "2,2", "--basis", "M")
+    assert code == 0
+    assert out == cli.format_qsym(extended_schur_in_M((2, 2))) + "\n"
+    monkeypatch.setattr(cli, "M_TERM_BUDGET", 3)
+    monkeypatch.setattr(cli, "_refine_masks", _refine_masks_must_not_run)
+    code, out, err = run(capsys, "expand", "--alpha", "2,2", "--basis", "M")
+    assert code == 2 and out == ""
+    assert "has at least 2^2 terms, over the budget of 3" in err
+
+
 @pytest.mark.parametrize("rule, mutant, check, holds", [
     ("_full_step", row_swapping_full_step, "relations",
      lambda alpha: verify_relations(alpha, "full").ok),

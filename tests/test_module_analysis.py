@@ -169,6 +169,17 @@ def test_characteristic_equals_extended_schur():
             assert characteristic(alpha) == extended_schur_in_F(alpha)
 
 
+def test_characteristic_keys_and_hash_match_the_checking_constructor():
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            x = characteristic(alpha)
+            checked = QSymElement(x.degree, x.basis, {tuple(a): c for a, c in x.coeffs.items()})
+            assert all(type(key) is Composition for key in x.coeffs)
+            assert x == checked
+            assert hash(x) == hash(checked)
+            assert analysis_report(alpha)["characteristic"] == checked.to_json()
+
+
 def test_commutant_dimension_examples():
     assert commutant_basis(Composition((6,))).dimension == 1
     assert commutant_basis(Composition((2, 1, 3))).dimension == 1

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +13,20 @@ from helpers import (
     product_basis_change,
     tableau_k_matrix,
     tableau_schur_in_F,
+    walked_refine_masks,
 )
 from extschur.compositions import (
     Composition,
+    _mask,
     compositions_of,
     is_partition,
     refinements,
 )
 from extschur.qsym import (
+    BASES,
     KMatrix,
     QSymElement,
+    _refine_masks,
     extended_schur_in_F,
     extended_schur_in_M,
     fundamental,
@@ -34,7 +39,7 @@ from extschur.qsym import (
     schur_in_F,
     specialize,
 )
-from extschur.tableaux import enumerate_set
+from extschur.tableaux import _descent_masks, enumerate_set
 
 
 @st.composite
@@ -158,6 +163,85 @@ def test_basis_changes_match_product_route_on_basis_elements():
 @given(st.sampled_from(("F", "M")).flatmap(lambda basis: qsym_elements(basis, max_degree=7)))
 def test_basis_changes_match_product_route(x):
     assert _change_basis(x) == product_basis_change(x)
+
+
+def _assert_same_element(x, checked):
+    # built from masks without the checks, x must still be the element
+    # the checking constructor gives, down to its keys and its hash
+    assert all(type(key) is Composition for key in x.coeffs)
+    assert all(isinstance(c, int) and c for c in x.coeffs.values())
+    assert x == checked
+    assert hash(x) == hash(checked)
+
+
+def _assert_matches_the_walk(n, masks):
+    for basis in BASES:
+        _assert_same_element(_refine_masks(n, masks, basis), walked_refine_masks(n, masks, basis))
+
+
+def test_superset_sums_match_the_submask_walk():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            mask = _mask(alpha)
+            for masks in ({mask: 1}, {mask: -3}, _descent_masks(alpha)):
+                _assert_matches_the_walk(n, masks)
+
+
+def _signed_sparse_masks(rng, n):
+    """A few random masks of weight n with signed coefficients, plus pairs
+    that cancel: towards F, c on a mask and on the mask with one more bit
+    give 0 on the finer one; towards M, c and -c do."""
+    width = n - 1
+    masks = {rng.getrandbits(width): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 4))}
+    for _ in range(rng.randint(1, 3)):
+        coarse = rng.getrandbits(width)
+        free = [1 << i for i in range(width) if not coarse >> i & 1]
+        if free:
+            c = rng.choice((-1, 1))
+            masks[coarse] = c
+            masks[coarse | rng.choice(free)] = rng.choice((c, -c))
+    return masks
+
+
+def test_superset_sums_match_the_walk_on_signed_sparse_input():
+    rng = random.Random(1906)
+    cancelled = 0
+    for n in range(1, 9):
+        for _ in range(40):
+            masks = _signed_sparse_masks(rng, n)
+            for basis in BASES:
+                walked = walked_refine_masks(n, masks, basis)
+                _assert_same_element(_refine_masks(n, masks, basis), walked)
+                touched = [b for b in range(1 << n - 1) if any(b & m == m for m in masks)]
+                cancelled += len(touched) - len(walked.coeffs)
+    assert cancelled > 0
+    # zero coefficients in, nothing out
+    assert _refine_masks(5, {0b0101: 0}, "M").is_zero()
+    assert _refine_masks(5, {}, "F").is_zero()
+
+
+def test_superset_sums_match_the_walk_at_weights_12_to_16():
+    shapes = [(2, 2, 2, 2, 2, 2), (3, 1, 3, 1, 3, 2), (1, 2, 1, 2, 1, 2, 1, 2, 2),
+              (2, 1, 1, 3, 1, 1, 2, 1, 1, 2), (1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2)]
+    for alpha in shapes:
+        _assert_matches_the_walk(sum(alpha), _descent_masks(Composition(alpha)))
+    rng = random.Random(16)
+    for n in range(12, 17):
+        for _ in range(4):
+            _assert_matches_the_walk(n, _signed_sparse_masks(rng, n))
+
+
+def test_built_elements_match_the_checking_constructor():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            built = [extended_schur_in_F(alpha), extended_schur_in_M(alpha)]
+            built += [monomial_to_fundamental(built[1]), fundamental_to_monomial(built[0])]
+            for x in built:
+                plain = {tuple(a): c for a, c in x.coeffs.items()}
+                checked = QSymElement(x.degree, x.basis, plain)
+                _assert_same_element(x, checked)
+                assert {x: alpha}[checked] == alpha
+                assert pickle.loads(pickle.dumps(x)) == x
 
 
 def test_conversion_rejects_wrong_basis():
