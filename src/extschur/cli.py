@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from math import factorial, prod
 
 from .compositions import (
     Composition,
@@ -35,7 +35,13 @@ from .qsym import (
     monomial_to_fundamental,
     schur_in_F,
 )
-from .tableaux import _descent_masks, descent_composition, enumerate_set, enumerate_srit
+from .tableaux import (
+    _descent_masks,
+    _set_count,
+    descent_composition,
+    enumerate_set,
+    enumerate_srit,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,35 +64,16 @@ FORMATS = ("text", "json", "csv")
 # expansion is refused before any refining
 M_TERM_SECONDS = 12e-6
 M_TERM_BUDGET = 1 << 19
+# for the 292,864 SETs of 5,4,3,2,1 analyze took 14-17 s and 240 MB, and
+# tableaux --show-descents --format json 45 s and 2.1 GB, about 155 us per
+# SET, on the same host; analyze, char and tableaux --kind set refuse a
+# shape with more before growing any, which keeps each under a minute
+SET_SECONDS = 155e-6
+SET_BUDGET = 300_000
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated global options."""
-
-    max_n: int = 8
-    format: str = "text"
-    checks: tuple[str, ...] = ALL_CHECKS
-
-    def __post_init__(self):
-        if self.max_n < 1:
-            raise UsageError("--max-n must be at least 1")
-        if self.format not in FORMATS:
-            raise UsageError(f"unknown format {self.format!r}")
-        if not self.checks:
-            raise UsageError(
-                f"--checks selects no check; expected a subset of {', '.join(ALL_CHECKS)}"
-            )
-        unknown = [name for name in self.checks if name not in ALL_CHECKS]
-        if unknown:
-            raise UsageError(
-                f"unknown checks {', '.join(unknown)}; "
-                f"expected a subset of {', '.join(ALL_CHECKS)}"
-            )
 
 
 @functools.lru_cache(maxsize=1)
@@ -147,12 +134,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        checks = tuple(
-            name.strip() for name in getattr(args, "checks", ",".join(ALL_CHECKS)).split(",")
-            if name.strip()
-        )
-        config = CliConfig(max_n=args.max_n, format=args.format, checks=checks)
-        if config.format == "csv" and args.command != "kmatrix":
+        if args.max_n < 1:
+            raise UsageError("--max-n must be at least 1")
+        if args.command == "verify":
+            args.checks = [name.strip() for name in args.checks.split(",") if name.strip()]
+            unknown = [name for name in args.checks if name not in ALL_CHECKS]
+            expected = f"expected a subset of {', '.join(ALL_CHECKS)}"
+            if not args.checks:
+                raise UsageError(f"--checks selects no check; {expected}")
+            if unknown:
+                raise UsageError(f"unknown checks {', '.join(unknown)}; {expected}")
+        if args.format == "csv" and args.command != "kmatrix":
             raise UsageError("csv output is only available for the kmatrix command")
         handler = {
             "expand": _cmd_expand,
@@ -162,22 +154,34 @@ def main(argv=None) -> int:
             "verify": _cmd_verify,
             "kmatrix": _cmd_kmatrix,
         }[args.command]
-        return handler(config, args)
+        return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
-def _require_alpha(config: CliConfig, args) -> Composition:
+def _require_alpha(args) -> Composition:
     try:
         alpha = parse_composition(args.alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if alpha.weight > config.max_n:
+    if alpha.weight > args.max_n:
         raise UsageError(
-            f"weight {alpha.weight} exceeds --max-n {config.max_n}"
+            f"weight {alpha.weight} exceeds --max-n {args.max_n}"
         )
     return alpha
+
+
+def _require_set_budget(alpha: Composition) -> None:
+    """Refuse, before any is grown, a shape with more standard extended
+    tableaux than ``SET_BUDGET``; they are counted only when the
+    row-increasing fillings, n!/prod(alpha_i!), exceed it."""
+    srit_count = factorial(alpha.weight) // prod(map(factorial, alpha))
+    if srit_count > SET_BUDGET and (count := _set_count(alpha)) > SET_BUDGET:
+        raise UsageError(
+            f"{format_composition(alpha)} has {count} standard extended tableaux, "
+            f"over the budget of {SET_BUDGET} at about {SET_SECONDS * 1e6:.0f} us each"
+        )
 
 
 def format_qsym(x: QSymElement) -> str:
@@ -207,8 +211,8 @@ def _emit_qsym(element: QSymElement, fmt: str) -> None:
         print(format_qsym(element))
 
 
-def _cmd_expand(config: CliConfig, args) -> int:
-    alpha = _require_alpha(config, args)
+def _cmd_expand(args) -> int:
+    alpha = _require_alpha(args)
     if args.basis == "F":
         element = extended_schur_in_F(alpha)
     else:
@@ -224,20 +228,23 @@ def _cmd_expand(config: CliConfig, args) -> int:
                 f"at about {M_TERM_SECONDS * 1e6:.0f} us per term"
             )
         element = _refine_masks(n, masks, "M")
-    _emit_qsym(element, config.format)
+    _emit_qsym(element, args.format)
     return EXIT_OK
 
 
-def _cmd_char(config: CliConfig, args) -> int:
-    alpha = _require_alpha(config, args)
-    _emit_qsym(characteristic(alpha), config.format)
+def _cmd_char(args) -> int:
+    alpha = _require_alpha(args)
+    _require_set_budget(alpha)
+    _emit_qsym(characteristic(alpha), args.format)
     return EXIT_OK
 
 
-def _cmd_tableaux(config: CliConfig, args) -> int:
-    alpha = _require_alpha(config, args)
+def _cmd_tableaux(args) -> int:
+    alpha = _require_alpha(args)
+    if args.kind == "set":
+        _require_set_budget(alpha)
     listing = enumerate_set(alpha) if args.kind == "set" else enumerate_srit(alpha)
-    if config.format == "json":
+    if args.format == "json":
         payload = []
         for t in listing:
             item = t.to_json()
@@ -256,10 +263,11 @@ def _cmd_tableaux(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(config: CliConfig, args) -> int:
-    alpha = _require_alpha(config, args)
+def _cmd_analyze(args) -> int:
+    alpha = _require_alpha(args)
+    _require_set_budget(alpha)
     report = analysis_report(alpha)
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
         factors = "; ".join(",".join(map(str, factor)) for factor in report["factors"])
@@ -275,16 +283,16 @@ def _cmd_analyze(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_kmatrix(config: CliConfig, args) -> int:
-    if args.n > config.max_n:
-        raise UsageError(f"--n {args.n} exceeds --max-n {config.max_n}")
+def _cmd_kmatrix(args) -> int:
+    if args.n > args.max_n:
+        raise UsageError(f"--n {args.n} exceeds --max-n {args.max_n}")
     try:
         km = k_matrix(args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if config.format == "csv":
+    if args.format == "csv":
         print(km.to_csv(), end="")
-    elif config.format == "json":
+    elif args.format == "json":
         print(json.dumps({
             "n": km.n,
             "compositions": [list(alpha) for alpha in km.compositions],
@@ -306,11 +314,11 @@ def _cmd_kmatrix(config: CliConfig, args) -> int:
 
 
 def _check_characteristic(shape: _Shape) -> bool:
-    return shape.characteristic() == shape.extended_schur
+    return shape.characteristic == shape.extended_schur
 
 
 def _check_endomorphism(shape: _Shape) -> bool:
-    return shape.commutant_dimension() == 1
+    return shape.commutant_dimension == 1
 
 
 def _check_schur(shape: _Shape) -> bool:
@@ -388,15 +396,15 @@ def _run_checks(names, n: int) -> list[dict]:
     return list(results.values())
 
 
-def _cmd_verify(config: CliConfig, args) -> int:
+def _cmd_verify(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    if args.n > config.max_n:
-        raise UsageError(f"--n {args.n} exceeds --max-n {config.max_n}")
-    selected = [name for name in ALL_CHECKS if name in config.checks]
+    if args.n > args.max_n:
+        raise UsageError(f"--n {args.n} exceeds --max-n {args.max_n}")
+    selected = [name for name in ALL_CHECKS if name in args.checks]
     results = _run_checks(selected, args.n)
     ok = all(result["failed"] == 0 for result in results)
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({"n": args.n, "ok": ok, "checks": results}, indent=2))
     else:
         for result in results:

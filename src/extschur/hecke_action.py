@@ -16,9 +16,11 @@ them, converting to and from the validated ``Tableau`` at their boundary.
 
 One table per basis records where each operator sends each tableau.
 :func:`action_table` builds it from tableaux and ``_word_table`` from
-row words; the full basis is taken straight from
-``tableaux._srit_words``, and the quotient basis in filtration order from
-:func:`_filtration_words`, so no ``Tableau`` is built for either.  The
+row words, word by word; the full basis is taken straight from
+``tableaux._srit_words``, and the quotient basis as the row words that
+``tableaux._grown`` grows, sorted by :func:`_filtration_words` into
+filtration order (or into reading-word order by ``tableaux._set_words``
+for the relation sweep), so no ``Tableau`` is built for either.  The
 relation sweep composes the table's rows, and the submodule closure check
 and every module invariant read it instead of applying operators.
 
@@ -36,14 +38,14 @@ from typing import Literal
 
 from .compositions import Composition
 from .tableaux import (
-    Grown,
     RowWord,
     Tableau,
     _from_row_word,
     _grown,
+    _reading_word,
     _row_word,
+    _set_words,
     _srit_words,
-    enumerate_set,
     is_standard_extended,
     super_standard,
     swap_entries,
@@ -182,10 +184,10 @@ def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
     step = _full_step if kind == "full" else _quotient_step
     index = {w: j for j, w in enumerate(words)}
     n = len(words[0]) if words else 0
-    table = []
-    for i in range(1, n):
-        row = []
-        for j, w in enumerate(words):
+    rows: list[tuple[int, list[int | None]]] = [(i, []) for i in range(1, n)]
+    # word by word, so each word is read while it is in the cache
+    for j, w in enumerate(words):
+        for i, row in rows:
             image = step(i, w)
             if image is w:
                 row.append(j)
@@ -195,8 +197,7 @@ def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
                 row.append(index[image])
             else:
                 raise KeyError(_from_row_word(image, height))
-        table.append(tuple(row))
-    return tuple(table)
+    return tuple(tuple(row) for _, row in rows)
 
 
 @dataclass(frozen=True)
@@ -237,17 +238,15 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
     every basis tableau of the chosen action.
 
     Violations are collected, not raised, so sweeps over many shapes can
-    aggregate results.  The full basis is swept as the row words of
-    :func:`~extschur.tableaux.enumerate_srit`, in its order, and a
-    ``Tableau`` is built only for a reported violation.
+    aggregate results.  Each basis is swept as the row words of its
+    tableaux, in the order of :func:`~extschur.tableaux.enumerate_set` or
+    :func:`~extschur.tableaux.enumerate_srit`, and a ``Tableau`` is built
+    only for a reported violation.
     """
     _check_kind(kind)
     alpha = Composition(alpha)
     n = alpha.weight
-    if kind == "quotient":
-        words = [_row_word(t) for t in enumerate_set(alpha)]
-    else:
-        words = _srit_words(alpha)
+    words = _set_words(alpha) if kind == "quotient" else _srit_words(alpha)
     table = _word_table(words, kind, len(alpha))
     relations = _relations(n)
     violations = tuple(
@@ -389,21 +388,17 @@ def filtration(alpha: Composition) -> Filtration:
     return Filtration(alpha, tuple(_from_row_word(w, len(alpha)) for w in words))
 
 
-def _filtration_words(alpha: Composition, grown: Grown) -> list[RowWord]:
-    """The row words of the standard extended tableaux ``grown`` by
-    ``tableaux._grown`` for alpha, in filtration order: row-sum vector
-    descending, then rows ascending, which compare as the reading words
-    do.  The super-standard tableau comes last.  No ``Tableau`` is
-    built."""
+def _filtration_words(alpha: Composition, words: list[RowWord]) -> list[RowWord]:
+    """The row words of the standard extended tableaux of alpha, as
+    ``tableaux._grown`` lists them, in filtration order: row-sum vector
+    descending, then reading word ascending, both read off the reading
+    word (:func:`~extschur.tableaux._reading_word`), whose entries, lowered
+    by one, shift every row sum of the shape alike.  The super-standard
+    tableau comes last.  No ``Tableau`` is built."""
+    ends = list(accumulate(alpha))
 
-    def key(rows):
-        return [-s for s in accumulate(map(sum, rows))], rows
+    def key(w: RowWord):
+        reading = _reading_word(w)
+        return [-sum(reading[:end]) for end in ends], reading
 
-    words = []
-    for rows in sorted(grown, key=key):
-        word = [0] * alpha.weight
-        for r, row in enumerate(rows):
-            for v in row:
-                word[v - 1] = r
-        words.append(tuple(word))
-    return words
+    return sorted(words, key=key)

@@ -1,30 +1,33 @@
 """Matrix realization of the quotient modules and their invariants.
 
-The quotient side of one shape reads row words only: the standard extended
-tableaux are grown once (``tableaux._grown``), put in filtration order as
-row words (``hecke_action._filtration_words``), and every per-shape result
-is read from one action table on that order, built by
-``hecke_action._word_table``: entry ``[i-1][j]`` is the filtration index of
-the i-th operator's image of the j-th basis tableau, ``j`` when fixed and
-``None`` when annihilated.  The operators that move the j-th tableau make
-the descent mask of its composition factor.  In the filtration basis every
-operator matrix therefore has at most one 1 per column and never maps a
-basis vector to a later one, so the chain of leading subspaces is a
-composition series with one-dimensional subquotients.  A ``Tableau`` is
-built only for output: the ``Filtration`` of :func:`matrices` and the
-tableau named when the generator check fails.
+Every invariant of one shape is read off one private ``_Shape``: the
+standard extended tableaux are grown once as row words
+(``tableaux._grown``), put in filtration order (``hecke_action.
+_filtration_words``), and every per-shape result is read from one action
+table on that order, built by ``hecke_action._word_table``: entry
+``[i-1][j]`` is the filtration index of the i-th operator's image of the
+j-th basis tableau, ``j`` when fixed and ``None`` when annihilated.  The
+operators that move the j-th tableau make the descent mask of its
+composition factor.  In the filtration basis every operator matrix
+therefore has at most one 1 per column and never maps a basis vector to a
+later one, so the chain of leading subspaces is a composition series with
+one-dimensional subquotients.  A ``Tableau`` is built only for output: the
+``Filtration`` of :func:`matrices` and the tableau named when the
+generator check fails.
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
 row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
-by the vector ``v = E(g)``, once a breadth-first search from ``g`` over the
-swaps in the table has reached every basis tableau; the solver raises
-otherwise, so no module is certified without that check.  Commuting with
-``E`` carries the weight of ``g`` over to ``v``: ``pi_i v = v`` whenever
-``pi_i g = g``.  When each such ``pi_i`` is idempotent on the table, sending
-every basis tableau it does not kill to one it fixes, ``pi_i v = v`` puts
-``v`` in the span of the basis tableaux ``pi_i`` fixes.  So ``dim End`` is
-at most the number of basis tableaux fixed by every operator that fixes
-``g``, and the identity lies in the commutant, so a count of 1 certifies a
+by the vector ``v = E(g)``.  One breadth-first search from ``g`` over the
+swaps in the table, kept in its discovery order, serves three reads: it
+must reach every basis tableau, or the module is refused, so no module is
+certified without that check; it guards the fixed-point count; and it
+gives the fallback below its replay words.  Commuting with ``E`` carries
+the weight of ``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``.
+When each such ``pi_i`` is idempotent on the table, sending every basis
+tableau it does not kill to one it fixes, ``pi_i v = v`` puts ``v`` in the
+span of the basis tableaux ``pi_i`` fixes.  So ``dim End`` is at most the
+number of basis tableaux fixed by every operator that fixes ``g``, and the
+identity lies in the commutant, so a count of 1 certifies a
 one-dimensional commutant.  On a module ``pi_i`` fixes a tableau exactly
 when ``i`` is not one of its descents, and the descents of ``g`` are the
 partial sums of ``alpha``, so the count is the coefficient of ``M_alpha``
@@ -38,13 +41,11 @@ one-dimensional commutant certifies indecomposability; the matrices of the
 commutant are built only for :func:`commutant_basis`, and every verdict
 reads its dimension alone.
 
-The submodule closure check works on the full basis as row words: the
-``"full"`` table of ``tableaux._srit_words`` and the column condition read
-off each word.  Every table of one shape is held by a private ``_Shape``,
-which builds each on first use; the public functions here are each one
-read of a fresh ``_Shape``, and a caller that checks one shape several
-ways, such as ``verify``, keeps one ``_Shape`` to grow the tableaux and
-build each table once.
+The submodule closure check reads the ``"full"`` table of
+``tableaux._srit_words`` and the column condition of each word.  The
+public functions here are each one read of a fresh ``_Shape``; a caller
+that checks one shape several ways, such as ``verify``, keeps one to grow
+the tableaux, build each table and make the search once.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .hecke_action import (
     _filtration_words,
     _relation_failures,
     _word_table,
-    filtration,
 )
 from .linalg import nullspace
 from .qsym import QSymElement, _element, _fundamental_of_masks
@@ -93,17 +93,29 @@ class ModuleMatrices:
     mats: tuple[Matrix, ...]
 
 
+@dataclass(frozen=True)
+class EndomorphismSpace:
+    """Primitive integer basis of the matrices commuting with every
+    operator matrix.  The identity always lies in the span, so the
+    dimension is at least one."""
+
+    alpha: Composition
+    basis: tuple[Matrix, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+
 class _Shape:
-    """The tables of one composition, each built on first use and kept as
-    long as the object: the row words of its standard row-increasing
-    tableaux with their ``"full"`` action table, the standard extended
-    tableaux grown once and kept as row words in filtration order with the
-    quotient action table in that order, and the count of each descent
-    mask with the extended Schur function read off it.  The counts come
-    from ``tableaux._descent_masks``, which grows no tableau, so the
-    characteristic read off the action table and the extended Schur
-    function share no enumeration.  ``alpha`` and ``words`` make it a
-    basis for the module invariants below, as a ``Filtration`` is."""
+    """Every table and invariant of one composition, each built on first
+    use and kept: the row words of its standard row-increasing tableaux
+    with their ``"full"`` action table, its standard extended tableaux as
+    row words in filtration order with their quotient table and the module
+    invariants read off it, and the count of each descent mask with the
+    extended Schur function.  The counts come from
+    ``tableaux._descent_masks``, which grows no tableau, so the
+    characteristic and the extended Schur function share no enumeration."""
 
     def __init__(self, alpha):
         self.alpha = Composition(alpha)
@@ -122,7 +134,8 @@ class _Shape:
 
     @cached_property
     def quotient_table(self) -> ActionTable:
-        return _quotient_table(self)
+        # every word is standard extended, so action_table's check is skipped
+        return _word_table(self.words, "quotient", len(self.alpha))
 
     @cached_property
     def descent_masks(self) -> Counter[int]:
@@ -132,11 +145,128 @@ class _Shape:
     def extended_schur(self) -> QSymElement:
         return _fundamental_of_masks(self.alpha.weight, self.descent_masks)
 
-    def characteristic(self) -> QSymElement:
-        return _characteristic(self, self.quotient_table)
+    @cached_property
+    def factors(self) -> CompositionFactorList:
+        """The composition factors in filtration order: the operators
+        that move the j-th basis tableau make the descent mask of the j-th
+        factor."""
+        masks = [0] * len(self.words)
+        for bit, images in enumerate(self.quotient_table):
+            for j, k in enumerate(images):
+                if k != j:
+                    masks[j] |= 1 << bit
+        factor = {mask: _composition_of_mask(mask, self.alpha.weight) for mask in set(masks)}
+        return tuple(factor[mask] for mask in masks)
 
+    @cached_property
+    def characteristic(self) -> QSymElement:
+        return _element(self.alpha.weight, "F", dict(Counter(self.factors)))
+
+    @cached_property
+    def generator(self) -> int:
+        """Index of the super-standard row word ``0^alpha_1 1^alpha_2 ...``."""
+        return self.words.index(
+            tuple(r for r, part in enumerate(self.alpha) for _ in range(part))
+        )
+
+    @cached_property
+    def search(self) -> list[tuple[int, tuple[int | None, ...], int]]:
+        """The breadth-first search from the generator over the quotient
+        table, as the step ``(s, row, t)`` that first reached each other
+        basis index ``t``, from ``s`` through that table row, in discovery
+        order.  Raises ValueError, naming the first basis tableau it
+        misses, when the search does not reach them all, so every
+        invariant that reads it is guarded by generation."""
+        g = self.generator
+        reached = [False] * len(self.words)
+        reached[g] = True
+        steps = []
+        queue = deque([g])
+        while queue:
+            s = queue.popleft()
+            for row in self.quotient_table:
+                t = row[s]
+                if t is not None and not reached[t]:
+                    reached[t] = True
+                    steps.append((s, row, t))
+                    queue.append(t)
+        if not all(reached):
+            missed = _from_row_word(self.words[reached.index(False)], len(self.alpha))
+            raise ValueError(
+                f"tableau {missed.rows} is not reached "
+                f"from the super-standard tableau {super_standard(self.alpha).rows}; the "
+                "module is not cyclic on it, so its commutant cannot be certified"
+            )
+        return steps
+
+    @cached_property
+    def fixed_point_count(self) -> int | None:
+        """How many basis indices every operator fixing the generator
+        fixes, once the search has reached every index; ``None`` when one
+        of those operators is not idempotent on the table, that is, sends
+        some index to one it does not fix."""
+        self.search  # raises unless the generator reaches every index
+        g = self.generator
+        rows = [row for row in self.quotient_table if row[g] == g]
+        if any(k is not None and row[k] != k for row in rows for k in row):
+            return None
+        fixed = range(len(self.words))
+        for row in rows:
+            fixed = [u for u in fixed if row[u] == u]
+        return len(fixed)
+
+    @cached_property
     def commutant_dimension(self) -> int:
-        return _commutant_dimension(self, self.quotient_table)
+        """The dimension of :meth:`commutant_basis`, building no matrix
+        when the fixed-point count certifies it."""
+        if self.fixed_point_count == 1:
+            return 1
+        return self.cyclic_commutant_basis().dimension
+
+    def commutant_basis(self) -> EndomorphismSpace:
+        if self.fixed_point_count == 1:
+            m = range(len(self.words))
+            identity = tuple(tuple(int(j == k) for j in m) for k in m)
+            return EndomorphismSpace(self.alpha, (identity,))
+        return self.cyclic_commutant_basis()
+
+    def cyclic_commutant_basis(self) -> EndomorphismSpace:
+        """The commutant with the m entries of v = E(g) as unknowns; the
+        fallback of :meth:`commutant_basis` when the fixed-point count
+        does not certify a one-dimensional commutant."""
+        m = len(self.words)
+        # images[t][u]: the entry of E(t) that holds the unknown v_u, or
+        # None once an operator on the search's way from g annihilated it
+        images: list[tuple[int | None, ...]] = [()] * m
+        images[self.generator] = tuple(range(m))
+        for s, row, t in self.search:
+            images[t] = tuple(None if k is None else row[k] for k in images[s])
+        rows = []
+        for row in self.quotient_table:
+            for t, image in enumerate(images):
+                forms: dict[int, dict[int, int]] = {}
+                target = row[t]
+                if target is not None:  # + E(pi_i t)
+                    for u, k in enumerate(images[target]):
+                        if k is not None:
+                            forms.setdefault(k, {})[u] = 1
+                for u, k in enumerate(image):  # - pi_i E(t)
+                    if k is not None and row[k] is not None:
+                        form = forms.setdefault(row[k], {})
+                        form[u] = form.get(u, 0) - 1
+                for form in forms.values():
+                    form = {u: c for u, c in form.items() if c}
+                    if form:
+                        rows.append(form)
+        space = []
+        for v in nullspace(rows, m):
+            e = [[0] * m for _ in range(m)]
+            for t, image in enumerate(images):
+                for u, k in enumerate(image):
+                    if k is not None:
+                        e[k][t] += v[u]
+            space.append(tuple(tuple(r) for r in e))
+        return EndomorphismSpace(self.alpha, tuple(space))
 
     def relations_hold(self) -> bool:
         """Every relation holds on both bases; unlike
@@ -158,24 +288,16 @@ class _Shape:
         )
 
 
-def _quotient_table(basis: Filtration | _Shape) -> ActionTable:
-    # the basis holds only standard extended tableaux, so the check
-    # action_table would make again is skipped
-    return _word_table(basis.words, "quotient", len(basis.alpha))
-
-
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
-    filt = filtration(alpha)
-    m = len(filt)
-    mats = []
-    for images in _quotient_table(filt):
-        mat = [[0] * m for _ in range(m)]
-        for j, k in enumerate(images):
-            if k is not None:
-                mat[k][j] = 1
-        mats.append(tuple(tuple(row) for row in mat))
-    return ModuleMatrices(filt.alpha, filt, tuple(mats))
+    shape = _Shape(alpha)
+    m = len(shape.words)
+    mats = tuple(
+        tuple(tuple(int(images[j] == k) for j in range(m)) for k in range(m))
+        for images in shape.quotient_table
+    )
+    order = tuple(_from_row_word(w, len(shape.alpha)) for w in shape.words)
+    return ModuleMatrices(shape.alpha, Filtration(shape.alpha, order), mats)
 
 
 def composition_factors(alpha) -> CompositionFactorList:
@@ -185,21 +307,7 @@ def composition_factors(alpha) -> CompositionFactorList:
     or kills it, so the factor is the composition whose subset collects
     the non-fixing operator indices.
     """
-    shape = _Shape(alpha)
-    return _composition_factors(shape, shape.quotient_table)
-
-
-def _composition_factors(basis: Filtration | _Shape, table: ActionTable) -> CompositionFactorList:
-    n = basis.alpha.weight
-    masks = []
-    for j in range(len(basis.words)):
-        moved = 0
-        for bit, images in enumerate(table):
-            if images[j] != j:
-                moved |= 1 << bit
-        masks.append(moved)
-    factor = {mask: _composition_of_mask(mask, n) for mask in set(masks)}
-    return tuple(factor[mask] for mask in masks)
+    return _Shape(alpha).factors
 
 
 def characteristic(alpha) -> QSymElement:
@@ -208,26 +316,7 @@ def characteristic(alpha) -> QSymElement:
     Computed from the operator action alone; it coincides with the
     extended Schur function of alpha.
     """
-    return _Shape(alpha).characteristic()
-
-
-def _characteristic(basis: Filtration | _Shape, table: ActionTable) -> QSymElement:
-    counts = Counter(_composition_factors(basis, table))
-    return _element(basis.alpha.weight, "F", dict(counts))
-
-
-@dataclass(frozen=True)
-class EndomorphismSpace:
-    """Primitive integer basis of the matrices commuting with every
-    operator matrix.  The identity always lies in the span, so the
-    dimension is at least one."""
-
-    alpha: Composition
-    basis: tuple[Matrix, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
+    return _Shape(alpha).characteristic
 
 
 def commutant_basis(alpha) -> EndomorphismSpace:
@@ -249,127 +338,7 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     Raises ValueError, naming the first basis tableau the search misses,
     when the module is not generated by g.
     """
-    shape = _Shape(alpha)
-    return _commutant_basis(shape, shape.quotient_table)
-
-
-def _commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> EndomorphismSpace:
-    if _fixed_point_count(basis, table) == 1:
-        m = len(basis.words)
-        zeros = (0,) * m
-        identity = tuple(zeros[:k] + (1,) + zeros[k + 1 :] for k in range(m))
-        return EndomorphismSpace(basis.alpha, (identity,))
-    return _cyclic_commutant_basis(basis, table)
-
-
-def _commutant_dimension(basis: Filtration | _Shape, table: ActionTable) -> int:
-    """The dimension of ``_commutant_basis``, building no matrix when the
-    fixed-point count certifies it."""
-    if _fixed_point_count(basis, table) == 1:
-        return 1
-    return _cyclic_commutant_basis(basis, table).dimension
-
-
-def _generator(basis: Filtration | _Shape, table: ActionTable) -> int:
-    """Index of the super-standard row word ``0^alpha_1 1^alpha_2 ...`` in
-    the basis, once a breadth-first search from it over the table has
-    reached every basis tableau."""
-    g = _super_standard_index(basis)
-    reached = [False] * len(basis.words)
-    reached[g] = True
-    queue = deque([g])
-    while queue:
-        s = queue.popleft()
-        for row in table:
-            t = row[s]
-            if t is not None and not reached[t]:
-                reached[t] = True
-                queue.append(t)
-    if not all(reached):
-        raise _not_reached(basis, reached.index(False))
-    return g
-
-
-def _super_standard_index(basis: Filtration | _Shape) -> int:
-    """Index of the row word ``0^alpha_1 1^alpha_2 ...`` in the basis."""
-    alpha = basis.alpha
-    return basis.words.index(tuple(r for r, part in enumerate(alpha) for _ in range(part)))
-
-
-def _not_reached(basis: Filtration | _Shape, k: int) -> ValueError:
-    """The refusal naming basis tableau ``k``, which a search from the
-    generator missed."""
-    alpha = basis.alpha
-    missed = _from_row_word(basis.words[k], len(alpha))
-    return ValueError(
-        f"tableau {missed.rows} is not reached "
-        f"from the super-standard tableau {super_standard(alpha).rows}; the module "
-        "is not cyclic on it, so its commutant cannot be certified"
-    )
-
-
-def _fixed_point_count(basis: Filtration | _Shape, table: ActionTable) -> int | None:
-    """How many basis indices every operator fixing the generator fixes,
-    once ``_generator`` has accepted the table; ``None`` when one of those
-    operators is not idempotent on the table, that is, sends some index to
-    one it does not fix."""
-    g = _generator(basis, table)
-    rows = [row for row in table if row[g] == g]
-    if any(k is not None and row[k] != k for row in rows for k in row):
-        return None
-    fixed = range(len(basis.words))
-    for row in rows:
-        fixed = [u for u in fixed if row[u] == u]
-    return len(fixed)
-
-
-def _cyclic_commutant_basis(basis: Filtration | _Shape, table: ActionTable) -> EndomorphismSpace:
-    """The commutant with the m entries of v = E(g) as unknowns; the
-    fallback of ``_commutant_basis`` when the fixed-point count does not
-    certify a one-dimensional commutant."""
-    m = len(basis.words)
-    # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
-    # once an operator on the way from g annihilated it.  The search is
-    # the one ``_generator`` makes, so it refuses the same tables.
-    g = _super_standard_index(basis)
-    images: list[tuple[int | None, ...] | None] = [None] * m
-    images[g] = tuple(range(m))
-    queue = deque([g])
-    while queue:
-        s = queue.popleft()
-        for row in table:
-            t = row[s]
-            if t is not None and images[t] is None:
-                images[t] = tuple(None if k is None else row[k] for k in images[s])
-                queue.append(t)
-    if None in images:
-        raise _not_reached(basis, images.index(None))
-    rows = []
-    for row in table:
-        for t, image in enumerate(images):
-            forms: dict[int, dict[int, int]] = {}
-            target = row[t]
-            if target is not None:  # + E(pi_i t)
-                for u, k in enumerate(images[target]):
-                    if k is not None:
-                        forms.setdefault(k, {})[u] = 1
-            for u, k in enumerate(image):  # - pi_i E(t)
-                if k is not None and row[k] is not None:
-                    form = forms.setdefault(row[k], {})
-                    form[u] = form.get(u, 0) - 1
-            for form in forms.values():
-                form = {u: c for u, c in form.items() if c}
-                if form:
-                    rows.append(form)
-    space = []
-    for v in nullspace(rows, m):
-        e = [[0] * m for _ in range(m)]
-        for t, image in enumerate(images):
-            for u, k in enumerate(image):
-                if k is not None:
-                    e[k][t] += v[u]
-        space.append(tuple(tuple(r) for r in e))
-    return EndomorphismSpace(basis.alpha, tuple(space))
+    return _Shape(alpha).commutant_basis()
 
 
 @dataclass(frozen=True)
@@ -396,7 +365,7 @@ def is_indecomposable(alpha) -> Verdict:
     identity; anything larger is reported as inconclusive, never as
     decomposable.
     """
-    dimension = _Shape(alpha).commutant_dimension()
+    dimension = _Shape(alpha).commutant_dimension
     if dimension == 1:
         return Indecomposable()
     return Inconclusive(dimension)
@@ -416,15 +385,12 @@ def analysis_report(alpha) -> dict:
     """JSON-ready summary: dimension, factors in filtration order, the
     characteristic, and the commutant verdict."""
     shape = _Shape(alpha)
-    factors = _composition_factors(shape, shape.quotient_table)
-    counts = Counter(factors)
-    element = _element(shape.alpha.weight, "F", dict(counts))
-    dimension = shape.commutant_dimension()
+    dimension = shape.commutant_dimension
     return {
         "alpha": list(shape.alpha),
-        "dim": len(factors),
-        "factors": [list(beta) for beta in factors],
-        "characteristic": element.to_json(),
+        "dim": len(shape.factors),
+        "factors": [list(beta) for beta in shape.factors],
+        "characteristic": shape.characteristic.to_json(),
         "commutant_dimension": dimension,
         "indecomposable": True if dimension == 1 else "inconclusive",
     }

@@ -14,13 +14,15 @@ order.  The row words of shape alpha are the arrangements of
 letter up to and including it.  :func:`_srit_words` lists them,
 :func:`enumerate_srit` turns them into tableaux, and
 :func:`_column_strict_flags` reads the column condition off each word, so
-the sweeps over every row-increasing filling build no ``Tableau``.
+the sweeps over every row-increasing filling build no ``Tableau``; a
+tableau checks its own word with it, so the column rule is written once.
 :func:`_row_word` and :func:`_from_row_word` convert one way and the
-other; a tableau builds its row word once and keeps it.
+other; a tableau keeps its row word, the one it was built from or one
+built once from its rows.
 
 :func:`enumerate_set` grows the standard extended tableaux entry by entry
-(:func:`_grown`), carrying only the rows of each filling, from an explicit
-stack rather than by Python recursion.
+as row words (:func:`_grown`), from an explicit stack rather than by
+Python recursion, and :func:`_set_words` puts them in reading-word order.
 
 The extended Schur expansions need only how many standard extended
 tableaux have each descent mask (bit ``i-1`` set when ``i`` is a descent;
@@ -35,14 +37,17 @@ each mask: it sums the counts of the smaller shape over the columns of
 n-1, setting bit ``n-2`` on those at or right of the column of n.
 Sub-shapes are shared between shapes, so
 the counts are kept in one memo for every later call, filled in order of
-weight from a work list rather than by Python recursion.
+weight from a work list rather than by Python recursion
+(:func:`_sub_shape_walk`).  The same walk, summing plain counts, gives
+:func:`_set_count`, the number of standard extended tableaux, before any
+is grown.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .compositions import Composition, DescentSubset, composition_of_subset
@@ -50,7 +55,6 @@ from .compositions import Composition, DescentSubset, composition_of_subset
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
 RowWord = tuple[int, ...]  # letter v-1: the 0-based row of entry v
-Grown = list[tuple[tuple[int, ...], ...]]  # the rows of each filling
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,10 @@ class Tableau:
         if sorted(seen) != list(range(1, len(seen) + 1)):
             raise ValueError("entries must be exactly 1..n")
 
-    @cached_property
+    @property
     def shape(self) -> Composition:
-        return Composition(len(row) for row in self.rows)
+        # rows are checked nonempty, so no check; cheaper than a cache
+        return tuple.__new__(Composition, map(len, self.rows))
 
     @cached_property
     def size(self) -> int:
@@ -108,15 +113,7 @@ class Tableau:
     @cached_property
     def is_column_strict(self) -> bool:
         """True when every column strictly increases bottom to top."""
-        width = max((len(row) for row in self.rows), default=0)
-        for c in range(width):
-            previous = 0
-            for row in self.rows:
-                if c < len(row):
-                    if row[c] <= previous:
-                        return False
-                    previous = row[c]
-        return True
+        return _column_strict_flags(self.shape, [self._word])[0]
 
     def entry(self, row: int, col: int) -> int:
         """Entry in the given box (1-based coordinates)."""
@@ -158,7 +155,9 @@ def _from_row_word(w: RowWord, height: int) -> Tableau:
     rows: list[list[int]] = [[] for _ in range(height)]
     for v, r in enumerate(w, start=1):
         rows[r].append(v)
-    return Tableau(tuple(tuple(row) for row in rows))
+    t = Tableau(tuple(tuple(row) for row in rows))
+    t.__dict__["_word"] = tuple(w)  # the cached row word, not built again
+    return t
 
 
 def _srit_words(alpha: Composition) -> list[RowWord]:
@@ -201,14 +200,15 @@ def _fill_rows(
             word[v] = top
 
 
-def _below(alpha: Composition) -> list[list[int]]:
+@lru_cache(maxsize=256)
+def _below(alpha: Composition) -> tuple[tuple[int, ...], ...]:
     """``below[r][c]``: the nearest row under row r whose length exceeds c,
     or -1 (all 0-based), i.e. the row holding the box under (r, c) in its
-    column."""
-    return [
-        [next((s for s in range(r - 1, -1, -1) if alpha[s] > c), -1) for c in range(part)]
+    column.  Kept per shape, since every tableau's column check reads it."""
+    return tuple(
+        tuple(next((s for s in range(r - 1, -1, -1) if alpha[s] > c), -1) for c in range(part))
         for r, part in enumerate(alpha)
-    ]
+    )
 
 
 def _column_strict_flags(alpha: Composition, words: list[RowWord]) -> list[bool]:
@@ -221,18 +221,20 @@ def _column_strict_flags(alpha: Composition, words: list[RowWord]) -> list[bool]
     that column already filled.
     """
     below = _below(alpha)
-
-    def strict(w: RowWord) -> bool:
-        filled = [0] * len(alpha)
+    height = len(alpha)
+    flags = []
+    for w in words:
+        filled = [0] * height
         for r in w:
             c = filled[r]
             s = below[r][c]
             if s >= 0 and filled[s] <= c:
-                return False
+                flags.append(False)
+                break
             filled[r] = c + 1
-        return True
-
-    return [strict(w) for w in words]
+        else:
+            flags.append(True)
+    return flags
 
 
 def enumerate_set(alpha: Composition) -> list[Tableau]:
@@ -247,11 +249,23 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
 
     The list is in lexicographic order on the bottom-up reading word, the
     order of :func:`enumerate_srit` restricted to standard extended
-    tableaux.
+    tableaux: the tableaux of :func:`_set_words`.
     """
     alpha = Composition(alpha)
-    # Row tuples of one shape compare exactly as their reading words do.
-    return [Tableau(rows) for rows in sorted(_grown(alpha))]
+    return [_from_row_word(w, len(alpha)) for w in _set_words(alpha)]
+
+
+def _set_words(alpha: Composition) -> list[RowWord]:
+    """The row words of :func:`enumerate_set`, in its order; no
+    ``Tableau`` is built."""
+    return sorted(_grown(alpha), key=_reading_word)
+
+
+def _reading_word(w: RowWord) -> list[int]:
+    """The reading word of the tableau with row word ``w``, its entries
+    lowered by one: positions sort by their letter, and a stable sort keeps
+    each row increasing."""
+    return sorted(range(len(w)), key=w.__getitem__)
 
 
 # shape -> 0-based column of the largest entry -> descent mask -> count,
@@ -275,25 +289,12 @@ def _descent_masks(alpha: Composition) -> Counter[int]:
 def _masks_by_last_column(alpha: Composition) -> dict[int, dict[int, int]]:
     """For each 0-based column that the largest entry takes in a standard
     extended tableau of shape alpha, the count of each descent mask over
-    those tableaux, by the recurrence of the module docstring.
-
-    The shape and each of its sub-shapes not yet in
-    ``_MASKS_BY_LAST_COLUMN`` are computed once and stored there, in
-    order of weight from a work list, so no shape needs Python recursion.
-    The result is the stored value: read it, never change it.
-    """
+    those tableaux, by the recurrence of the module docstring, kept in
+    ``_MASKS_BY_LAST_COLUMN`` by :func:`_sub_shape_walk`.  The result is
+    the stored value: read it, never change it."""
     memo = _MASKS_BY_LAST_COLUMN
-    alpha = tuple(alpha)
-    if alpha in memo:
-        return memo[alpha]
-    todo = {alpha}
-    stack = [alpha]
-    while stack:
-        for _, smaller in _removals(stack.pop()):
-            if smaller not in memo and smaller not in todo:
-                todo.add(smaller)
-                stack.append(smaller)
-    for shape in sorted(todo, key=sum):
+
+    def column_masks(shape: tuple[int, ...]) -> dict[int, dict[int, int]]:
         n = sum(shape)
         bit = 1 << n - 2 if n > 1 else 0
         by_column = {}
@@ -305,7 +306,35 @@ def _masks_by_last_column(alpha: Composition) -> dict[int, dict[int, int]]:
                 for mask, count in masks.items():
                     counts[mask] = counts.get(mask, 0) + count
             by_column[c] = counts
-        memo[shape] = by_column
+        return by_column
+
+    return _sub_shape_walk(alpha, memo, column_masks)
+
+
+def _set_count(alpha: Composition) -> int:
+    """How many standard extended tableaux alpha has, summed over the boxes
+    that can hold the largest entry; nothing is grown or kept."""
+    counts = {(): 1}
+    return _sub_shape_walk(
+        alpha, counts, lambda shape: sum(counts[smaller] for _, smaller in _removals(shape))
+    )
+
+
+def _sub_shape_walk(alpha, memo: dict, value):
+    """``memo[alpha]``, once alpha and its sub-shapes not yet in ``memo``
+    are stored there as ``value(shape)``, which reads the memo of the shapes
+    of :func:`_removals`: in order of weight, found from a work list."""
+    alpha = tuple(alpha)
+    if alpha not in memo:
+        todo = {alpha}
+        stack = [alpha]
+        while stack:
+            for _, smaller in _removals(stack.pop()):
+                if smaller not in memo and smaller not in todo:
+                    todo.add(smaller)
+                    stack.append(smaller)
+        for shape in sorted(todo, key=sum):
+            memo[shape] = value(shape)
     return memo[alpha]
 
 
@@ -325,41 +354,41 @@ def _removals(alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return removals
 
 
-def _grown(alpha: Composition) -> Grown:
-    """The rows of every standard extended tableau of shape alpha, in
+def _grown(alpha: Composition) -> list[RowWord]:
+    """The row words of every standard extended tableau of shape alpha, in
     growth order: entry v goes in each box open to it, lowest row first,
     and everything v+1 onwards can grow from there is listed before v
-    moves up.  The placements are kept on an explicit stack, one row per
-    entry, so no shape needs Python recursion."""
+    moves up.  The word so far is the explicit stack of placements, so no
+    shape needs Python recursion, and each row keeps only its count of
+    filled boxes."""
     n = alpha.weight
     below = _below(alpha)
     height = len(alpha)
-    filling: list[list[int]] = [[] for _ in alpha]
+    filled = [0] * height
     placed: list[int] = []  # the row of each entry placed so far
-    grown: Grown = []
+    words: list[RowWord] = []
     r = 0  # the lowest row still to try for the next entry
     while True:
         if len(placed) == n:
-            grown.append(tuple(map(tuple, filling)))
+            words.append(tuple(placed))
             r = height
         while r < height:
-            row = filling[r]
-            c = len(row)
+            c = filled[r]
             if c < alpha[r]:
                 s = below[r][c]
-                if s < 0 or len(filling[s]) > c:
+                if s < 0 or filled[s] > c:
                     break
             r += 1
         if r < height:
-            filling[r].append(len(placed) + 1)
+            filled[r] += 1
             placed.append(r)
             r = 0
         elif placed:
             r = placed.pop()
-            filling[r].pop()
+            filled[r] -= 1
             r += 1
         else:
-            return grown
+            return words
 
 
 def is_standard_extended(t: Tableau) -> bool:

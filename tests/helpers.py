@@ -34,7 +34,8 @@ module a second way, as a left weak order interval of permutations,
 without tableaux or the row-word rules.  The tests pit the two routes
 against each other.  The matrix helpers (:func:`rank`, the plain echelon rank
 that :func:`pinned_rank` must match, :func:`mat_mul`, :func:`identity_matrix`)
-serve only the tests.
+serve only the tests, and :func:`shape_with_table` hands the module
+invariants a hand-built action table.
 """
 
 from collections import Counter
@@ -62,7 +63,7 @@ from extschur.hecke_action import (
     pi_quotient,
 )
 from extschur.linalg import _Echelon, _as_sparse, nullspace
-from extschur.module_analysis import EndomorphismSpace, ModuleMatrices
+from extschur.module_analysis import EndomorphismSpace, ModuleMatrices, _Shape
 from extschur.qsym import QSymElement
 from extschur.tableaux import (
     Tableau,
@@ -351,6 +352,15 @@ def table_of(mod: ModuleMatrices) -> tuple[tuple[int | None, ...], ...]:
         tuple(next((k for k in range(m) if mat[k][j]), None) for j in range(m))
         for mat in mod.mats
     )
+
+
+def shape_with_table(alpha, table, cls=_Shape) -> _Shape:
+    """A ``_Shape`` of alpha (or of its subclass ``cls``) whose invariants
+    read the given action table, indexed by the filtration order of alpha,
+    in place of the one the operators make."""
+    shape = cls(alpha)
+    shape.quotient_table = tuple(table)
+    return shape
 
 
 def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:

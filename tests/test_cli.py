@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,50 @@ def test_one_row_deeper_than_the_recursion_limit(capsys, command):
     else:
         assert f"characteristic: F[{n}]\n" in out
         assert out.endswith("indecomposable: true\n")
+
+
+def _grown_must_not_run(*_):
+    raise AssertionError("the refused shape was grown")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("analyze",), 20),
+    (("char", "--format", "json"), 20),
+    (("tableaux",), 20),
+    (("tableaux", "--kind", "set", "--show-descents"), 20),
+    (("analyze",), 600),
+])
+def test_set_budget_refuses_before_growing(capsys, monkeypatch, argv, rows):
+    # two equal rows of k: Catalan(k) standard extended tableaux
+    patch_everywhere(monkeypatch, tableaux, "_grown", _grown_must_not_run)
+    alpha = f"{rows},{rows}"
+    code, out, err = run(capsys, *argv, "--alpha", alpha, "--max-n", str(2 * rows))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {alpha} has {comb(2 * rows, rows) // (rows + 1)} standard extended "
+        f"tableaux, over the budget of {cli.SET_BUDGET} at about "
+        f"{cli.SET_SECONDS * 1e6:.0f} us each\n"
+    )
+
+
+def test_set_budget_boundary(capsys, monkeypatch):
+    # (2,1,3) has three standard extended tableaux and ten row-increasing ones
+    expected = {}
+    for argv in (("analyze",), ("char",), ("tableaux",), ("tableaux", "--kind", "srit")):
+        code, expected[argv], _ = run(capsys, *argv, "--alpha", "2,1,3")
+        assert code == 0
+    monkeypatch.setattr(cli, "SET_BUDGET", 3)
+    for argv, out in expected.items():
+        assert run(capsys, *argv, "--alpha", "2,1,3") == (0, out, "")
+    monkeypatch.setattr(cli, "SET_BUDGET", 2)
+    for argv, out in expected.items():
+        code, got, err = run(capsys, *argv, "--alpha", "2,1,3")
+        if argv[-1] == "srit":  # no standard extended tableau is grown
+            assert (code, got, err) == (0, out, "")
+        else:
+            assert (code, got) == (2, "")
+            assert err.startswith("error: 2,1,3 has 3 standard extended tableaux, ")
 
 
 def _refine_masks_must_not_run(*_):

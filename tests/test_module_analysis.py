@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from helpers import (
     mat_mul,
     rank,
     row_swapping_full_step,
+    shape_with_table,
     table_of,
     tableau_submodule_closure,
     weight_dimension as _weight_dimension,
@@ -36,11 +38,6 @@ from extschur.module_analysis import (
     commutant_basis,
     composition_factors,
     ModuleMatrices,
-    _commutant_basis,
-    _commutant_dimension,
-    _cyclic_commutant_basis,
-    _fixed_point_count,
-    _generator,
     _Shape,
     is_indecomposable,
     matrices,
@@ -232,7 +229,7 @@ def test_commutant_matches_dense_oracle():
             mod = matrices(alpha)
             dense = dense_commutant_basis(mod)
             assert commutant_basis(alpha) == dense, alpha
-            assert _cyclic_commutant_basis(mod.order, table_of(mod)) == dense, alpha
+            assert shape_with_table(alpha, table_of(mod)).cyclic_commutant_basis() == dense, alpha
 
 
 def test_commutant_dimension_matches_dense_oracle_weight_8():
@@ -241,7 +238,7 @@ def test_commutant_dimension_matches_dense_oracle_weight_8():
             mod = matrices(alpha)
             dense = dense_commutant_basis(mod)
             assert commutant_basis(alpha).dimension == dense.dimension, alpha
-            cyclic = _cyclic_commutant_basis(mod.order, table_of(mod))
+            cyclic = shape_with_table(alpha, table_of(mod)).cyclic_commutant_basis()
             assert cyclic.dimension == dense.dimension, alpha
 
 
@@ -257,7 +254,8 @@ def test_weight_space_of_the_generator_is_a_line():
         for alpha in compositions_of(n):
             filt, table, space = generator_weight_space(alpha)
             assert len(space) == 1, alpha
-            assert _commutant_basis(filt, table) == _cyclic_commutant_basis(filt, table), alpha
+            shape = shape_with_table(alpha, table)
+            assert shape.commutant_basis() == shape.cyclic_commutant_basis(), alpha
 
 
 def test_shape_reads_the_filtration_words_with_the_generator_last():
@@ -267,7 +265,7 @@ def test_shape_reads_the_filtration_words_with_the_generator_last():
             filt = filtration(alpha)
             assert shape.words == list(filt.words), alpha
             assert shape.quotient_table == action_table(filt.order, "quotient"), alpha
-            assert _generator(shape, shape.quotient_table) == len(shape.words) - 1, alpha
+            assert shape.generator == len(shape.words) - 1, alpha
 
 
 def test_weight_rank_matches_weight_space_oracle():
@@ -275,7 +273,7 @@ def test_weight_rank_matches_weight_space_oracle():
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
             table = shape.quotient_table
-            g = _generator(shape, table)
+            g = shape.generator
             m = len(shape.words)
             assert _weight_dimension(table, g, m) == len(_weight_space(table, g, m)), alpha
 
@@ -307,17 +305,15 @@ def test_fixed_point_count_is_the_monomial_coefficient_and_dim_w():
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
             table = shape.quotient_table
-            count = _fixed_point_count(shape, table)
+            count = shape.fixed_point_count
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
-            g = _generator(shape, table)
-            assert count == _weight_dimension(table, g, len(shape.words)), alpha
+            assert count == _weight_dimension(table, shape.generator, len(shape.words)), alpha
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from([alpha for n in (9, 10) for alpha in compositions_of(n)]))
 def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10(alpha):
-    shape = _Shape(alpha)
-    count = _fixed_point_count(shape, shape.quotient_table)
+    count = _Shape(alpha).fixed_point_count
     assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0)
 
 
@@ -349,9 +345,9 @@ def test_commutant_checks_generation_before_the_weight_space():
     assert len(_weight_space(table, 1, 2)) == 1
     assert dense_commutant_basis(mod).dimension == 2
     with pytest.raises(ValueError, match="not reached"):
-        _commutant_basis(mod.order, table)
+        shape_with_table((2, 1), table).commutant_basis()
     with pytest.raises(ValueError, match="not reached"):
-        _cyclic_commutant_basis(mod.order, table)
+        shape_with_table((2, 1), table).cyclic_commutant_basis()
 
 
 def test_commutant_falls_back_to_the_cyclic_solve():
@@ -362,7 +358,7 @@ def test_commutant_falls_back_to_the_cyclic_solve():
     assert len(_weight_space(table, 1, 2)) == 2
     dense = dense_commutant_basis(mod)
     assert dense.dimension == 2
-    assert _commutant_basis(mod.order, table) == dense
+    assert shape_with_table((2, 1), table).commutant_basis() == dense
 
 
 def test_weight_space_rows_hold_without_idempotence():
@@ -373,7 +369,7 @@ def test_weight_space_rows_hold_without_idempotence():
     table = table_of(mod)
     dense = dense_commutant_basis(mod)
     assert dense.dimension == 2
-    space = _commutant_basis(mod.order, table)
+    space = shape_with_table((3, 1), table).commutant_basis()
     assert space.dimension == 2
     assert same_span(space.basis, dense.basis)
 
@@ -397,9 +393,9 @@ def test_commutant_matches_dense_oracle_on_arbitrary_tables(table):
                 frontier.append(t)
     if len(reached) < 3:
         with pytest.raises(ValueError, match="not reached"):
-            _commutant_basis(mod.order, tuple(table))
+            shape_with_table((3, 1), table).commutant_basis()
         return
-    space = _commutant_basis(mod.order, tuple(table))
+    space = shape_with_table((3, 1), table).commutant_basis()
     dense = dense_commutant_basis(mod)
     assert space.dimension == dense.dimension
     assert same_span(space.basis, dense.basis)
@@ -413,7 +409,7 @@ def test_fixed_point_count_checks_generation_first():
     table = table_of(mod)
     assert dense_commutant_basis(mod).dimension == 2
     with pytest.raises(ValueError, match="not reached"):
-        _commutant_dimension(mod.order, table)
+        shape_with_table((2, 1), table).commutant_dimension
 
 
 @settings(deadline=None, max_examples=200)
@@ -426,11 +422,12 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     # otherwise, and the cyclic solve runs exactly when it is not 1
     table = tuple(table)
     mod = module_of((3, 1), table)
+    shape = shape_with_table((3, 1), table)
     try:
-        count = _fixed_point_count(mod.order, table)
+        count = shape.fixed_point_count
     except ValueError:
         with pytest.raises(ValueError, match="not reached"):
-            _commutant_dimension(mod.order, table)
+            shape.commutant_dimension
         return
     fixing = [images for images in table if images[2] == 2]
     idempotent = all(k is None or images[k] == k for images in fixing for k in images)
@@ -439,34 +436,55 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     if idempotent:
         assert count >= len(_weight_space(table, 2, 3)) >= dense.dimension
     solves = []
-    real = module_analysis._cyclic_commutant_basis
+    real = _Shape.cyclic_commutant_basis
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            module_analysis, "_cyclic_commutant_basis",
-            lambda basis, t: solves.append(t) or real(basis, t),
+            _Shape, "cyclic_commutant_basis",
+            lambda self: solves.append(self) or real(self),
         )
-        assert _commutant_dimension(mod.order, table) == dense.dimension
+        assert shape.commutant_dimension == dense.dimension
     assert len(solves) == (count != 1)
 
 
-def test_fallback_searches_the_table_once(monkeypatch):
+class SearchCountingShape(_Shape):
+    """A ``_Shape`` that records each breadth-first search it makes."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.searches = []
+
+    @cached_property
+    def search(self):
+        self.searches.append(self.alpha)
+        return _Shape.search.func(self)
+
+
+def test_fallback_searches_the_table_once():
     # operator 3 swaps indices 0 and 1 and fixes g (index 2), so it is not
-    # idempotent and the cyclic solve runs after the fixed-point count
-    mod = module_of((3, 1), [(None, None, None), (None, None, 0), (1, 0, 2)])
-    table = table_of(mod)
-    searches = []
-    real = module_analysis._generator
-    monkeypatch.setattr(
-        module_analysis, "_generator",
-        lambda basis, t: searches.append(t) or real(basis, t),
-    )
-    assert _fixed_point_count(mod.order, table) is None
-    searches.clear()
-    assert _commutant_dimension(mod.order, table) == 2
-    assert len(searches) == 1
-    searches.clear()
-    assert _commutant_basis(mod.order, table).dimension == 2
-    assert len(searches) == 1
+    # idempotent and the cyclic solve runs after the fixed-point count; the
+    # generation guard, the count and the solve's images read one search
+    table = [(None, None, None), (None, None, 0), (1, 0, 2)]
+    shape = shape_with_table((3, 1), table, SearchCountingShape)
+    assert shape.fixed_point_count is None
+    assert shape.commutant_dimension == 2
+    assert shape.commutant_basis().dimension == 2
+    assert shape.cyclic_commutant_basis() == shape.commutant_basis()
+    assert shape.searches == [(3, 1)]
+
+
+def test_certified_analysis_searches_each_shape_once(monkeypatch):
+    shapes = []
+
+    def counted(alpha):
+        shapes.append(SearchCountingShape(alpha))
+        return shapes[-1]
+
+    monkeypatch.setattr(module_analysis, "_Shape", counted)
+    for alpha in compositions_of(5):
+        report = analysis_report(alpha)
+        assert report["indecomposable"] is True
+        assert shapes[-1].fixed_point_count == 1
+    assert [shape.searches for shape in shapes] == [[tuple(a)] for a in compositions_of(5)]
 
 
 def test_commutant_refuses_a_module_not_generated_by_super_standard():
@@ -478,7 +496,7 @@ def test_commutant_refuses_a_module_not_generated_by_super_standard():
     assert dense_commutant_basis(mod).dimension == 4
     unreached = next(t for t in filt.order if t.rows != ((1, 2), (3,)))
     with pytest.raises(ValueError, match="not reached") as caught:
-        _commutant_basis(mod.order, table_of(mod))
+        shape_with_table((2, 1), table_of(mod)).commutant_basis()
     assert str(unreached.rows) in str(caught.value)
 
 

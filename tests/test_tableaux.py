@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     brute_set,
     brute_srit,
+    columns_increase,
     combination_srit,
     composition_from_descents,
     descents_by_row_rule,
@@ -19,7 +20,10 @@ from extschur.tableaux import (
     Tableau,
     _column_strict_flags,
     _descent_masks,
+    _grown,
     _row_word,
+    _set_count,
+    _set_words,
     _srit_words,
     descent_composition,
     enumerate_set,
@@ -122,7 +126,7 @@ def test_column_flag_of_each_row_word_is_column_strictness():
         for alpha in compositions_of(n):
             srits = enumerate_srit(alpha)
             flags = _column_strict_flags(alpha, [_row_word(t) for t in srits])
-            assert flags == [t.is_column_strict for t in srits], alpha
+            assert flags == [columns_increase(t.rows) for t in srits], alpha
 
 
 def test_srit_words_leave_no_garbage_cycle():
@@ -191,6 +195,31 @@ def test_enumerate_set_matches_filter_in_order():
     for n in range(0, 9):
         for alpha in compositions_of(n):
             assert enumerate_set(alpha) == filtered_set(alpha)
+
+
+def test_grown_lists_the_row_words_of_the_filter():
+    # the growth hands out row words, and enumerate_set's sort puts them in
+    # the order of the SRIT filter (test_enumerate_set_matches_filter_in_order
+    # pits enumerate_set against helpers.filtered_set itself); here the
+    # filter runs on the row words, through the column rule that
+    # test_column_flag_of_each_row_word_is_column_strictness checks
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            words = _srit_words(alpha)
+            kept = [w for w, ok in zip(words, _column_strict_flags(alpha, words)) if ok]
+            grown = _grown(alpha)
+            assert all(type(w) is tuple and len(w) == n for w in grown), alpha
+            assert sorted(grown) == sorted(kept), alpha
+            assert _set_words(alpha) == kept, alpha
+
+
+def test_set_count_is_the_total_of_the_descent_masks():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            assert _set_count(alpha) == sum(_descent_masks(alpha).values()), alpha
+    assert _set_count(Composition((2, 1, 3))) == len(SET_213)
+    # two equal rows of k: the standard Young tableaux of a 2 x k rectangle
+    assert _set_count(Composition((40, 40))) == factorial(80) // factorial(40) // factorial(41)
 
 
 def test_descent_mask_totals_count_the_tableaux():
