@@ -37,10 +37,11 @@ from .qsym import (
 )
 from .tableaux import (
     _descent_masks,
+    _from_row_word,
     _set_count,
+    _set_words,
+    _srit_words,
     descent_composition,
-    enumerate_set,
-    enumerate_srit,
 )
 
 EXIT_OK = 0
@@ -65,9 +66,9 @@ FORMATS = ("text", "json", "csv")
 M_TERM_SECONDS = 12e-6
 M_TERM_BUDGET = 1 << 19
 # for the 292,864 SETs of 5,4,3,2,1 analyze took 14-17 s and 240 MB, and
-# tableaux --show-descents --format json 45 s and 2.1 GB, about 155 us per
-# SET, on the same host; analyze, char and tableaux --kind set refuse a
-# shape with more before growing any, which keeps each under a minute
+# tableaux --show-descents --format json, before it was streamed, 45 s and
+# 2.1 GB, about 155 us per SET, on the same host; analyze, char and tableaux
+# refuse a shape with more SETs (SRITs for --kind srit) before making any
 SET_SECONDS = 155e-6
 SET_BUDGET = 300_000
 
@@ -172,14 +173,17 @@ def _require_alpha(args) -> Composition:
     return alpha
 
 
-def _require_set_budget(alpha: Composition) -> None:
-    """Refuse, before any is grown, a shape with more standard extended
-    tableaux than ``SET_BUDGET``; they are counted only when the
-    row-increasing fillings, n!/prod(alpha_i!), exceed it."""
-    srit_count = factorial(alpha.weight) // prod(map(factorial, alpha))
-    if srit_count > SET_BUDGET and (count := _set_count(alpha)) > SET_BUDGET:
+def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
+    """Refuse, before any is made, a shape with more tableaux of ``kind``
+    than ``SET_BUDGET``: n!/prod(alpha_i!) row-increasing ones, and the
+    extended ones counted only when that exceeds the budget."""
+    count = factorial(alpha.weight) // prod(map(factorial, alpha))
+    name = "row-increasing"
+    if kind == "set" and count > SET_BUDGET:
+        count, name = _set_count(alpha), "extended"
+    if count > SET_BUDGET:
         raise UsageError(
-            f"{format_composition(alpha)} has {count} standard extended tableaux, "
+            f"{format_composition(alpha)} has {count} standard {name} tableaux, "
             f"over the budget of {SET_BUDGET} at about {SET_SECONDS * 1e6:.0f} us each"
         )
 
@@ -241,17 +245,19 @@ def _cmd_char(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     alpha = _require_alpha(args)
-    if args.kind == "set":
-        _require_set_budget(alpha)
-    listing = enumerate_set(alpha) if args.kind == "set" else enumerate_srit(alpha)
+    _require_set_budget(alpha, args.kind)
+    # the tableaux of enumerate_set or enumerate_srit, each made when printed
+    words = _set_words(alpha) if args.kind == "set" else _srit_words(alpha)
+    listing = (_from_row_word(w, len(alpha)) for w in words)
     if args.format == "json":
-        payload = []
-        for t in listing:
+        # the text of json.dumps(items, indent=2), printed item by item
+        for k, t in enumerate(listing):
             item = t.to_json()
             if args.show_descents:
                 item["descent_composition"] = list(descent_composition(t))
-            payload.append(item)
-        print(json.dumps(payload, indent=2))
+            text = json.dumps(item, indent=2).replace("\n", "\n  ")
+            print(",\n  " if k else "[\n  ", text, sep="", end="")
+        print("\n]")  # never empty: every shape has its super-standard tableau
     else:
         blocks = []
         for t in listing:

@@ -22,8 +22,54 @@ form of the same subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
+
+
+class _Record:
+    """Base of an immutable record with the repr, equality, hashing and
+    frozen errors of a frozen dataclass, message for message, without
+    importing ``dataclasses`` and its ``inspect``, ``ast`` and ``typing``.
+    The fields are the names annotated in the class body, in order, read
+    once per class into ``__match_args__`` and the ``attrgetter`` behind
+    ``__eq__`` and ``__hash__``; a class body may define its own
+    ``__init__`` and ``__hash__``."""
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*names) if names else lambda self: ()
+        one = len(names) == 1  # one attrgetter name gives a value, not a tuple
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),) if one else get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),) if one else get(self))
+
+        for method in (__eq__, __hash__):
+            if method.__name__ not in cls.__dict__:
+                setattr(cls, method.__name__, method)
+
+    def __init__(self, *args, **kwargs):
+        # the records that validate or are made often write their own
+        names = self.__match_args__
+        fields = dict(zip(names, args), **kwargs)
+        if fields.keys() != set(names) or len(args) + len(kwargs) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Composition(tuple):
@@ -59,24 +105,24 @@ class Composition(tuple):
         return len(self)
 
 
-@dataclass(frozen=True)
-class DescentSubset:
+class DescentSubset(_Record):
     """A subset of {1, ..., n-1}, stored as a strictly increasing tuple."""
 
     n: int
-    members: tuple[int, ...] = ()
+    members: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if self.n < 0:
+    def __init__(self, n, members=()):
+        members = tuple(members)
+        if n < 0:
             raise ValueError("n must be nonnegative")
         previous = 0
-        for member in self.members:
-            if not 1 <= member <= self.n - 1:
-                raise ValueError(f"member {member} outside 1..{self.n - 1}")
+        for member in members:
+            if not 1 <= member <= n - 1:
+                raise ValueError(f"member {member} outside 1..{n - 1}")
             if member <= previous:
                 raise ValueError("members must be strictly increasing")
             previous = member
+        self.__dict__.update(n=n, members=members)
 
 
 def descent_subset(alpha: Composition) -> DescentSubset:

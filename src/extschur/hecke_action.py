@@ -31,12 +31,10 @@ left weak order on permutations, so :func:`preceq` compares inversion sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Literal
 
-from .compositions import Composition
+from .compositions import Composition, _Record
 from .tableaux import (
     RowWord,
     Tableau,
@@ -51,27 +49,30 @@ from .tableaux import (
     swap_entries,
 )
 
-Kind = Literal["full", "quotient"]
+Kind = str  # "full" or "quotient"
 ActionTable = tuple[tuple[int | None, ...], ...]
 
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(_Record):
     """The operator left the tableau unchanged."""
 
     tableau: Tableau
 
+    def __init__(self, tableau):
+        object.__setattr__(self, "tableau", tableau)
 
-@dataclass(frozen=True)
-class Zero:
+
+class Zero(_Record):
     """The image vanishes in the quotient."""
 
 
-@dataclass(frozen=True)
-class Swapped:
+class Swapped(_Record):
     """The operator exchanged i and i+1."""
 
     tableau: Tableau
+
+    def __init__(self, tableau):
+        object.__setattr__(self, "tableau", tableau)
 
 
 ActionResult = Fixed | Zero | Swapped
@@ -200,8 +201,7 @@ def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
     return tuple(tuple(row) for _, row in rows)
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(_Record):
     relation: str  # "idempotent", "commute" or "braid"
     i: int
     j: int | None
@@ -216,8 +216,7 @@ class RelationViolation:
         }
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Record):
     """Outcome of sweeping the three relation families over one basis."""
 
     alpha: Composition
@@ -347,8 +346,7 @@ def _earliest_disagreement(current: Tableau, target: Tableau) -> int:
     raise AssertionError("tableaux agree everywhere")
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(_Record):
     """A total order on the standard extended tableaux of one shape that
     refines reachability: operator images never move later in the order."""
 

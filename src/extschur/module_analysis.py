@@ -51,10 +51,9 @@ the tableaux, build each table and make the search once.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 
-from .compositions import Composition, _composition_of_mask
+from .compositions import Composition, _composition_of_mask, _Record
 from .hecke_action import (
     ActionTable,
     Filtration,
@@ -78,8 +77,7 @@ Matrix = tuple[tuple[int, ...], ...]
 CompositionFactorList = tuple[Composition, ...]
 
 
-@dataclass(frozen=True)
-class ModuleMatrices:
+class ModuleMatrices(_Record):
     """0/1 matrices of the quotient operators in the filtration basis.
 
     Column j of ``mats[i-1]`` holds the image of the j-th basis tableau
@@ -93,8 +91,7 @@ class ModuleMatrices:
     mats: tuple[Matrix, ...]
 
 
-@dataclass(frozen=True)
-class EndomorphismSpace:
+class EndomorphismSpace(_Record):
     """Primitive integer basis of the matrices commuting with every
     operator matrix.  The identity always lies in the span, so the
     dimension is at least one."""
@@ -341,14 +338,12 @@ def commutant_basis(alpha) -> EndomorphismSpace:
     return _Shape(alpha).commutant_basis()
 
 
-@dataclass(frozen=True)
-class Indecomposable:
+class Indecomposable(_Record):
     """The commutant is spanned by the identity alone, so the only
     idempotent endomorphisms are zero and the identity."""
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(_Record):
     """Commutant dimension above one; no decomposition is claimed either
     way."""
 

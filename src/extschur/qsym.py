@@ -30,7 +30,6 @@ import csv
 import io
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from math import factorial, prod
@@ -39,6 +38,7 @@ from types import MappingProxyType
 
 from .compositions import (
     Composition,
+    _Record,
     _composition_of_mask,
     _mask,
     compositions_of,
@@ -50,8 +50,7 @@ from .tableaux import _descent_masks
 BASES = ("M", "F")
 
 
-@dataclass(frozen=True)
-class QSymElement:
+class QSymElement(_Record):
     """A homogeneous element: integer coefficients on the compositions of
     one degree, tagged with the basis the coefficients refer to.
 
@@ -64,25 +63,25 @@ class QSymElement:
     basis: str
     coeffs: Mapping[Composition, int]
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}, got {self.basis!r}")
-        if self.degree < 0:
+    def __init__(self, degree, basis, coeffs):
+        if basis not in BASES:
+            raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
         clean: dict[Composition, int] = {}
-        for key, value in self.coeffs.items():
+        for key, value in coeffs.items():
             # a Composition was validated when it was made
             alpha = key if type(key) is Composition else Composition(key)
-            if alpha.weight != self.degree:
+            if alpha.weight != degree:
                 raise ValueError(
-                    f"key {alpha} has weight {alpha.weight}, expected degree {self.degree}"
+                    f"key {alpha} has weight {alpha.weight}, expected degree {degree}"
                 )
             # bool subclasses int, but True is not a coefficient
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"coefficients must be integers, got {value!r}")
             if value:
                 clean[alpha] = value
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        self.__dict__.update(degree=degree, basis=basis, coeffs=MappingProxyType(clean))
 
     def __hash__(self) -> int:
         return hash((self.degree, self.basis, frozenset(self.coeffs.items())))
@@ -171,9 +170,7 @@ def _element(degree: int, basis: str, coeffs: dict[Composition, int]) -> QSymEle
     nonzero ``int`` objects, as everything built from masks here is.
     ``QSymElement(...)`` is the checking constructor."""
     x = object.__new__(QSymElement)
-    object.__setattr__(x, "degree", degree)
-    object.__setattr__(x, "basis", basis)
-    object.__setattr__(x, "coeffs", MappingProxyType(coeffs))
+    x.__dict__.update(degree=degree, basis=basis, coeffs=MappingProxyType(coeffs))
     return x
 
 
@@ -226,8 +223,7 @@ def specialize(x: QSymElement, k: int) -> dict[tuple[int, ...], int]:
     return poly
 
 
-@dataclass(frozen=True)
-class KMatrix:
+class KMatrix(_Record):
     """Counts of standard extended tableaux by (shape, descent) pair.
 
     Rows and columns are indexed by the compositions of n in lexicographic

@@ -46,19 +46,17 @@ is grown.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .compositions import Composition, DescentSubset, composition_of_subset
+from .compositions import Composition, DescentSubset, _Record, composition_of_subset
 
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
 RowWord = tuple[int, ...]  # letter v-1: the 0-based row of entry v
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Record):
     """A bijective, row-increasing filling of a composition diagram.
 
     ``rows`` lists the rows bottom-up.  Every row strictly increases left to
@@ -67,9 +65,8 @@ class Tableau:
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
         seen: list[int] = []
         for row in rows:
             if not row:
@@ -80,6 +77,7 @@ class Tableau:
             seen.extend(row)
         if sorted(seen) != list(range(1, len(seen) + 1)):
             raise ValueError("entries must be exactly 1..n")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def shape(self) -> Composition:

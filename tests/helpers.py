@@ -31,14 +31,17 @@ basis changes walking the submasks of each term's free bits
 reachability (:func:`searched_preceq`) and the Bareiss determinant
 (:func:`bareiss_determinant`).  :func:`interval_module` builds the quotient
 module a second way, as a left weak order interval of permutations,
-without tableaux or the row-word rules.  The tests pit the two routes
-against each other.  The matrix helpers (:func:`rank`, the plain echelon rank
-that :func:`pinned_rank` must match, :func:`mat_mul`, :func:`identity_matrix`)
-serve only the tests, and :func:`shape_with_table` hands the module
-invariants a hand-built action table.
+without tableaux or the row-word rules, and :func:`dataclass_twin`
+rebuilds each record class as the frozen dataclass it replaced.  The
+tests pit the two routes against each other.  The matrix helpers
+(:func:`rank`, the plain echelon rank that :func:`pinned_rank` must match,
+:func:`mat_mul`, :func:`identity_matrix`) serve only the tests, and
+:func:`shape_with_table` hands the module invariants a hand-built action
+table.
 """
 
 from collections import Counter
+from dataclasses import field, make_dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd
@@ -52,6 +55,7 @@ from extschur.compositions import (
     compositions_of,
 )
 from extschur.hecke_action import (
+    Filtration,
     Fixed,
     RelationReport,
     RelationViolation,
@@ -63,8 +67,14 @@ from extschur.hecke_action import (
     pi_quotient,
 )
 from extschur.linalg import _Echelon, _as_sparse, nullspace
-from extschur.module_analysis import EndomorphismSpace, ModuleMatrices, _Shape
-from extschur.qsym import QSymElement
+from extschur.module_analysis import (
+    EndomorphismSpace,
+    Inconclusive,
+    Indecomposable,
+    ModuleMatrices,
+    _Shape,
+)
+from extschur.qsym import KMatrix, QSymElement
 from extschur.tableaux import (
     Tableau,
     descent_composition,
@@ -731,3 +741,38 @@ def interval_module(alpha):
                 seen.add(image)
                 words.append(image)
     return words, act
+
+
+# The fields of each record class, in order, written out as the frozen
+# dataclasses that the records replaced declared them.
+RECORD_FIELDS = {
+    DescentSubset: ("n", "members"),
+    Tableau: ("rows",),
+    Fixed: ("tableau",),
+    Zero: (),
+    Swapped: ("tableau",),
+    RelationViolation: ("relation", "i", "j", "tableau"),
+    RelationReport: ("alpha", "kind", "tableaux_checked", "violations"),
+    Filtration: ("alpha", "order"),
+    QSymElement: ("degree", "basis", "coeffs"),
+    KMatrix: ("n", "compositions", "entries"),
+    ModuleMatrices: ("alpha", "order", "mats"),
+    EndomorphismSpace: ("alpha", "basis"),
+    Indecomposable: (),
+    Inconclusive: ("commutant_dimension",),
+}
+
+
+def dataclass_twin(cls) -> type:
+    """A real ``@dataclass(frozen=True)`` named as the record class ``cls``,
+    with its fields from :data:`RECORD_FIELDS` and no validation: the
+    oracle for the record's construction, repr, equality, hashing and
+    frozen messages.  ``DescentSubset.members`` defaults to ``()``, and
+    ``QSymElement`` keeps its own hash, as their dataclasses had them."""
+    specs = [
+        (name, object, field(default=())) if (cls, name) == (DescentSubset, "members")
+        else (name, object)
+        for name in RECORD_FIELDS[cls]
+    ]
+    namespace = {"__hash__": QSymElement.__hash__} if cls is QSymElement else {}
+    return make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)

@@ -27,6 +27,7 @@ from extschur.qsym import (
     k_matrix,
     ribbon_in_shin,
 )
+from extschur.tableaux import descent_composition, enumerate_set, enumerate_srit
 
 
 def run(capsys, *argv):
@@ -122,6 +123,20 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
             capture_output=True, text=True, env=os.environ.copy(), check=False,
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    # -I ignores PYTHONPATH, so the child puts the source tree on sys.path
+    src = str(Path(extschur.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import extschur.cli; "
+        "print(*[m for m in ('dataclasses', 'typing', 'inspect', 'ast') if m in sys.modules])"
+    )
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert child.stdout == "\n"
+    assert child.stderr == ""
 
 
 def test_tableaux_set_with_descents(capsys):
@@ -427,22 +442,59 @@ def test_set_budget_refuses_before_growing(capsys, monkeypatch, argv, rows):
 
 
 def test_set_budget_boundary(capsys, monkeypatch):
-    # (2,1,3) has three standard extended tableaux and ten row-increasing ones
+    # (2,1,3) has three standard extended tableaux and 6!/(2!3!) = 60
+    # row-increasing ones
     expected = {}
     for argv in (("analyze",), ("char",), ("tableaux",), ("tableaux", "--kind", "srit")):
         code, expected[argv], _ = run(capsys, *argv, "--alpha", "2,1,3")
         assert code == 0
-    monkeypatch.setattr(cli, "SET_BUDGET", 3)
-    for argv, out in expected.items():
-        assert run(capsys, *argv, "--alpha", "2,1,3") == (0, out, "")
-    monkeypatch.setattr(cli, "SET_BUDGET", 2)
-    for argv, out in expected.items():
-        code, got, err = run(capsys, *argv, "--alpha", "2,1,3")
-        if argv[-1] == "srit":  # no standard extended tableau is grown
-            assert (code, got, err) == (0, out, "")
-        else:
-            assert (code, got) == (2, "")
-            assert err.startswith("error: 2,1,3 has 3 standard extended tableaux, ")
+    for budget in (60, 59, 3, 2):
+        monkeypatch.setattr(cli, "SET_BUDGET", budget)
+        for argv, out in expected.items():
+            code, got, err = run(capsys, *argv, "--alpha", "2,1,3")
+            count, name = (60, "row-increasing") if argv[-1] == "srit" else (3, "extended")
+            if count <= budget:
+                assert (code, got, err) == (0, out, "")
+            else:
+                assert (code, got) == (2, "")
+                assert err.startswith(f"error: 2,1,3 has {count} standard {name} tableaux, ")
+
+
+def _srit_must_not_run(*_):
+    raise AssertionError("the refused shape was listed")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_srit_budget_refuses_before_listing(capsys, monkeypatch, fmt):
+    # 16!/(4!)^4 = 63,063,000 row-increasing fillings
+    patch_everywhere(monkeypatch, tableaux, "_srit_words", _srit_must_not_run)
+    patch_everywhere(monkeypatch, tableaux, "enumerate_srit", _srit_must_not_run)
+    patch_everywhere(monkeypatch, tableaux, "_set_count", _srit_must_not_run)
+    code, out, err = run(
+        capsys, "tableaux", "--alpha", "4,4,4,4", "--max-n", "16", "--kind", "srit",
+        "--format", fmt,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: 4,4,4,4 has 63063000 standard row-increasing tableaux, over the "
+        f"budget of {cli.SET_BUDGET} at about {cli.SET_SECONDS * 1e6:.0f} us each\n"
+    )
+
+
+def test_tableaux_json_streams_what_json_dumps_prints(capsys):
+    # the oracle: the whole listing built first, then dumped at once
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            for kind in ("set", "srit"):
+                listing = (enumerate_set if kind == "set" else enumerate_srit)(alpha)
+                for descents in (False, True):
+                    payload = [t.to_json() for t in listing]
+                    if descents:
+                        for item, t in zip(payload, listing):
+                            item["descent_composition"] = list(descent_composition(t))
+                    argv = ["tableaux", "--alpha", format_composition(alpha), "--kind", kind,
+                            "--format", "json"] + ["--show-descents"] * descents
+                    assert run(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
 
 
 def _refine_masks_must_not_run(*_):
