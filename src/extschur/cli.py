@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 
 from .compositions import (
@@ -60,16 +61,18 @@ ALL_CHECKS = (
 
 FORMATS = ("text", "json", "csv")
 
-# expand --basis M printed 524,288 terms (--alpha 20) in 6.3 s and 200 MB,
-# about 12 us per term, on a 2-core host with Python 3.11.7; a larger
-# expansion is refused before any refining
-M_TERM_SECONDS = 12e-6
+# expand --basis M printed the 524,288 terms of --alpha 20 in 9.1-10.2 s
+# and 537 MB with --format json, about 18 us per term, and in 4.0-4.6 s and
+# 197 MB as text, on a 2-core host with Python 3.11.7; a larger expansion is
+# refused before any refining
+M_TERM_SECONDS = 18e-6
 M_TERM_BUDGET = 1 << 19
-# for the 292,864 SETs of 5,4,3,2,1 analyze took 14-17 s and 240 MB, and
-# tableaux --show-descents --format json, before it was streamed, 45 s and
-# 2.1 GB, about 155 us per SET, on the same host; analyze, char and tableaux
-# refuse a shape with more SETs (SRITs for --kind srit) before making any
-SET_SECONDS = 155e-6
+# tableaux --show-descents --format json, the costliest listing of SETs,
+# took 2.7-4.1 s for the 64,064 SETs of 5,3,3,2,1 and 0.9-1.4 s for the
+# 20,592 of 5,3,2,1,1,1, about 50 us per SET, where analyze and the text
+# listing took 25-44 us, on the same host; analyze, char and tableaux refuse
+# a shape with more SETs (SRITs for --kind srit) before making any
+SET_SECONDS = 50e-6
 SET_BUDGET = 300_000
 
 
@@ -208,9 +211,44 @@ def _format_terms(basis: str, terms) -> str:
     return "".join(pieces) or "0"
 
 
+_INT_ONLY = {int}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for a value whose dicts
+    have str keys, with every line after the first starting from
+    ``indent``.  ``json.dumps`` serves ``indent`` from the pure-Python
+    encoder; this joins the same pieces with ``str.join``, one call per
+    list of plain ints."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _INT_ONLY:  # never bools: they print true/false
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    return json.dumps(value)  # None, bools, floats and other scalars
+
+
 def _emit_qsym(element: QSymElement, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(element.to_json(), indent=2))
+        print(_json_text(element.to_json()))
     else:
         print(format_qsym(element))
 
@@ -255,8 +293,7 @@ def _cmd_tableaux(args) -> int:
             item = t.to_json()
             if args.show_descents:
                 item["descent_composition"] = list(descent_composition(t))
-            text = json.dumps(item, indent=2).replace("\n", "\n  ")
-            print(",\n  " if k else "[\n  ", text, sep="", end="")
+            print(",\n  " if k else "[\n  ", _json_text(item, "  "), sep="", end="")
         print("\n]")  # never empty: every shape has its super-standard tableau
     else:
         blocks = []
@@ -274,7 +311,7 @@ def _cmd_analyze(args) -> int:
     _require_set_budget(alpha)
     report = analysis_report(alpha)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         factors = "; ".join(",".join(map(str, factor)) for factor in report["factors"])
         char = report["characteristic"]
@@ -299,11 +336,11 @@ def _cmd_kmatrix(args) -> int:
     if args.format == "csv":
         print(km.to_csv(), end="")
     elif args.format == "json":
-        print(json.dumps({
+        print(_json_text({
             "n": km.n,
             "compositions": [list(alpha) for alpha in km.compositions],
             "entries": [list(row) for row in km.entries],
-        }, indent=2))
+        }))
     else:
         labels = [format_composition(alpha) for alpha in km.compositions]
         width = max(max(len(label) for label in labels), 1)
@@ -411,7 +448,7 @@ def _cmd_verify(args) -> int:
     results = _run_checks(selected, args.n)
     ok = all(result["failed"] == 0 for result in results)
     if args.format == "json":
-        print(json.dumps({"n": args.n, "ok": ok, "checks": results}, indent=2))
+        print(_json_text({"n": args.n, "ok": ok, "checks": results}))
     else:
         for result in results:
             print(f"{result['name']}: {result['passed']} pass, {result['failed']} fail")

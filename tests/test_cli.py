@@ -7,6 +7,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import row_swapping_full_step, swapping_quotient_step
 import extschur
@@ -495,6 +496,66 @@ def test_tableaux_json_streams_what_json_dumps_prints(capsys):
                     argv = ["tableaux", "--alpha", format_composition(alpha), "--kind", kind,
                             "--format", "json"] + ["--show-descents"] * descents
                     assert run(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(10 ** 40), -1, 0, 2 ** 63, 10 ** 100])
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", "\"", "\\", "\n\t\x00", "\u00e9t\u00e9", "\u2028", "\U0001f600"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.lists(st.integers())
+        | st.dictionaries(st.text(), inner)
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_json_text_is_what_json_dumps_prints(value):
+    expected = json.dumps(value, indent=2)
+    assert cli._json_text(value) == expected
+    # strings are escaped, so every newline of the text starts a line
+    assert cli._json_text(value, "  ") == expected.replace("\n", "\n  ")
+
+
+def assert_json_dumps_form(out: str) -> None:
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_every_json_command_prints_what_json_dumps_prints(capsys):
+    shapes = [format_composition(alpha) for n in range(0, 6) for alpha in compositions_of(n)]
+    requests = [("analyze", "--alpha", alpha) for alpha in shapes]
+    requests += [("expand", "--alpha", alpha, "--basis", basis)
+                 for alpha in shapes for basis in ("F", "M")]
+    requests += [("char", "--alpha", alpha) for alpha in shapes]
+    requests += [("kmatrix", "--n", str(n)) for n in range(1, 6)]
+    requests += [("verify", "--n", "4")]
+    for argv in requests:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert_json_dumps_form(out)
+
+
+def test_verify_json_prints_a_failure_as_json_dumps_does(capsys, monkeypatch):
+    monkeypatch.setitem(
+        cli._PER_ALPHA_CHECKS, "characteristic", lambda shape: shape.alpha.weight != 2
+    )
+    code, out, _ = run(capsys, "verify", "--n", "3", "--format", "json")
+    assert code == 1
+    assert_json_dumps_form(out)
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [check["first_counterexample"] for check in payload["checks"]
+            if check["name"] == "characteristic"] == ["alpha=1,1"]
 
 
 def _refine_masks_must_not_run(*_):

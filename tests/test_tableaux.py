@@ -15,7 +15,7 @@ from helpers import (
     grown_descent_masks,
     hook_length,
 )
-from extschur.compositions import Composition, compositions_of, is_partition
+from extschur.compositions import Composition, _mask, compositions_of, is_partition
 from extschur.tableaux import (
     Tableau,
     _column_strict_flags,
@@ -240,6 +240,18 @@ def test_descent_mask_recursion_matches_the_grown_tableaux():
 @given(st.sampled_from([alpha for n in range(9, 13) for alpha in compositions_of(n)]))
 def test_descent_mask_recursion_matches_the_grown_tableaux_at_weights_9_to_12(alpha):
     assert _descent_masks(alpha) == grown_descent_masks(alpha)
+
+
+def test_monomial_coefficient_of_the_own_shape_is_one_up_to_weight_12():
+    # F_beta contains M_alpha exactly when the descents of beta are among
+    # those of alpha, so the M_alpha coefficient of E_alpha counts the SETs
+    # whose descent mask lies inside alpha's: the one fixed point that the
+    # commutant certificate relies on
+    for n in range(0, 13):
+        for alpha in compositions_of(n):
+            own = _mask(alpha)
+            inside = sum(c for mask, c in _descent_masks(alpha).items() if mask & ~own == 0)
+            assert inside == 1, alpha
 
 
 def test_descent_masks_hand_out_a_fresh_counter():
