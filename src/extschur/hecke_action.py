@@ -11,16 +11,16 @@ Each family is defined once, as a rule on row words (letter ``v-1`` of the
 row word is the 0-based row of entry ``v``; the column of ``v`` is the
 count of its letter up to and including it): :func:`_full_step` and
 :func:`_quotient_step` only compare or swap two letters.  ``pi_full``,
-``pi_quotient``, ``apply_word`` and :func:`action_table` all go through
-them, converting to and from the validated ``Tableau`` at their boundary.
+``pi_quotient`` and ``apply_word`` go through them, converting to and
+from the validated ``Tableau`` at their boundary.
 
 One table per basis records where each operator sends each tableau.
-:func:`action_table` builds it from tableaux and ``_word_table`` from
-row words, word by word; the full basis is taken straight from
-``tableaux._srit_words``, and the quotient basis as the row words that
-``tableaux._grown`` grows, sorted by :func:`_filtration_words` into
-filtration order (or into reading-word order by ``tableaux._set_words``
-for the relation sweep), so no ``Tableau`` is built for either.  The
+``_word_table`` builds it from row words, word by word; the full basis is
+taken straight from ``tableaux._srit_words``, and the quotient basis as
+the row words that ``tableaux._grown`` grows, sorted by
+:func:`_filtration_words` into filtration order (or into reading-word
+order by ``tableaux._set_words`` for the relation sweep), so no
+``Tableau`` is built for either.  The
 relation sweep composes the table's rows, and the submodule closure check
 and every module invariant read it instead of applying operators.
 
@@ -166,21 +166,12 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
     return _from_row_word(w, len(t.rows))
 
 
-def action_table(basis, kind: Kind) -> ActionTable:
-    """Entry ``[i-1][j]``: index in ``basis`` of the i-th operator's image
-    of ``basis[j]`` (``j`` when fixed), ``None`` when annihilated.  An image
-    outside the basis raises ``KeyError`` naming it."""
-    _check_kind(kind)
-    if kind == "quotient" and not all(is_standard_extended(t) for t in basis):
-        raise ValueError("tableau is not standard extended")
-    height = len(basis[0].rows) if basis else 0
-    return _word_table([_row_word(t) for t in basis], kind, height)
-
-
 def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
-    """:func:`action_table` for a basis given by the row words of its
-    tableaux, of ``height`` rows; a ``Tableau`` is built only to name an
-    image outside the basis."""
+    """Entry ``[i-1][j]``: index in ``words`` of the i-th operator's image
+    of ``words[j]`` (``j`` when fixed), ``None`` when annihilated.  The
+    basis is given by the row words of its tableaux, of ``height`` rows; a
+    ``Tableau`` is built only to name an image outside the basis, in the
+    ``KeyError`` raised for it."""
     # the rules are looked up per call, so a substituted rule is seen here
     step = _full_step if kind == "full" else _quotient_step
     index = {w: j for j, w in enumerate(words)}
@@ -356,11 +347,6 @@ class Filtration(_Record):
     @cached_property
     def position(self) -> dict[Tableau, int]:
         return {t: k for k, t in enumerate(self.order)}
-
-    @cached_property
-    def words(self) -> tuple[RowWord, ...]:
-        """The row words of the order."""
-        return tuple(_row_word(t) for t in self.order)
 
     def index_of(self, t: Tableau) -> int:
         """0-based position of t in the order."""

@@ -12,34 +12,28 @@ composition factor.  In the filtration basis every operator matrix
 therefore has at most one 1 per column and never maps a basis vector to a
 later one, so the chain of leading subspaces is a composition series with
 one-dimensional subquotients.  A ``Tableau`` is built only for output: the
-``Filtration`` of :func:`matrices` and the tableau named when the
-generator check fails.
+``Filtration`` of :func:`matrices` and the tableaux a refusal names.
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
 row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
-by the vector ``v = E(g)``.  One breadth-first search from ``g`` over the
-swaps in the table, kept in its discovery order, serves three reads: it
-must reach every basis tableau, or the module is refused, so no module is
-certified without that check; it guards the fixed-point count; and it
-gives the fallback below its replay words.  Commuting with ``E`` carries
-the weight of ``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``.
+by the vector ``v = E(g)``.  One search from ``g`` over the swaps in the
+table must reach every basis tableau, or the module is refused, so no
+module is certified without that check.  Commuting with ``E`` carries the
+weight of ``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``.
 When each such ``pi_i`` is idempotent on the table, sending every basis
 tableau it does not kill to one it fixes, ``pi_i v = v`` puts ``v`` in the
 span of the basis tableaux ``pi_i`` fixes.  So ``dim End`` is at most the
 number of basis tableaux fixed by every operator that fixes ``g``, and the
 identity lies in the commutant, so a count of 1 certifies a
-one-dimensional commutant.  On a module ``pi_i`` fixes a tableau exactly
-when ``i`` is not one of its descents, and the descents of ``g`` are the
-partial sums of ``alpha``, so the count is the coefficient of ``M_alpha``
-in the extended Schur function.  Only when an operator fixing ``g`` is not
-idempotent or the count is above 1 does the solver fall back to the cyclic
-solve: the search reaches each basis tableau ``t`` as ``pi_w(g)`` for a
-word ``w``, which forces ``E(t) = pi_w(v)``, and requiring ``E pi_i = pi_i
-E`` on every basis tableau leaves an exact linear system in the ``m``
-entries of ``v`` instead of the ``m * m`` entries of ``E``.  A
-one-dimensional commutant certifies indecomposability; the matrices of the
-commutant are built only for :func:`commutant_basis`, and every verdict
-reads its dimension alone.
+one-dimensional commutant, spanned by the identity.  On a module ``pi_i``
+fixes a tableau exactly when ``i`` is not one of its descents, and the
+descents of ``g`` are the partial sums of ``alpha``, so the count is the
+coefficient of ``M_alpha`` in the extended Schur function, which is 1 on
+every shape checked (every weight up to 14).  The certificate is the only
+route: an operator fixing ``g`` that is not idempotent, or a count above
+1, is refused with ``ValueError`` like a module ``g`` does not generate,
+never reported as a verdict.  The identity matrix is built only for
+:func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and the column condition of each word.  The
@@ -50,7 +44,7 @@ the tableaux, build each table and make the search once.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
 
 from .compositions import Composition, _composition_of_mask, _Record
@@ -61,7 +55,6 @@ from .hecke_action import (
     _relation_failures,
     _word_table,
 )
-from .linalg import nullspace
 from .qsym import QSymElement, _element, _fundamental_of_masks
 from .tableaux import (
     RowWord,
@@ -70,7 +63,6 @@ from .tableaux import (
     _from_row_word,
     _grown,
     _srit_words,
-    super_standard,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -92,9 +84,8 @@ class ModuleMatrices(_Record):
 
 
 class EndomorphismSpace(_Record):
-    """Primitive integer basis of the matrices commuting with every
-    operator matrix.  The identity always lies in the span, so the
-    dimension is at least one."""
+    """A basis of the matrices commuting with every operator matrix;
+    :func:`commutant_basis` certifies the identity alone."""
 
     alpha: Composition
     basis: tuple[Matrix, ...]
@@ -131,7 +122,6 @@ class _Shape:
 
     @cached_property
     def quotient_table(self) -> ActionTable:
-        # every word is standard extended, so action_table's check is skipped
         return _word_table(self.words, "quotient", len(self.alpha))
 
     @cached_property
@@ -167,34 +157,31 @@ class _Shape:
         )
 
     @cached_property
-    def search(self) -> list[tuple[int, tuple[int | None, ...], int]]:
-        """The breadth-first search from the generator over the quotient
-        table, as the step ``(s, row, t)`` that first reached each other
-        basis index ``t``, from ``s`` through that table row, in discovery
-        order.  Raises ValueError, naming the first basis tableau it
-        misses, when the search does not reach them all, so every
+    def search(self) -> None:
+        """The search from the generator over the quotient table, made
+        once per shape.  Raises ValueError, naming the first basis tableau
+        it misses, when the search does not reach them all, so every
         invariant that reads it is guarded by generation."""
-        g = self.generator
         reached = [False] * len(self.words)
-        reached[g] = True
-        steps = []
-        queue = deque([g])
-        while queue:
-            s = queue.popleft()
+        reached[self.generator] = True
+        stack = [self.generator]
+        while stack:
+            s = stack.pop()
             for row in self.quotient_table:
                 t = row[s]
                 if t is not None and not reached[t]:
                     reached[t] = True
-                    steps.append((s, row, t))
-                    queue.append(t)
+                    stack.append(t)
         if not all(reached):
-            missed = _from_row_word(self.words[reached.index(False)], len(self.alpha))
             raise ValueError(
-                f"tableau {missed.rows} is not reached "
-                f"from the super-standard tableau {super_standard(self.alpha).rows}; the "
+                f"tableau {self.tableau(reached.index(False))} is not reached "
+                f"from the super-standard tableau {self.tableau(self.generator)}; the "
                 "module is not cyclic on it, so its commutant cannot be certified"
             )
-        return steps
+
+    def tableau(self, j: int):
+        """The rows of the j-th basis tableau, for a message."""
+        return _from_row_word(self.words[j], len(self.alpha)).rows
 
     @cached_property
     def fixed_point_count(self) -> int | None:
@@ -212,58 +199,44 @@ class _Shape:
             fixed = [u for u in fixed if row[u] == u]
         return len(fixed)
 
-    @cached_property
-    def commutant_dimension(self) -> int:
-        """The dimension of :meth:`commutant_basis`, building no matrix
-        when the fixed-point count certifies it."""
-        if self.fixed_point_count == 1:
-            return 1
-        return self.cyclic_commutant_basis().dimension
+    def certify(self) -> None:
+        """Return when the fixed-point count certifies that the identity
+        spans the commutant; otherwise raise ValueError naming the count
+        and a second fixed tableau, or the operator fixing the generator
+        that is not idempotent and the image it moves."""
+        count = self.fixed_point_count
+        if count == 1:
+            return
+        g = self.generator
+        rows = [(i, row) for i, row in enumerate(self.quotient_table, 1) if row[g] == g]
+        if count is None:
+            i, k = next(
+                (i, k) for i, row in rows for k in row if k is not None and row[k] != k
+            )
+            reason = (
+                f"operator {i} fixes it but is not idempotent: it moves "
+                f"tableau {self.tableau(k)}, one of its images"
+            )
+        else:
+            second = next(
+                u for u in range(len(self.words))
+                if u != g and all(row[u] == u for _, row in rows)
+            )
+            reason = (
+                f"the fixed-point count is {count}: every operator fixing it also "
+                f"fixes tableau {self.tableau(second)}"
+            )
+        raise ValueError(
+            f"the commutant of the module on the super-standard tableau "
+            f"{self.tableau(g)} is not certified one-dimensional; {reason}"
+        )
 
     def commutant_basis(self) -> EndomorphismSpace:
-        if self.fixed_point_count == 1:
-            m = range(len(self.words))
-            identity = tuple(tuple(int(j == k) for j in m) for k in m)
-            return EndomorphismSpace(self.alpha, (identity,))
-        return self.cyclic_commutant_basis()
-
-    def cyclic_commutant_basis(self) -> EndomorphismSpace:
-        """The commutant with the m entries of v = E(g) as unknowns; the
-        fallback of :meth:`commutant_basis` when the fixed-point count
-        does not certify a one-dimensional commutant."""
-        m = len(self.words)
-        # images[t][u]: the entry of E(t) that holds the unknown v_u, or
-        # None once an operator on the search's way from g annihilated it
-        images: list[tuple[int | None, ...]] = [()] * m
-        images[self.generator] = tuple(range(m))
-        for s, row, t in self.search:
-            images[t] = tuple(None if k is None else row[k] for k in images[s])
-        rows = []
-        for row in self.quotient_table:
-            for t, image in enumerate(images):
-                forms: dict[int, dict[int, int]] = {}
-                target = row[t]
-                if target is not None:  # + E(pi_i t)
-                    for u, k in enumerate(images[target]):
-                        if k is not None:
-                            forms.setdefault(k, {})[u] = 1
-                for u, k in enumerate(image):  # - pi_i E(t)
-                    if k is not None and row[k] is not None:
-                        form = forms.setdefault(row[k], {})
-                        form[u] = form.get(u, 0) - 1
-                for form in forms.values():
-                    form = {u: c for u, c in form.items() if c}
-                    if form:
-                        rows.append(form)
-        space = []
-        for v in nullspace(rows, m):
-            e = [[0] * m for _ in range(m)]
-            for t, image in enumerate(images):
-                for u, k in enumerate(image):
-                    if k is not None:
-                        e[k][t] += v[u]
-            space.append(tuple(tuple(r) for r in e))
-        return EndomorphismSpace(self.alpha, tuple(space))
+        """The identity alone, once :meth:`certify` returns."""
+        self.certify()
+        m = range(len(self.words))
+        identity = tuple(tuple(int(j == k) for j in m) for k in m)
+        return EndomorphismSpace(self.alpha, (identity,))
 
     def relations_hold(self) -> bool:
         """Every relation holds on both bases; unlike
@@ -317,23 +290,17 @@ def characteristic(alpha) -> QSymElement:
 
 
 def commutant_basis(alpha) -> EndomorphismSpace:
-    """Solve E*A = A*E for all operator matrices A, exactly.
+    """The commutant of the operator matrices: the identity alone.
 
     The module is generated by the super-standard tableau g, so E is fixed
-    by v = E(g).  First a breadth-first search checks that the operators
-    reach every basis tableau from g; then v must satisfy pi_i v = v for
-    each operator fixing g.  When each of those operators is idempotent on
-    the basis, v lies in the span of the basis tableaux they all fix, and
-    when that count is 1 the commutant is spanned by the identity.
-    Otherwise (an operator fixing g that is not idempotent, or a count
-    above 1) the cyclic solve takes the m entries of v as unknowns: the
-    search reaches every basis tableau t as pi_w(g), which forces E(t) =
-    pi_w(v), and each operator contributes one sparse constraint per
-    nonzero entry of E(pi_i t) - pi_i E(t).  The solution space is
-    extracted by exact fraction-free elimination and each primitive v is
-    mapped back to its matrix E; a lone basis matrix is the identity.
-    Raises ValueError, naming the first basis tableau the search misses,
-    when the module is not generated by g.
+    by v = E(g).  First a search checks that the operators reach every
+    basis tableau from g; then v must satisfy pi_i v = v for each operator
+    fixing g.  When each of those operators is idempotent on the basis, v
+    lies in the span of the basis tableaux they all fix, and when that
+    count is 1 the commutant is spanned by the identity.  Raises
+    ValueError otherwise: naming the first basis tableau the search
+    misses, the operator fixing g that is not idempotent, or the count
+    and a second fixed tableau.
     """
     return _Shape(alpha).commutant_basis()
 
@@ -343,27 +310,16 @@ class Indecomposable(_Record):
     idempotent endomorphisms are zero and the identity."""
 
 
-class Inconclusive(_Record):
-    """Commutant dimension above one; no decomposition is claimed either
-    way."""
+def is_indecomposable(alpha) -> Indecomposable:
+    """Certify indecomposability from the fixed-point count, as
+    :func:`commutant_basis` does, building no matrix.
 
-    commutant_dimension: int
-
-
-Verdict = Indecomposable | Inconclusive
-
-
-def is_indecomposable(alpha) -> Verdict:
-    """Certify indecomposability from the commutant dimension.
-
-    Dimension one forces every idempotent endomorphism to be zero or the
-    identity; anything larger is reported as inconclusive, never as
-    decomposable.
+    A one-dimensional commutant forces every idempotent endomorphism to be
+    zero or the identity.  A module the certificate does not cover raises
+    ValueError; no other verdict is returned.
     """
-    dimension = _Shape(alpha).commutant_dimension
-    if dimension == 1:
-        return Indecomposable()
-    return Inconclusive(dimension)
+    _Shape(alpha).certify()
+    return Indecomposable()
 
 
 def verify_submodule_closure(alpha) -> bool:
@@ -378,14 +334,16 @@ def verify_submodule_closure(alpha) -> bool:
 
 def analysis_report(alpha) -> dict:
     """JSON-ready summary: dimension, factors in filtration order, the
-    characteristic, and the commutant verdict."""
+    characteristic, and the certified commutant: dimension 1, so the
+    module is indecomposable.  Raises ValueError as :func:`commutant_basis`
+    does when the certificate does not apply."""
     shape = _Shape(alpha)
-    dimension = shape.commutant_dimension
+    shape.certify()
     return {
         "alpha": list(shape.alpha),
         "dim": len(shape.factors),
         "factors": [list(beta) for beta in shape.factors],
         "characteristic": shape.characteristic.to_json(),
-        "commutant_dimension": dimension,
-        "indecomposable": True if dimension == 1 else "inconclusive",
+        "commutant_dimension": 1,
+        "indecomposable": True,
     }

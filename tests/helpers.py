@@ -9,7 +9,10 @@ the operators read off entry positions and applied by ``swap_entries``
 (:func:`positional_pi_full`, :func:`positional_pi_quotient`), the operator
 matrices rebuilt column by column from ``pi_quotient``
 (:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
-as unknowns (:func:`dense_commutant_basis`), the relation sweep replaying
+as unknowns (:func:`dense_commutant_basis`) and with the ``m`` entries of
+``E(g)`` (:func:`cyclic_commutant_basis`, the route the package took
+before the fixed-point count became its only certificate), both over the
+exact fraction-free :func:`nullspace`, the relation sweep replaying
 both words of every relation on every tableau (:func:`replayed_relations`),
 the submodule closure over validated tableaux
 (:func:`tableau_submodule_closure`), the filtration order sorted over
@@ -37,10 +40,12 @@ tests pit the two routes against each other.  The matrix helpers
 (:func:`rank`, the plain echelon rank that :func:`pinned_rank` must match,
 :func:`mat_mul`, :func:`identity_matrix`) serve only the tests, and
 :func:`shape_with_table` hands the module invariants a hand-built action
-table.
+table.  :func:`action_table` (the action table of a basis of validated
+tableaux) and :func:`filtration_words` have no caller in the package.
 """
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import field, make_dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -55,28 +60,31 @@ from extschur.compositions import (
     compositions_of,
 )
 from extschur.hecke_action import (
+    ActionTable,
     Filtration,
     Fixed,
+    Kind,
     RelationReport,
     RelationViolation,
     Swapped,
     Zero,
-    action_table,
+    _check_kind,
+    _word_table,
     apply_word,
     filtration,
     pi_quotient,
 )
-from extschur.linalg import _Echelon, _as_sparse, nullspace
 from extschur.module_analysis import (
     EndomorphismSpace,
-    Inconclusive,
     Indecomposable,
     ModuleMatrices,
     _Shape,
 )
 from extschur.qsym import KMatrix, QSymElement
 from extschur.tableaux import (
+    RowWord,
     Tableau,
+    _row_word,
     descent_composition,
     enumerate_set,
     enumerate_srit,
@@ -248,7 +256,7 @@ def rref_nullspace(rows, ncols) -> list[tuple[int, ...]]:
     """One vector per free column f of the reduced row echelon form: 1 at
     f, minus the f entry of each pivot row at its pivot, 0 elsewhere,
     cleared to coprime integers with positive first nonzero entry.  The
-    oracle for the integer back-substitution of ``linalg.nullspace``."""
+    oracle for the integer back-substitution of :func:`nullspace`."""
     m, pivots = dense_rref(rows, ncols)
     basis = []
     for f in range(ncols):
@@ -375,8 +383,9 @@ def shape_with_table(alpha, table, cls=_Shape) -> _Shape:
 
 def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
     """Solve E*A = A*E with the m*m entries of E as unknowns: one sparse
-    constraint per nonzero entry of each commutator.  The oracle for the
-    cyclic solve, which needs only the m entries of E(g)."""
+    constraint per nonzero entry of each commutator.  The oracle for
+    :func:`cyclic_commutant_basis`, which needs only the m entries of
+    E(g)."""
     m = len(mod.order)
     rows = []
     for mat in mod.mats:
@@ -405,6 +414,80 @@ def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
         for vector in vectors
     )
     return EndomorphismSpace(mod.alpha, basis)
+
+
+def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
+    """The commutant of the module whose action table ``shape`` reads,
+    with the m entries of v = E(g) as unknowns, g the generator: the
+    route ``module_analysis`` took before the fixed-point count became
+    its only certificate, now an oracle that :func:`dense_commutant_basis`
+    checks.  Raises ValueError through ``shape.search`` when g does not
+    generate.
+
+    A breadth-first search from g over the table reaches each basis
+    tableau t as pi_w(g) for a word w, which forces E(t) = pi_w(v), and
+    requiring E pi_i = pi_i E on every basis tableau leaves one sparse
+    constraint per nonzero entry of E(pi_i t) - pi_i E(t); each primitive
+    v of the nullspace is mapped back to its matrix E.
+    """
+    shape.search
+    table = shape.quotient_table
+    m = len(shape.words)
+    # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
+    # once an operator on the search's way from g annihilated it
+    images: list = [None] * m
+    images[shape.generator] = tuple(range(m))
+    queue = [shape.generator]
+    for s in queue:
+        for row in table:
+            t = row[s]
+            if t is not None and images[t] is None:
+                images[t] = tuple(None if k is None else row[k] for k in images[s])
+                queue.append(t)
+    rows = []
+    for row in table:
+        for t, image in enumerate(images):
+            forms: dict[int, dict[int, int]] = {}
+            target = row[t]
+            if target is not None:  # + E(pi_i t)
+                for u, k in enumerate(images[target]):
+                    if k is not None:
+                        forms.setdefault(k, {})[u] = 1
+            for u, k in enumerate(image):  # - pi_i E(t)
+                if k is not None and row[k] is not None:
+                    form = forms.setdefault(row[k], {})
+                    form[u] = form.get(u, 0) - 1
+            for form in forms.values():
+                form = {u: c for u, c in form.items() if c}
+                if form:
+                    rows.append(form)
+    space = []
+    for v in nullspace(rows, m):
+        e = [[0] * m for _ in range(m)]
+        for t, image in enumerate(images):
+            for u, k in enumerate(image):
+                if k is not None:
+                    e[k][t] += v[u]
+        space.append(tuple(tuple(r) for r in e))
+    return EndomorphismSpace(shape.alpha, tuple(space))
+
+
+def action_table(basis, kind: Kind) -> ActionTable:
+    """Entry ``[i-1][j]``: index in ``basis`` of the i-th operator's image
+    of ``basis[j]`` (``j`` when fixed), ``None`` when annihilated, the
+    tableaux checked and turned into row words for
+    ``hecke_action._word_table``.  An image outside the basis raises
+    ``KeyError`` naming it."""
+    _check_kind(kind)
+    if kind == "quotient" and not all(is_standard_extended(t) for t in basis):
+        raise ValueError("tableau is not standard extended")
+    height = len(basis[0].rows) if basis else 0
+    return _word_table([_row_word(t) for t in basis], kind, height)
+
+
+def filtration_words(filt: Filtration) -> tuple[RowWord, ...]:
+    """The row words of the tableaux of a filtration, in its order."""
+    return tuple(_row_word(t) for t in filt.order)
 
 
 def replayed_relations(alpha, kind) -> RelationReport:
@@ -589,6 +672,99 @@ def peeled_monomial_to_fundamental(x: QSymElement) -> QSymElement:
     return QSymElement(x.degree, "F", result)
 
 
+def _as_sparse(row) -> dict[int, int]:
+    # dict first: the Mapping check alone is slow on the many sparse rows
+    if isinstance(row, (dict, Mapping)):
+        return {c: v for c, v in row.items() if v}
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def _strip_content(row: dict[int, int]) -> dict[int, int]:
+    g = 0
+    for value in row.values():
+        g = gcd(g, value)
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+class _Echelon:
+    """Row echelon accumulator keyed by pivot column (the least index),
+    by integer cross-multiplication with content removal, so no fraction
+    appears."""
+
+    def __init__(self):
+        self.pivot_rows: dict[int, dict[int, int]] = {}
+
+    def insert(self, row) -> None:
+        row = _as_sparse(row)
+        while row:
+            p = min(row)
+            pivot_row = self.pivot_rows.get(p)
+            if pivot_row is None:
+                row = _strip_content(row)
+                if row[p] < 0:
+                    row = {c: -v for c, v in row.items()}
+                self.pivot_rows[p] = row
+                return
+            a = row[p]
+            b = pivot_row[p]
+            combined = {c: v * b for c, v in row.items()}
+            for c, v in pivot_row.items():
+                combined[c] = combined.get(c, 0) - a * v
+            row = _strip_content({c: v for c, v in combined.items() if v})
+
+
+def nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : R x = 0}, one vector per free
+    column, rows sparse (dicts from column to integer) or dense.
+
+    Each basis vector is scaled to coprime integer entries with positive
+    first nonzero entry.  Back-substitution stays in integers: the whole
+    vector, a multiple of the solution over one common denominator, is
+    scaled up whenever a pivot does not divide the sum it must cancel,
+    and the gcd is divided out at the end.  :func:`rref_nullspace` is its
+    oracle.
+    """
+    echelon = _Echelon()
+    for row in rows:
+        echelon.insert(row)
+    pivots = echelon.pivot_rows
+    pivot_cols = sorted(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = {free: 1}
+        for p in reversed(pivot_cols):
+            if p > free:
+                continue
+            prow = pivots[p]
+            total = sum(v * x[c] for c, v in prow.items() if c in x)
+            if total:
+                g = gcd(total, prow[p])
+                scale = prow[p] // g
+                if scale > 1:
+                    x = {c: v * scale for c, v in x.items()}
+                x[p] = -total // g
+        basis.append(_to_primitive(x, ncols))
+    return basis
+
+
+def _to_primitive(x: dict[int, int], ncols: int) -> tuple[int, ...]:
+    """The vector with entries ``x``, zero elsewhere, divided by the gcd of
+    its entries and signed so that its first nonzero entry is positive."""
+    g = 0
+    for value in x.values():
+        g = gcd(g, value)
+    if x[min(x)] < 0:
+        g = -g
+    ints = [0] * ncols
+    for c, v in x.items():
+        ints[c] = v // g
+    return tuple(ints)
+
+
 def rank(rows) -> int:
     """Rank of the row family (rows given sparse or dense)."""
     echelon = _Echelon()
@@ -759,7 +935,6 @@ RECORD_FIELDS = {
     ModuleMatrices: ("alpha", "order", "mats"),
     EndomorphismSpace: ("alpha", "basis"),
     Indecomposable: (),
-    Inconclusive: ("commutant_dimension",),
 }
 
 

@@ -6,11 +6,11 @@ from helpers import (
     identity_matrix,
     laplace_determinant,
     mat_mul,
+    nullspace,
     pinned_rank as linalg_rank,
     rank,
     rref_nullspace,
 )
-from extschur.linalg import nullspace
 
 import pytest
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    action_table,
+    cyclic_commutant_basis,
     dense_commutant_basis,
     dense_matrices,
     dense_rank,
     erratic_full_step,
+    filtration_words,
     identity_matrix,
     mat_mul,
     rank,
@@ -25,13 +28,11 @@ from extschur.hecke_action import (
     Fixed,
     Swapped,
     Zero,
-    action_table,
     filtration,
     pi_quotient,
     verify_relations,
 )
 from extschur.module_analysis import (
-    Inconclusive,
     Indecomposable,
     analysis_report,
     characteristic,
@@ -223,13 +224,13 @@ def test_commutant_matches_dense_rank_computation():
 
 
 def test_commutant_matches_dense_oracle():
-    # both the certificate route and the cyclic fallback it skips here
+    # the certificate and the cyclic solve it replaced
     for n in range(0, 8):
         for alpha in compositions_of(n):
             mod = matrices(alpha)
             dense = dense_commutant_basis(mod)
             assert commutant_basis(alpha) == dense, alpha
-            assert shape_with_table(alpha, table_of(mod)).cyclic_commutant_basis() == dense, alpha
+            assert cyclic_commutant_basis(shape_with_table(alpha, table_of(mod))) == dense, alpha
 
 
 def test_commutant_dimension_matches_dense_oracle_weight_8():
@@ -238,7 +239,7 @@ def test_commutant_dimension_matches_dense_oracle_weight_8():
             mod = matrices(alpha)
             dense = dense_commutant_basis(mod)
             assert commutant_basis(alpha).dimension == dense.dimension, alpha
-            cyclic = shape_with_table(alpha, table_of(mod)).cyclic_commutant_basis()
+            cyclic = cyclic_commutant_basis(shape_with_table(alpha, table_of(mod)))
             assert cyclic.dimension == dense.dimension, alpha
 
 
@@ -255,7 +256,7 @@ def test_weight_space_of_the_generator_is_a_line():
             filt, table, space = generator_weight_space(alpha)
             assert len(space) == 1, alpha
             shape = shape_with_table(alpha, table)
-            assert shape.commutant_basis() == shape.cyclic_commutant_basis(), alpha
+            assert shape.commutant_basis() == cyclic_commutant_basis(shape), alpha
 
 
 def test_shape_reads_the_filtration_words_with_the_generator_last():
@@ -263,7 +264,7 @@ def test_shape_reads_the_filtration_words_with_the_generator_last():
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
             filt = filtration(alpha)
-            assert shape.words == list(filt.words), alpha
+            assert shape.words == list(filtration_words(filt)), alpha
             assert shape.quotient_table == action_table(filt.order, "quotient"), alpha
             assert shape.generator == len(shape.words) - 1, alpha
 
@@ -310,11 +311,12 @@ def test_fixed_point_count_is_the_monomial_coefficient_and_dim_w():
             assert count == _weight_dimension(table, shape.generator, len(shape.words)), alpha
 
 
-@settings(deadline=None, max_examples=20)
-@given(st.sampled_from([alpha for n in (9, 10) for alpha in compositions_of(n)]))
-def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10(alpha):
-    count = _Shape(alpha).fixed_point_count
-    assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0)
+def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10():
+    # every one of the 768 shapes: the commutant refuses a count above 1
+    for n in (9, 10):
+        for alpha in compositions_of(n):
+            count = _Shape(alpha).fixed_point_count
+            assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
 
 
 def module_of(alpha, table) -> ModuleMatrices:
@@ -347,31 +349,46 @@ def test_commutant_checks_generation_before_the_weight_space():
     with pytest.raises(ValueError, match="not reached"):
         shape_with_table((2, 1), table).commutant_basis()
     with pytest.raises(ValueError, match="not reached"):
-        shape_with_table((2, 1), table).cyclic_commutant_basis()
+        cyclic_commutant_basis(shape_with_table((2, 1), table))
 
 
-def test_commutant_falls_back_to_the_cyclic_solve():
+def test_commutant_refuses_a_fixed_point_count_above_one(monkeypatch):
     # operator 1 sends g (index 1) to index 0 and fixes it, operator 2 is
-    # the identity: g generates, W is the whole plane and so is End
+    # the identity: g generates, W is the whole plane and so is End, which
+    # the cyclic solve finds; the package refuses, naming the count and
+    # the other tableau operator 2 fixes
     mod = module_of((2, 1), [(0, 0), (0, 1)])
     table = table_of(mod)
     assert len(_weight_space(table, 1, 2)) == 2
     dense = dense_commutant_basis(mod)
     assert dense.dimension == 2
-    assert shape_with_table((2, 1), table).commutant_basis() == dense
+    assert cyclic_commutant_basis(shape_with_table((2, 1), table)) == dense
+    other = str(mod.order.order[0].rows)
+    monkeypatch.setattr(module_analysis, "_Shape", lambda alpha: shape_with_table(alpha, table))
+    for read in (commutant_basis, is_indecomposable, analysis_report):
+        with pytest.raises(ValueError, match="fixed-point count is 2") as caught:
+            read((2, 1))
+        assert other in str(caught.value)
 
 
 def test_weight_space_rows_hold_without_idempotence():
     # operator 3 swaps indices 0 and 1 (g is index 2), so pi_3 is not
     # idempotent: dropping v_u for each u it does not fix would leave only
-    # the line of g, but the commutant is a plane
+    # the line of g, but the commutant is a plane.  The rows of W still
+    # hold for E(g), which the cyclic solve finds; the package refuses,
+    # naming the operator
     mod = module_of((3, 1), [(None, None, None), (None, None, 0), (1, 0, 2)])
     table = table_of(mod)
     dense = dense_commutant_basis(mod)
     assert dense.dimension == 2
-    space = shape_with_table((3, 1), table).commutant_basis()
+    space = cyclic_commutant_basis(shape_with_table((3, 1), table))
     assert space.dimension == 2
     assert same_span(space.basis, dense.basis)
+    w = _weight_space(table, 2, 3)
+    images = [tuple(row[2] for row in e) for e in dense.basis]
+    assert rank(w) == rank(w + images) == 2
+    with pytest.raises(ValueError, match="operator 3 fixes it but is not idempotent"):
+        shape_with_table((3, 1), table).commutant_basis()
 
 
 @settings(deadline=None, max_examples=200)
@@ -379,8 +396,9 @@ def test_weight_space_rows_hold_without_idempotence():
     st.tuples(*[st.sampled_from([None, 0, 1, 2])] * 3), min_size=3, max_size=3
 ))
 def test_commutant_matches_dense_oracle_on_arbitrary_tables(table):
-    # any table on the three SETs of (3,1): the solver refuses exactly when
-    # g (index 2) does not generate, and otherwise spans the dense commutant
+    # any table on the three SETs of (3,1): the cyclic solve refuses exactly
+    # when g (index 2) does not generate, and otherwise spans the dense
+    # commutant; the package refuses then too, or returns that commutant
     mod = module_of((3, 1), table)
     reached = {2}
     frontier = [2]
@@ -393,12 +411,18 @@ def test_commutant_matches_dense_oracle_on_arbitrary_tables(table):
                 frontier.append(t)
     if len(reached) < 3:
         with pytest.raises(ValueError, match="not reached"):
+            cyclic_commutant_basis(shape_with_table((3, 1), table))
+        with pytest.raises(ValueError, match="not reached"):
             shape_with_table((3, 1), table).commutant_basis()
         return
-    space = shape_with_table((3, 1), table).commutant_basis()
+    space = cyclic_commutant_basis(shape_with_table((3, 1), table))
     dense = dense_commutant_basis(mod)
     assert space.dimension == dense.dimension
     assert same_span(space.basis, dense.basis)
+    try:
+        assert shape_with_table((3, 1), table).commutant_basis() == dense
+    except ValueError as refusal:
+        assert "not certified one-dimensional" in str(refusal)
 
 
 def test_fixed_point_count_checks_generation_first():
@@ -409,7 +433,7 @@ def test_fixed_point_count_checks_generation_first():
     table = table_of(mod)
     assert dense_commutant_basis(mod).dimension == 2
     with pytest.raises(ValueError, match="not reached"):
-        shape_with_table((2, 1), table).commutant_dimension
+        shape_with_table((2, 1), table).commutant_basis()
 
 
 @settings(deadline=None, max_examples=200)
@@ -419,7 +443,9 @@ def test_fixed_point_count_checks_generation_first():
 def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     # any table on the three SETs of (3,1), g the index 2: the count bounds
     # dim W when the operators fixing g are idempotent and is skipped
-    # otherwise, and the cyclic solve runs exactly when it is not 1
+    # otherwise; whenever the commutant is returned, the dense one is the
+    # line of the identity, and otherwise the refusal names the count or
+    # the operator
     table = tuple(table)
     mod = module_of((3, 1), table)
     shape = shape_with_table((3, 1), table)
@@ -427,7 +453,7 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
         count = shape.fixed_point_count
     except ValueError:
         with pytest.raises(ValueError, match="not reached"):
-            shape.commutant_dimension
+            shape.commutant_basis()
         return
     fixing = [images for images in table if images[2] == 2]
     idempotent = all(k is None or images[k] == k for images in fixing for k in images)
@@ -435,15 +461,13 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     dense = dense_commutant_basis(mod)
     if idempotent:
         assert count >= len(_weight_space(table, 2, 3)) >= dense.dimension
-    solves = []
-    real = _Shape.cyclic_commutant_basis
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            _Shape, "cyclic_commutant_basis",
-            lambda self: solves.append(self) or real(self),
-        )
-        assert shape.commutant_dimension == dense.dimension
-    assert len(solves) == (count != 1)
+    if count == 1:
+        assert dense.dimension == 1
+        assert shape.commutant_basis() == dense
+    else:
+        reason = f"fixed-point count is {count}" if idempotent else "is not idempotent"
+        with pytest.raises(ValueError, match=reason):
+            shape.commutant_basis()
 
 
 class SearchCountingShape(_Shape):
@@ -459,16 +483,18 @@ class SearchCountingShape(_Shape):
         return _Shape.search.func(self)
 
 
-def test_fallback_searches_the_table_once():
+def test_refusal_searches_the_table_once():
     # operator 3 swaps indices 0 and 1 and fixes g (index 2), so it is not
-    # idempotent and the cyclic solve runs after the fixed-point count; the
-    # generation guard, the count and the solve's images read one search
+    # idempotent and the commutant is refused after the fixed-point count;
+    # the generation guard, the count, each refusal and the cyclic solve's
+    # guard read one search
     table = [(None, None, None), (None, None, 0), (1, 0, 2)]
     shape = shape_with_table((3, 1), table, SearchCountingShape)
     assert shape.fixed_point_count is None
-    assert shape.commutant_dimension == 2
-    assert shape.commutant_basis().dimension == 2
-    assert shape.cyclic_commutant_basis() == shape.commutant_basis()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="operator 3"):
+            shape.commutant_basis()
+    assert cyclic_commutant_basis(shape).dimension == 2
     assert shape.searches == [(3, 1)]
 
 
@@ -505,7 +531,6 @@ def test_is_indecomposable_verdicts():
     assert is_indecomposable(Composition((1, 1, 1, 1))) == Indecomposable()
     for alpha in compositions_of(5):
         assert isinstance(is_indecomposable(alpha), Indecomposable)
-    assert Inconclusive(2).commutant_dimension == 2
 
 
 def test_verify_submodule_closure_examples():

@@ -25,7 +25,6 @@ from extschur.hecke_action import (
 )
 from extschur.module_analysis import (
     EndomorphismSpace,
-    Inconclusive,
     Indecomposable,
     ModuleMatrices,
     commutant_basis,
@@ -73,7 +72,6 @@ def _samples() -> dict[type, list]:
             commutant_basis((2, 1)), commutant_basis((1, 2, 1)), commutant_basis((2, 1)),
         ],
         Indecomposable: [Indecomposable(), Indecomposable()],
-        Inconclusive: [Inconclusive(2), Inconclusive(commutant_dimension=2), Inconclusive(3)],
     }
 
 
@@ -98,7 +96,7 @@ def _failure(action, *args) -> str:
 
 def test_every_record_class_is_sampled_with_equal_and_unequal_pairs():
     assert set(SAMPLES) == set(RECORD_FIELDS)
-    assert len(RECORD_FIELDS) == 14
+    assert len(RECORD_FIELDS) == 13
     for cls, records in SAMPLES.items():
         pairs = [(a, b) for a, b in product(records, repeat=2) if a is not b]
         assert any(a == b for a, b in pairs), cls
@@ -129,7 +127,7 @@ def test_fields_compare_as_tuples_do():
     # a tuple compares its items by identity first, so a field unequal to
     # itself still leaves the record equal to one holding the same object
     nan = float("nan")
-    for cls, args in ((Inconclusive, (nan,)), (Filtration, (nan, ()))):
+    for cls, args in ((Fixed, (nan,)), (Filtration, (nan, ()))):
         a, b = cls(*args), cls(*args)
         twin = TWINS[cls]
         assert (a == b, a != b) == (twin(*args) == twin(*args), twin(*args) != twin(*args))
