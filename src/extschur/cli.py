@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: expand, tableaux, char, analyze, verify, kmatrix.  Exit codes:
-0 success / all checks pass, 1 verification failure, 2 usage error or a
-request refused before it starts because its output would be too large.
+0 success / all checks pass, 1 verification failure (a failed check, or a
+module analyze cannot certify), 2 usage error or a request refused before
+it starts because its output would be too large.
 """
 
 from __future__ import annotations
@@ -309,7 +310,11 @@ def _cmd_tableaux(args) -> int:
 def _cmd_analyze(args) -> int:
     alpha = _require_alpha(args)
     _require_set_budget(alpha)
-    report = analysis_report(alpha)
+    try:
+        report = analysis_report(alpha)
+    except (KeyError, ValueError) as exc:  # an image outside the basis, or a refusal
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if args.format == "json":
         print(_json_text(report))
     else:
@@ -360,7 +365,7 @@ def _check_characteristic(shape: _Shape) -> bool:
 
 
 def _check_endomorphism(shape: _Shape) -> bool:
-    return shape.fixed_point_count == 1
+    return shape.refusal is None
 
 
 def _check_schur(shape: _Shape) -> bool:
@@ -430,7 +435,11 @@ def _run_checks(names, n: int) -> list[dict]:
                 if name == "kmatrix" or (name == "schur" and not is_partition(alpha)):
                     continue
                 prefix = "lambda" if name == "schur" else "alpha"
-                record(name, f"{prefix}={label}", _PER_ALPHA_CHECKS[name](shape))
+                try:
+                    ok = _PER_ALPHA_CHECKS[name](shape)
+                except (KeyError, ValueError):  # an image outside the basis, or a refusal
+                    ok = False
+                record(name, f"{prefix}={label}", ok)
             if "kmatrix" in results:
                 masks_by_shape.append(shape.descent_masks)
         if "kmatrix" in results:

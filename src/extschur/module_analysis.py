@@ -16,30 +16,30 @@ one-dimensional subquotients.  A ``Tableau`` is built only for output: the
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
 row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
-by the vector ``v = E(g)``.  One search from ``g`` over the swaps in the
-table must reach every basis tableau, or the module is refused, so no
-module is certified without that check.  Commuting with ``E`` carries the
-weight of ``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``.
-When each such ``pi_i`` is idempotent on the table, sending every basis
-tableau it does not kill to one it fixes, ``pi_i v = v`` puts ``v`` in the
-span of the basis tableaux ``pi_i`` fixes.  So ``dim End`` is at most the
-number of basis tableaux fixed by every operator that fixes ``g``, and the
+by the vector ``v = E(g)``.  Commuting with ``E`` carries the weight of
+``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``.  When each
+such ``pi_i`` is idempotent on the table, sending every basis tableau it
+does not kill to one it fixes, ``pi_i v = v`` puts ``v`` in the span of
+the basis tableaux ``pi_i`` fixes.  So ``dim End`` is at most the number
+of basis tableaux fixed by every operator that fixes ``g``, and the
 identity lies in the commutant, so a count of 1 certifies a
 one-dimensional commutant, spanned by the identity.  On a module ``pi_i``
 fixes a tableau exactly when ``i`` is not one of its descents, and the
 descents of ``g`` are the partial sums of ``alpha``, so the count is the
 coefficient of ``M_alpha`` in the extended Schur function, which is 1 on
-every shape checked (every weight up to 14).  The certificate is the only
-route: an operator fixing ``g`` that is not idempotent, or a count above
-1, is refused with ``ValueError`` like a module ``g`` does not generate,
-never reported as a verdict.  The identity matrix is built only for
+every shape checked (every weight up to 14).  The certificate is one pass
+over the table, made once per shape (``_Shape.refusal``): a search from
+``g`` over its swaps must reach every basis tableau, each operator fixing
+``g`` must be idempotent, and the count must be 1.  It is the only route:
+a module that fails any of the three is refused with ``ValueError``, never
+reported as a verdict.  The identity matrix is built only for
 :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and the column condition of each word.  The
 public functions here are each one read of a fresh ``_Shape``; a caller
 that checks one shape several ways, such as ``verify``, keeps one to grow
-the tableaux, build each table and make the search once.
+the tableaux, build each table and certify the commutant once.
 """
 
 from __future__ import annotations
@@ -156,80 +156,64 @@ class _Shape:
             tuple(r for r, part in enumerate(self.alpha) for _ in range(part))
         )
 
-    @cached_property
-    def search(self) -> None:
-        """The search from the generator over the quotient table, made
-        once per shape.  Raises ValueError, naming the first basis tableau
-        it misses, when the search does not reach them all, so every
-        invariant that reads it is guarded by generation."""
-        reached = [False] * len(self.words)
-        reached[self.generator] = True
-        stack = [self.generator]
-        while stack:
-            s = stack.pop()
-            for row in self.quotient_table:
-                t = row[s]
-                if t is not None and not reached[t]:
-                    reached[t] = True
-                    stack.append(t)
-        if not all(reached):
-            raise ValueError(
-                f"tableau {self.tableau(reached.index(False))} is not reached "
-                f"from the super-standard tableau {self.tableau(self.generator)}; the "
-                "module is not cyclic on it, so its commutant cannot be certified"
-            )
-
     def tableau(self, j: int):
         """The rows of the j-th basis tableau, for a message."""
         return _from_row_word(self.words[j], len(self.alpha)).rows
 
     @cached_property
-    def fixed_point_count(self) -> int | None:
-        """How many basis indices every operator fixing the generator
-        fixes, once the search has reached every index; ``None`` when one
-        of those operators is not idempotent on the table, that is, sends
-        some index to one it does not fix."""
-        self.search  # raises unless the generator reaches every index
-        g = self.generator
-        rows = [row for row in self.quotient_table if row[g] == g]
-        if any(k is not None and row[k] != k for row in rows for k in row):
-            return None
-        fixed = range(len(self.words))
-        for row in rows:
-            fixed = [u for u in fixed if row[u] == u]
-        return len(fixed)
-
-    def certify(self) -> None:
-        """Return when the fixed-point count certifies that the identity
-        spans the commutant; otherwise raise ValueError naming the count
-        and a second fixed tableau, or the operator fixing the generator
-        that is not idempotent and the image it moves."""
-        count = self.fixed_point_count
-        if count == 1:
-            return
-        g = self.generator
-        rows = [(i, row) for i, row in enumerate(self.quotient_table, 1) if row[g] == g]
-        if count is None:
-            i, k = next(
-                (i, k) for i, row in rows for k in row if k is not None and row[k] != k
+    def refusal(self) -> str | None:
+        """Why the commutant is not certified one-dimensional, or ``None``
+        when it is: one pass over the quotient table searches from the
+        generator, which must reach every index, keeps the operators
+        fixing it, checks that each is idempotent on the table (every
+        image it does not kill is an index it fixes) and counts the
+        indices they all fix, which must be the generator alone."""
+        table, g = self.quotient_table, self.generator
+        reached = [False] * len(self.words)
+        reached[g] = True
+        stack = [g]
+        while stack:
+            s = stack.pop()
+            for row in table:
+                t = row[s]
+                if t is not None and not reached[t]:
+                    reached[t] = True
+                    stack.append(t)
+        if not all(reached):
+            return (
+                f"tableau {self.tableau(reached.index(False))} is not reached "
+                f"from the super-standard tableau {self.tableau(g)}; the "
+                "module is not cyclic on it, so its commutant cannot be certified"
             )
+        rows = [(i, row) for i, row in enumerate(table, 1) if row[g] == g]
+        moved = next(
+            ((i, k) for i, row in rows for k in row if k is not None and row[k] != k), None
+        )
+        if moved:
             reason = (
-                f"operator {i} fixes it but is not idempotent: it moves "
-                f"tableau {self.tableau(k)}, one of its images"
+                f"operator {moved[0]} fixes it but is not idempotent: it moves "
+                f"tableau {self.tableau(moved[1])}, one of its images"
             )
         else:
-            second = next(
-                u for u in range(len(self.words))
-                if u != g and all(row[u] == u for _, row in rows)
-            )
+            fixed = range(len(self.words))
+            for _, row in rows:
+                fixed = [u for u in fixed if row[u] == u]
+            if len(fixed) == 1:
+                return None
             reason = (
-                f"the fixed-point count is {count}: every operator fixing it also "
-                f"fixes tableau {self.tableau(second)}"
+                f"the fixed-point count is {len(fixed)}: every operator fixing it "
+                f"also fixes tableau {self.tableau(next(u for u in fixed if u != g))}"
             )
-        raise ValueError(
+        return (
             f"the commutant of the module on the super-standard tableau "
             f"{self.tableau(g)} is not certified one-dimensional; {reason}"
         )
+
+    def certify(self) -> None:
+        """Return when the identity is certified to span the commutant;
+        otherwise raise ValueError with the :attr:`refusal`."""
+        if self.refusal:
+            raise ValueError(self.refusal)
 
     def commutant_basis(self) -> EndomorphismSpace:
         """The identity alone, once :meth:`certify` returns."""

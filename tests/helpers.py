@@ -19,7 +19,9 @@ the submodule closure over validated tableaux
 validated tableaux (:func:`tableau_filtration_order`), the primitive
 basis of the generator's weight space (:func:`weight_space`) and its
 dimension as a rank (:func:`weight_dimension`, with the rank that drops
-pinned columns first, :func:`pinned_rank`), the
+pinned columns first, :func:`pinned_rank`), the indices fixed by every
+operator fixing the generator counted index by index
+(:func:`fixed_point_count`), the
 nullspace read off the reduced row echelon form over the rationals
 (:func:`rref_nullspace`), the count of each descent mask over the grown
 tableaux (:func:`grown_descent_masks`), the extended Schur expansions and
@@ -69,6 +71,7 @@ from extschur.hecke_action import (
     Swapped,
     Zero,
     _check_kind,
+    _quotient_step,
     _word_table,
     apply_word,
     filtration,
@@ -421,8 +424,8 @@ def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
     with the m entries of v = E(g) as unknowns, g the generator: the
     route ``module_analysis`` took before the fixed-point count became
     its only certificate, now an oracle that :func:`dense_commutant_basis`
-    checks.  Raises ValueError through ``shape.search`` when g does not
-    generate.
+    checks.  Raises ValueError, naming a basis tableau its own search does
+    not reach, when g does not generate.
 
     A breadth-first search from g over the table reaches each basis
     tableau t as pi_w(g) for a word w, which forces E(t) = pi_w(v), and
@@ -430,7 +433,6 @@ def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
     constraint per nonzero entry of E(pi_i t) - pi_i E(t); each primitive
     v of the nullspace is mapped back to its matrix E.
     """
-    shape.search
     table = shape.quotient_table
     m = len(shape.words)
     # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
@@ -444,6 +446,11 @@ def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
             if t is not None and images[t] is None:
                 images[t] = tuple(None if k is None else row[k] for k in images[s])
                 queue.append(t)
+    if None in images:
+        raise ValueError(
+            f"tableau {shape.tableau(images.index(None))} is not reached from "
+            f"the super-standard tableau {shape.tableau(shape.generator)}"
+        )
     rows = []
     for row in table:
         for t, image in enumerate(images):
@@ -470,6 +477,18 @@ def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
                     e[k][t] += v[u]
         space.append(tuple(tuple(r) for r in e))
     return EndomorphismSpace(shape.alpha, tuple(space))
+
+
+def fixed_point_count(table, g: int) -> int | None:
+    """How many indices every row of ``table`` fixing ``g`` fixes, one
+    row at a time; ``None`` when one of those rows is not idempotent, that
+    is, sends some index to one it does not fix.  Generation is not
+    checked.  The count the package's certificate must find to be 1."""
+    rows = [row for row in table if row[g] == g]
+    if any(k is not None and row[k] != k for row in rows for k in row):
+        return None
+    m = len(table[0]) if table else 1  # no rows: weight at most 1, one tableau
+    return sum(all(row[u] == u for row in rows) for u in range(m))
 
 
 def action_table(basis, kind: Kind) -> ActionTable:
@@ -576,6 +595,24 @@ def swapping_quotient_step(i: int, w):
     if a == b or w[:i].count(a) == w[:i + 1].count(b):
         return w
     return w[:i - 1] + (b, a) + w[i + 1:]
+
+
+def annihilating_quotient_step(i: int, w):
+    """A broken quotient operator that kills every tableau the true one
+    swaps: the super-standard tableau then generates only the tableaux it
+    fixes."""
+    image = _quotient_step(i, w)
+    return w if image is w else None
+
+
+def column_swapping_quotient_step(i: int, w):
+    """A broken quotient operator that swaps the letters of i and i+1
+    where the true one kills the tableau, because they share a column: the
+    swap leaves the standard extended tableaux."""
+    a, b = w[i - 1], w[i]
+    if w[:i].count(a) == w[:i + 1].count(b):
+        return w[:i - 1] + (b, a) + w[i + 1:]
+    return _quotient_step(i, w)
 
 
 def grown_descent_masks(alpha) -> Counter:

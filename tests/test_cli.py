@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import row_swapping_full_step, swapping_quotient_step
+from helpers import (
+    annihilating_quotient_step,
+    column_swapping_quotient_step,
+    row_swapping_full_step,
+    swapping_quotient_step,
+)
 import extschur
 import extschur.cli as cli
 from extschur import hecke_action, tableaux
@@ -611,23 +616,51 @@ def certified(alpha) -> bool:
     ("_quotient_step", swapping_quotient_step, "characteristic",
      lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
     ("_quotient_step", swapping_quotient_step, "endomorphism", certified),
+    ("_quotient_step", annihilating_quotient_step, "endomorphism",
+     lambda alpha: commutant_basis(alpha).dimension == 1),
+    ("_quotient_step", column_swapping_quotient_step, "characteristic",
+     lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
 ], ids=["full-relations", "full-submodule", "quotient-relations",
-        "quotient-characteristic", "quotient-endomorphism"])
+        "quotient-characteristic", "quotient-endomorphism",
+        "unreached-endomorphism", "outside-basis-characteristic"])
 def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, mutant, check, holds):
     # the shared per-shape tables must give each check the verdict of its
-    # public function, shape by shape
+    # public function, shape by shape; a public function that raises
+    # counts the shape as broken, and verify reports it without a traceback
     monkeypatch.setattr(hecke_action, rule, mutant)
+
+    def fails(alpha) -> bool:
+        try:
+            return not holds(alpha)
+        except (KeyError, ValueError):
+            return True
+
     shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
-    broken = [alpha for alpha in shapes if not holds(alpha)]
+    broken = [alpha for alpha in shapes if fails(alpha)]
     assert broken
-    code, out, _ = run(capsys, "verify", "--n", "5", "--checks", check, "--format", "json")
+    code, out, err = run(capsys, "verify", "--n", "5", "--checks", check, "--format", "json")
     assert code == 1
+    assert "Traceback" not in out + err
     assert json.loads(out)["checks"] == [{
         "name": check,
         "passed": len(shapes) - len(broken),
         "failed": len(broken),
         "first_counterexample": "alpha=" + format_composition(broken[0]),
     }]
+
+
+@pytest.mark.parametrize("mutant, error", [
+    (annihilating_quotient_step,
+     "error: tableau ((1, 3), (2,)) is not reached from the super-standard "
+     "tableau ((1, 2), (3,)); the module is not cyclic on it, so its commutant "
+     "cannot be certified\n"),
+    (column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
+], ids=["unreached", "outside-basis"])
+def test_analyze_reports_a_broken_operator_with_exit_1(capsys, monkeypatch, mutant, error):
+    monkeypatch.setattr(hecke_action, "_quotient_step", mutant)
+    code, out, err = run(capsys, "analyze", "--alpha", "2,1")
+    assert (code, out, err) == (1, "", error)
+    assert "Traceback" not in out + err
 
 
 def test_verify_rejects_n_over_cap(capsys):

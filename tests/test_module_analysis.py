@@ -12,6 +12,7 @@ from helpers import (
     dense_rank,
     erratic_full_step,
     filtration_words,
+    fixed_point_count,
     identity_matrix,
     mat_mul,
     rank,
@@ -306,17 +307,20 @@ def test_fixed_point_count_is_the_monomial_coefficient_and_dim_w():
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
             table = shape.quotient_table
-            count = shape.fixed_point_count
+            count = fixed_point_count(table, shape.generator)
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
             assert count == _weight_dimension(table, shape.generator, len(shape.words)), alpha
+            assert shape.refusal is None, alpha
 
 
 def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10():
     # every one of the 768 shapes: the commutant refuses a count above 1
     for n in (9, 10):
         for alpha in compositions_of(n):
-            count = _Shape(alpha).fixed_point_count
+            shape = _Shape(alpha)
+            count = fixed_point_count(shape.quotient_table, shape.generator)
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
+            assert shape.refusal is None, alpha
 
 
 def module_of(alpha, table) -> ModuleMatrices:
@@ -450,11 +454,13 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     mod = module_of((3, 1), table)
     shape = shape_with_table((3, 1), table)
     try:
-        count = shape.fixed_point_count
+        cyclic_commutant_basis(shape)
     except ValueError:
+        assert "not reached" in shape.refusal
         with pytest.raises(ValueError, match="not reached"):
             shape.commutant_basis()
         return
+    count = fixed_point_count(table, 2)
     fixing = [images for images in table if images[2] == 2]
     idempotent = all(k is None or images[k] == k for images in fixing for k in images)
     assert (count is not None) == idempotent
@@ -463,37 +469,41 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
         assert count >= len(_weight_space(table, 2, 3)) >= dense.dimension
     if count == 1:
         assert dense.dimension == 1
+        assert shape.refusal is None
         assert shape.commutant_basis() == dense
     else:
         reason = f"fixed-point count is {count}" if idempotent else "is not idempotent"
+        assert reason in shape.refusal
         with pytest.raises(ValueError, match=reason):
             shape.commutant_basis()
 
 
 class SearchCountingShape(_Shape):
-    """A ``_Shape`` that records each breadth-first search it makes."""
+    """A ``_Shape`` that records each pass of the certificate it makes,
+    the search from the generator included."""
 
     def __init__(self, alpha):
         super().__init__(alpha)
         self.searches = []
 
     @cached_property
-    def search(self):
+    def refusal(self):
         self.searches.append(self.alpha)
-        return _Shape.search.func(self)
+        return _Shape.refusal.func(self)
 
 
 def test_refusal_searches_the_table_once():
     # operator 3 swaps indices 0 and 1 and fixes g (index 2), so it is not
-    # idempotent and the commutant is refused after the fixed-point count;
-    # the generation guard, the count, each refusal and the cyclic solve's
-    # guard read one search
+    # idempotent and the commutant is refused after the search; the refusal
+    # read twice and the cyclic solve, which searches on its own, make one
+    # pass of the certificate
     table = [(None, None, None), (None, None, 0), (1, 0, 2)]
     shape = shape_with_table((3, 1), table, SearchCountingShape)
-    assert shape.fixed_point_count is None
+    assert fixed_point_count(table, 2) is None
     for _ in range(2):
         with pytest.raises(ValueError, match="operator 3"):
             shape.commutant_basis()
+    assert "operator 3 fixes it but is not idempotent" in shape.refusal
     assert cyclic_commutant_basis(shape).dimension == 2
     assert shape.searches == [(3, 1)]
 
@@ -509,7 +519,7 @@ def test_certified_analysis_searches_each_shape_once(monkeypatch):
     for alpha in compositions_of(5):
         report = analysis_report(alpha)
         assert report["indecomposable"] is True
-        assert shapes[-1].fixed_point_count == 1
+        assert shapes[-1].refusal is None
     assert [shape.searches for shape in shapes] == [[tuple(a)] for a in compositions_of(5)]
 
 
