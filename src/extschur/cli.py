@@ -278,7 +278,12 @@ def _cmd_expand(args) -> int:
 def _cmd_char(args) -> int:
     alpha = _require_alpha(args)
     _require_set_budget(alpha)
-    _emit_qsym(characteristic(alpha), args.format)
+    try:
+        char = characteristic(alpha)
+    except (KeyError, ValueError) as exc:  # an image outside the basis
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    _emit_qsym(char, args.format)
     return EXIT_OK
 
 

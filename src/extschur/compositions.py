@@ -32,8 +32,9 @@ class _Record:
     importing ``dataclasses`` and its ``inspect``, ``ast`` and ``typing``.
     The fields are the names annotated in the class body, in order, read
     once per class into ``__match_args__`` and the ``attrgetter`` behind
-    ``__eq__`` and ``__hash__``; a class body may define its own
-    ``__init__`` and ``__hash__``."""
+    ``__eq__`` and ``__hash__``; equality compares the tuples of fields,
+    as frozen dataclasses did through Python 3.12.  A class body may
+    define its own ``__init__`` and ``__hash__``."""
 
     def __init_subclass__(cls):
         names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))

@@ -10,9 +10,9 @@ satisfy the idempotent, distant-commutation and braid relations.
 Each family is defined once, as a rule on row words (letter ``v-1`` of the
 row word is the 0-based row of entry ``v``; the column of ``v`` is the
 count of its letter up to and including it): :func:`_full_step` and
-:func:`_quotient_step` only compare or swap two letters.  ``pi_full``,
-``pi_quotient`` and ``apply_word`` go through them, converting to and
-from the validated ``Tableau`` at their boundary.
+:func:`_quotient_step` only compare or swap two letters.  ``apply_word``
+goes through them, converting to and from the validated ``Tableau`` at
+its boundary; ``pi_full`` and ``pi_quotient`` are its one-letter calls.
 
 One table per basis records where each operator sends each tableau.
 ``_word_table`` builds it from row words, word by word; the full basis is
@@ -45,8 +45,6 @@ from .tableaux import (
     _set_words,
     _srit_words,
     is_standard_extended,
-    super_standard,
-    swap_entries,
 )
 
 Kind = str  # "full" or "quotient"
@@ -58,9 +56,6 @@ class Fixed(_Record):
 
     tableau: Tableau
 
-    def __init__(self, tableau):
-        object.__setattr__(self, "tableau", tableau)
-
 
 class Zero(_Record):
     """The image vanishes in the quotient."""
@@ -70,9 +65,6 @@ class Swapped(_Record):
     """The operator exchanged i and i+1."""
 
     tableau: Tableau
-
-    def __init__(self, tableau):
-        object.__setattr__(self, "tableau", tableau)
 
 
 ActionResult = Fixed | Zero | Swapped
@@ -115,10 +107,7 @@ def pi_full(i: int, t: Tableau) -> Tableau:
     Fixes t when i is in a row weakly above that of i+1, otherwise swaps
     the two entries; the result is again row-increasing.
     """
-    _check_index(i, t.size)
-    w = _row_word(t)
-    image = _full_step(i, w)
-    return t if image == w else _from_row_word(image, len(t.rows))
+    return apply_word((i,), t, "full")
 
 
 def pi_quotient(i: int, t: Tableau) -> ActionResult:
@@ -128,16 +117,10 @@ def pi_quotient(i: int, t: Tableau) -> ActionResult:
     annihilate, strictly right swaps (and the swap stays standard
     extended).
     """
-    _check_index(i, t.size)
-    if not is_standard_extended(t):
-        raise ValueError("tableau is not standard extended")
-    w = _row_word(t)
-    image = _quotient_step(i, w)
-    if image is None:
-        return Zero()
-    if image == w:
-        return Fixed(t)
-    return Swapped(_from_row_word(image, len(t.rows)))
+    image = apply_word((i,), t)
+    if isinstance(image, Zero):
+        return image
+    return Fixed(t) if image == t else Swapped(image)
 
 
 def _check_kind(kind) -> None:
@@ -314,27 +297,18 @@ def generation_path(s: Tableau) -> tuple[int, ...]:
     Walk backwards: repeatedly find the earliest box (rows bottom-up, left
     to right) where the current tableau disagrees with the super-standard
     one and lower its entry by one; the reversed letters replay forwards
-    without ever annihilating.
+    without ever annihilating.  On the row word those boxes hold
+    :func:`~extschur.tableaux._reading_word`, ``0, 1, ..., n-1`` there.
     """
     if not is_standard_extended(s):
         raise ValueError("tableau is not standard extended")
-    target = super_standard(s.shape)
+    w = list(_row_word(s))
     letters: list[int] = []
-    current = s
-    while current != target:
-        entry = _earliest_disagreement(current, target)
-        letters.append(entry - 1)
-        current = swap_entries(current, entry - 1)
-    letters.reverse()
-    return tuple(letters)
-
-
-def _earliest_disagreement(current: Tableau, target: Tableau) -> int:
-    for row_cur, row_tgt in zip(current.rows, target.rows):
-        for a, b in zip(row_cur, row_tgt):
-            if a != b:
-                return a
-    raise AssertionError("tableaux agree everywhere")
+    # the first disagreement is entry v + 1 (v > 0), lowered by operator v
+    while v := next((v for p, v in enumerate(_reading_word(w)) if v != p), 0):
+        letters.append(v)
+        w[v - 1], w[v] = w[v], w[v - 1]
+    return tuple(reversed(letters))
 
 
 class Filtration(_Record):

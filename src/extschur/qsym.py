@@ -38,9 +38,11 @@ from types import MappingProxyType
 
 from .compositions import (
     Composition,
+    DescentSubset,
     _Record,
     _composition_of_mask,
     _mask,
+    composition_of_subset,
     compositions_of,
     format_composition,
     is_partition,
@@ -324,17 +326,8 @@ def schur_in_F(lmbda) -> QSymElement:
     n = lmbda.weight
     counts: Counter = Counter()
     for row_of in _syt_row_assignments(tuple(lmbda)):
-        if n == 0:
-            key = Composition()
-        else:
-            descents = [i for i in range(1, n) if row_of[i + 1] > row_of[i]]
-            parts = []
-            previous = 0
-            for d in descents + [n]:
-                parts.append(d - previous)
-                previous = d
-            key = Composition(parts)
-        counts[key] += 1
+        descents = [i for i in range(1, n) if row_of[i + 1] > row_of[i]]
+        counts[composition_of_subset(DescentSubset(n, descents))] += 1
     return QSymElement(n, "F", dict(counts))
 
 

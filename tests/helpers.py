@@ -6,8 +6,9 @@ fast path in the package replaced: the SRITs chosen row by row as
 combinations of tableau entries (:func:`combination_srit`), the SRIT
 filter (:func:`filtered_set`),
 the operators read off entry positions and applied by ``swap_entries``
-(:func:`positional_pi_full`, :func:`positional_pi_quotient`), the operator
-matrices rebuilt column by column from ``pi_quotient``
+(:func:`positional_pi_full`, :func:`positional_pi_quotient`), the replay
+word walked over validated tableaux (:func:`tableau_generation_path`),
+the operator matrices rebuilt column by column from ``pi_quotient``
 (:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
 as unknowns (:func:`dense_commutant_basis`) and with the ``m`` entries of
 ``E(g)`` (:func:`cyclic_commutant_basis`, the route the package took
@@ -94,6 +95,7 @@ from extschur.tableaux import (
     is_standard_extended,
     reading_word,
     row_sum_vector,
+    super_standard,
     swap_entries,
 )
 
@@ -553,6 +555,30 @@ def positional_pi_quotient(i: int, t):
     if ci == cj:
         return Zero()
     return Swapped(swap_entries(t, i))
+
+
+def tableau_generation_path(s: Tableau) -> tuple[int, ...]:
+    """The replay word walked over validated tableaux: the earliest box
+    (rows bottom-up, left to right) that disagrees with the super-standard
+    tableau has its entry lowered by ``swap_entries``, and the letters are
+    reversed.  The oracle for the row-word walk behind
+    ``generation_path``."""
+    if not is_standard_extended(s):
+        raise ValueError("tableau is not standard extended")
+    target = super_standard(s.shape)
+    letters: list[int] = []
+    current = s
+    while current != target:
+        entry = next(
+            a
+            for row_cur, row_tgt in zip(current.rows, target.rows)
+            for a, b in zip(row_cur, row_tgt)
+            if a != b
+        )
+        letters.append(entry - 1)
+        current = swap_entries(current, entry - 1)
+    letters.reverse()
+    return tuple(letters)
 
 
 def tableau_submodule_closure(alpha) -> bool:

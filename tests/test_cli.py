@@ -28,6 +28,7 @@ from extschur.module_analysis import (
 )
 from extschur.qsym import (
     KMatrix,
+    QSymElement,
     extended_schur_in_F,
     extended_schur_in_M,
     k_matrix,
@@ -649,22 +650,52 @@ def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, 
     }]
 
 
-@pytest.mark.parametrize("mutant, error", [
-    (annihilating_quotient_step,
+@pytest.mark.parametrize("command, mutant, error", [
+    ("analyze", annihilating_quotient_step,
      "error: tableau ((1, 3), (2,)) is not reached from the super-standard "
      "tableau ((1, 2), (3,)); the module is not cyclic on it, so its commutant "
      "cannot be certified\n"),
-    (column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
-], ids=["unreached", "outside-basis"])
-def test_analyze_reports_a_broken_operator_with_exit_1(capsys, monkeypatch, mutant, error):
+    ("analyze", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
+    ("char", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
+], ids=["unreached", "outside-basis", "char-outside-basis"])
+def test_analyze_reports_a_broken_operator_with_exit_1(capsys, monkeypatch, command, mutant, error):
     monkeypatch.setattr(hecke_action, "_quotient_step", mutant)
-    code, out, err = run(capsys, "analyze", "--alpha", "2,1")
+    code, out, err = run(capsys, command, "--alpha", "2,1")
     assert (code, out, err) == (1, "", error)
     assert "Traceback" not in out + err
 
 
 def test_verify_rejects_n_over_cap(capsys):
     assert run(capsys, "verify", "--n", "9")[0] == 2
+
+
+def test_verify_rejects_negative_n(capsys):
+    assert run(capsys, "verify", "--n", "-1") == (2, "", "error: --n must be nonnegative\n")
+
+
+@pytest.mark.parametrize("terms, failed, first", [(1, 7, "alpha=1"), (2, 4, "alpha=2")],
+                         ids=["every-element", "sums-only"])
+def test_verify_counts_a_broken_basis_change(capsys, monkeypatch, terms, failed, first):
+    # doubling every element breaks the F -> M -> F round trip on every
+    # shape; doubling only sums leaves each single F term and every shape
+    # of parts 1 intact, but breaks M -> F -> M wherever a part exceeds 1
+    real = cli.fundamental_to_monomial
+
+    def broken(x):
+        image = real(x)
+        if len(x.coeffs) < terms:
+            return image
+        return QSymElement(image.degree, image.basis, {k: 2 * c for k, c in image.coeffs.items()})
+
+    monkeypatch.setattr(cli, "fundamental_to_monomial", broken)
+    code, out, err = run(capsys, "verify", "--n", "3", "--checks", "roundtrip")
+    assert code == 1
+    assert out == (
+        f"roundtrip: {7 - failed} pass, {failed} fail\n"
+        f"  first counterexample: {first}\n"
+        "result: FAILURES detected\n"
+    )
+    assert err == ""
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from helpers import (
     searched_preceq,
     swapping_quotient_step,
     tableau_filtration_order,
+    tableau_generation_path,
 )
 from extschur import hecke_action
 from extschur.compositions import Composition, compositions_of
@@ -440,9 +441,17 @@ def test_generation_path_replays_without_vanishing():
                 assert current == t
 
 
+def test_generation_path_matches_the_tableau_walk():
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            for t in enumerate_set(alpha):
+                assert generation_path(t) == tableau_generation_path(t), t
+
+
 def test_generation_path_rejects_non_extended():
-    with pytest.raises(ValueError):
-        generation_path(Tableau(((2,), (1,))))
+    for walk in (generation_path, tableau_generation_path):
+        with pytest.raises(ValueError, match="not standard extended"):
+            walk(Tableau(((2,), (1,))))
 
 
 def test_super_standard_is_the_unique_fully_fixed_tableau():

@@ -125,12 +125,13 @@ def test_equality_is_the_dataclass_one(cls):
 
 def test_fields_compare_as_tuples_do():
     # a tuple compares its items by identity first, so a field unequal to
-    # itself still leaves the record equal to one holding the same object
+    # itself still leaves the record equal to one holding the same object;
+    # frozen dataclasses compared so through Python 3.12, but 3.13 compares
+    # field by field, so the oracle is the tuple of fields itself
     nan = float("nan")
     for cls, args in ((Fixed, (nan,)), (Filtration, (nan, ()))):
         a, b = cls(*args), cls(*args)
-        twin = TWINS[cls]
-        assert (a == b, a != b) == (twin(*args) == twin(*args), twin(*args) != twin(*args))
+        assert (a == b, a != b) == (_values(a) == _values(b), _values(a) != _values(b))
         assert a == b
         assert cls(float("nan"), *args[1:]) != a
 
