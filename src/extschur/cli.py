@@ -12,21 +12,20 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 
 from .compositions import (
     Composition,
+    _mask,
     compositions_of,
     format_composition,
     is_partition,
     parse_composition,
 )
-from .module_analysis import _Shape, analysis_report, characteristic
+from .module_analysis import _Shape, characteristic
 from .qsym import (
     QSymElement,
-    _k_matrix_of_masks,
     _refine_masks,
     extended_schur_in_F,
     fundamental,
@@ -194,15 +193,9 @@ def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
 
 def format_qsym(x: QSymElement) -> str:
     """Render as e.g. 'F[2,1,3] + 2*F[1,2,3] - F[6]'; zero is '0'."""
-    return _format_terms(x.basis, x.terms())
-
-
-def _format_terms(basis: str, terms) -> str:
-    """:func:`format_qsym` of the element with these (parts, coefficient)
-    terms, in the order given."""
     pieces = []
-    for parts, c in terms:
-        term = f"{basis}[{','.join(map(str, parts))}]"
+    for alpha, c in x.terms():
+        term = f"{x.basis}[{','.join(map(str, alpha))}]"
         magnitude = abs(c)
         body = term if magnitude == 1 else f"{magnitude}*{term}"
         if pieces:
@@ -315,22 +308,20 @@ def _cmd_tableaux(args) -> int:
 def _cmd_analyze(args) -> int:
     alpha = _require_alpha(args)
     _require_set_budget(alpha)
+    shape = _Shape(alpha)
     try:
-        report = analysis_report(alpha)
+        shape.certify()
     except (KeyError, ValueError) as exc:  # an image outside the basis, or a refusal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     if args.format == "json":
-        print(_json_text(report))
+        print(_json_text(shape.report()))
     else:
-        factors = "; ".join(",".join(map(str, factor)) for factor in report["factors"])
-        char = report["characteristic"]
-        terms = ((term["composition"], term["coefficient"]) for term in char["terms"])
         print(f"alpha: {format_composition(alpha)}")
-        print(f"dimension: {report['dim']}")
-        print(f"factors: {factors}")
-        print(f"characteristic: {_format_terms(char['basis'], terms)}")
-        print(f"commutant dimension: {report['commutant_dimension']}")
+        print(f"dimension: {len(shape.factors)}")
+        print(f"factors: {'; '.join(map(format_composition, shape.factors))}")
+        print(f"characteristic: {format_qsym(shape.characteristic)}")
+        print("commutant dimension: 1")
         print("indecomposable: true")
     return EXIT_OK
 
@@ -393,11 +384,12 @@ def _check_roundtrip(shape: _Shape) -> bool:
     return all(c >= 0 for c in fundamental_to_monomial(shape.extended_schur).coeffs.values())
 
 
-def _check_kmatrix(m: int, masks_by_shape: list[Counter[int]]) -> bool:
-    try:
-        return _k_matrix_of_masks(m, masks_by_shape).determinant() == 1
-    except ValueError:  # an entry above the diagonal
-        return False
+def _check_kmatrix(shape: _Shape) -> bool:
+    """Row alpha of ``K`` is 1 on the diagonal and 0 right of it."""
+    own = _mask(shape.alpha)
+    masks = shape.descent_masks
+    # beta < alpha iff the lowest bit where the masks differ is beta's: its part ends first
+    return masks[own] == 1 and all(m == own or m & (m ^ own) & -(m ^ own) for m in masks)
 
 
 _PER_ALPHA_CHECKS = {
@@ -414,9 +406,9 @@ def _run_checks(names, n: int) -> list[dict]:
     """Run the named checks over every weight up to n, in one pass over
     the compositions: ``schur`` on the partitions, every other check on
     each composition, all reading one ``module_analysis._Shape``, dropped
-    before the next composition, and ``kmatrix`` once per weight, from the
-    descent masks of that weight's shapes.  One result per name, in the
-    given order."""
+    before the next composition, and ``kmatrix`` once per weight, passing
+    when the ``K`` row of each of that weight's shapes does.  One result
+    per name, in the given order."""
     results = {
         name: {"name": name, "passed": 0, "failed": 0, "first_counterexample": None}
         for name in names
@@ -432,7 +424,7 @@ def _run_checks(names, n: int) -> list[dict]:
                 result["first_counterexample"] = label
 
     for m in range(1, n + 1):
-        masks_by_shape = []
+        triangular = True
         for alpha in compositions_of(m):
             shape = _Shape(alpha)
             label = format_composition(alpha)
@@ -446,9 +438,9 @@ def _run_checks(names, n: int) -> list[dict]:
                     ok = False
                 record(name, f"{prefix}={label}", ok)
             if "kmatrix" in results:
-                masks_by_shape.append(shape.descent_masks)
+                triangular = _check_kmatrix(shape) and triangular
         if "kmatrix" in results:
-            record("kmatrix", f"n={m}", _check_kmatrix(m, masks_by_shape))
+            record("kmatrix", f"n={m}", triangular)
     return list(results.values())
 
 

@@ -36,7 +36,8 @@ reported as a verdict.  The identity matrix is built only for
 :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
-``tableaux._srit_words`` and the column condition of each word.  The
+``tableaux._srit_words`` and counts a word as extended when it is in the
+shape's SET basis, the row words grown once above.  The
 public functions here are each one read of a fresh ``_Shape``; a caller
 that checks one shape several ways, such as ``verify``, keeps one to grow
 the tableaux, build each table and certify the commutant once.
@@ -58,7 +59,6 @@ from .hecke_action import (
 from .qsym import QSymElement, _element, _fundamental_of_masks
 from .tableaux import (
     RowWord,
-    _column_strict_flags,
     _descent_masks,
     _from_row_word,
     _grown,
@@ -233,13 +233,27 @@ class _Shape:
 
     def submodule_closed(self) -> bool:
         """No column of the full table sends a non-extended word to an
-        extended one."""
-        extended = _column_strict_flags(self.alpha, self.srit_words)
+        extended one; the extended words are those of the SET basis."""
+        basis = set(self.words)
+        extended = [w in basis for w in self.srit_words]
         return not any(
             extended[k] and not extended[j]
             for images in self.full_table
             for j, k in enumerate(images)
         )
+
+    def report(self) -> dict:
+        """The summary of :func:`analysis_report`, once :meth:`certify`
+        returns."""
+        self.certify()
+        return {
+            "alpha": list(self.alpha),
+            "dim": len(self.factors),
+            "factors": [list(beta) for beta in self.factors],
+            "characteristic": self.characteristic.to_json(),
+            "commutant_dimension": 1,
+            "indecomposable": True,
+        }
 
 
 def matrices(alpha) -> ModuleMatrices:
@@ -321,13 +335,4 @@ def analysis_report(alpha) -> dict:
     characteristic, and the certified commutant: dimension 1, so the
     module is indecomposable.  Raises ValueError as :func:`commutant_basis`
     does when the certificate does not apply."""
-    shape = _Shape(alpha)
-    shape.certify()
-    return {
-        "alpha": list(shape.alpha),
-        "dim": len(shape.factors),
-        "factors": [list(beta) for beta in shape.factors],
-        "characteristic": shape.characteristic.to_json(),
-        "commutant_dimension": 1,
-        "indecomposable": True,
-    }
+    return _Shape(alpha).report()

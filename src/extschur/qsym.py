@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from functools import cached_property, reduce
 from itertools import combinations
 from math import factorial, prod
@@ -275,21 +275,16 @@ class KMatrix(_Record):
 
 
 def k_matrix(n: int) -> KMatrix:
-    """The full descent-count matrix in degree n."""
+    """The full descent-count matrix in degree n, each row the count of
+    each descent mask of one shape."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _k_matrix_of_masks(n, (_descent_masks(alpha) for alpha in compositions_of(n)))
-
-
-def _k_matrix_of_masks(n: int, masks_by_shape: Iterable[Mapping[int, int]]) -> KMatrix:
-    """The descent-count matrix in degree n from the count of each descent
-    mask of each shape, given in the order of ``compositions_of(n)``."""
     comps = compositions_of(n)
     column = {_mask(beta): i for i, beta in enumerate(comps)}
     rows = []
-    for masks in masks_by_shape:
+    for alpha in comps:
         row = [0] * len(comps)
-        for mask, count in masks.items():
+        for mask, count in _descent_masks(alpha).items():
             row[column[mask]] = count
         rows.append(tuple(row))
     return KMatrix(n, tuple(comps), tuple(rows))
@@ -337,24 +332,19 @@ def _syt_row_assignments(shape: tuple[int, ...]):
 
     Entries are inserted in increasing order; a box is available in row r
     when the row is not full and the box below it is already filled, which
-    forces rows and columns to increase.
+    forces rows and columns to increase.  The partial fillings wait on an
+    explicit stack, so no shape needs Python recursion.
     """
     n = sum(shape)
-    counts = [0] * len(shape)
-    row_of = [0] * (n + 1)
-
-    def place(v: int):
-        if v > n:
-            yield tuple(row_of)
-            return
-        for r, part in enumerate(shape):
-            if counts[r] < part and (r == 0 or counts[r - 1] > counts[r]):
-                counts[r] += 1
-                row_of[v] = r + 1
-                yield from place(v + 1)
-                counts[r] -= 1
-
-    yield from place(1)
+    stack = [((0,) * len(shape), (0,))]  # (boxes filled per row, row_of so far)
+    while stack:
+        counts, row_of = stack.pop()
+        if len(row_of) > n:
+            yield row_of
+            continue
+        for r in reversed(range(len(shape))):  # the lowest row is popped first
+            if counts[r] < shape[r] and (r == 0 or counts[r - 1] > counts[r]):
+                stack.append((counts[:r] + (counts[r] + 1,) + counts[r + 1:], row_of + (r + 1,)))
 
 
 def hook_length_count(lmbda) -> int:

@@ -11,11 +11,10 @@ A row-increasing filling is fixed by its row word, whose letter ``v-1`` is
 the 0-based row of entry ``v``: each row lists its entries in increasing
 order.  The row words of shape alpha are the arrangements of
 ``0^alpha_1 1^alpha_2 ...``, and the column of ``v`` is the count of its
-letter up to and including it.  :func:`_srit_words` lists them,
-:func:`enumerate_srit` turns them into tableaux, and
-:func:`_column_strict_flags` reads the column condition off each word, so
-the sweeps over every row-increasing filling build no ``Tableau``; a
-tableau checks its own word with it, so the column rule is written once.
+letter up to and including it.  :func:`_srit_words` lists them and
+:func:`enumerate_srit` turns them into tableaux.  :func:`_is_column_strict`
+reads the column condition off one word; a tableau checks its own word
+with it, so the column rule is written once.
 :func:`_row_word` and :func:`_from_row_word` convert one way and the
 other; a tableau keeps its row word, the one it was built from or one
 built once from its rows.
@@ -111,7 +110,7 @@ class Tableau(_Record):
     @cached_property
     def is_column_strict(self) -> bool:
         """True when every column strictly increases bottom to top."""
-        return _column_strict_flags(self.shape, [self._word])[0]
+        return _is_column_strict(self.shape, self._word)
 
     def entry(self, row: int, col: int) -> int:
         """Entry in the given box (1-based coordinates)."""
@@ -209,8 +208,8 @@ def _below(alpha: Composition) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _column_strict_flags(alpha: Composition, words: list[RowWord]) -> list[bool]:
-    """For each row word of shape alpha, whether its tableau is standard
+def _is_column_strict(alpha: Composition, w: RowWord) -> bool:
+    """Whether the tableau of shape alpha with row word ``w`` is standard
     extended.
 
     Read off the word as :func:`enumerate_set` grows a tableau: entry v
@@ -219,20 +218,14 @@ def _column_strict_flags(alpha: Composition, words: list[RowWord]) -> list[bool]
     that column already filled.
     """
     below = _below(alpha)
-    height = len(alpha)
-    flags = []
-    for w in words:
-        filled = [0] * height
-        for r in w:
-            c = filled[r]
-            s = below[r][c]
-            if s >= 0 and filled[s] <= c:
-                flags.append(False)
-                break
-            filled[r] = c + 1
-        else:
-            flags.append(True)
-    return flags
+    filled = [0] * len(alpha)
+    for r in w:
+        c = filled[r]
+        s = below[r][c]
+        if s >= 0 and filled[s] <= c:
+            return False
+        filled[r] = c + 1
+    return True
 
 
 def enumerate_set(alpha: Composition) -> list[Tableau]:

@@ -16,7 +16,11 @@ before the fixed-point count became its only certificate), both over the
 exact fraction-free :func:`nullspace`, the relation sweep replaying
 both words of every relation on every tableau (:func:`replayed_relations`),
 the submodule closure over validated tableaux
-(:func:`tableau_submodule_closure`), the filtration order sorted over
+(:func:`tableau_submodule_closure`) and with the column rule deciding
+which row words are extended (:func:`column_rule_submodule_closure`),
+``K`` assembled for a whole weight before its determinant is read
+(:func:`assembled_k_is_unitriangular`), the ``analyze`` text printed from
+the ``analysis_report`` dict (:func:`report_analyze_text`), the filtration order sorted over
 validated tableaux (:func:`tableau_filtration_order`), the primitive
 basis of the generator's weight space (:func:`weight_space`) and its
 dimension as a rank (:func:`weight_dimension`, with the rank that drops
@@ -83,12 +87,16 @@ from extschur.module_analysis import (
     Indecomposable,
     ModuleMatrices,
     _Shape,
+    analysis_report,
 )
 from extschur.qsym import KMatrix, QSymElement
 from extschur.tableaux import (
     RowWord,
     Tableau,
+    _descent_masks,
+    _is_column_strict,
     _row_word,
+    _srit_words,
     descent_composition,
     enumerate_set,
     enumerate_srit,
@@ -592,6 +600,65 @@ def tableau_submodule_closure(alpha) -> bool:
         extended[k] and not extended[j]
         for images in action_table(basis, "full")
         for j, k in enumerate(images)
+    )
+
+
+def column_rule_submodule_closure(alpha) -> bool:
+    """The submodule closure check as it read extendedness before the SET
+    basis: each row word of ``_srit_words`` tested by the column rule,
+    over the ``"full"`` table of those words.  The oracle for
+    ``_Shape.submodule_closed``."""
+    alpha = Composition(alpha)
+    words = _srit_words(alpha)
+    extended = [_is_column_strict(alpha, w) for w in words]
+    return not any(
+        extended[k] and not extended[j]
+        for images in _word_table(words, "full", len(alpha))
+        for j, k in enumerate(images)
+    )
+
+
+def assembled_k_is_unitriangular(n: int, masks_of=_descent_masks) -> bool:
+    """The ``verify`` kmatrix check of weight n as it was before it read
+    each shape's row alone: ``K`` assembled from ``masks_of(alpha)`` for
+    every composition, then ``determinant() == 1``, an entry above the
+    diagonal failing it."""
+    comps = compositions_of(n)
+    column = {_mask(beta): i for i, beta in enumerate(comps)}
+    rows = []
+    for alpha in comps:
+        row = [0] * len(comps)
+        for mask, count in masks_of(alpha).items():
+            row[column[mask]] = count
+        rows.append(tuple(row))
+    try:
+        return KMatrix(n, tuple(comps), tuple(rows)).determinant() == 1
+    except ValueError:  # an entry above the diagonal
+        return False
+
+
+def report_analyze_text(alpha) -> str:
+    """The text ``analyze`` printed when it read the ``analysis_report``
+    dict back, terms formatted from its JSON characteristic."""
+    report = analysis_report(alpha)
+    char = report["characteristic"]
+    pieces = []
+    for term in char["terms"]:
+        c = term["coefficient"]
+        body = f"{char['basis']}[{','.join(map(str, term['composition']))}]"
+        body = body if abs(c) == 1 else f"{abs(c)}*{body}"
+        if pieces:
+            pieces.append((" + " if c > 0 else " - ") + body)
+        else:
+            pieces.append(("-" if c < 0 else "") + body)
+    factors = "; ".join(",".join(map(str, factor)) for factor in report["factors"])
+    return (
+        f"alpha: {','.join(map(str, report['alpha']))}\n"
+        f"dimension: {report['dim']}\n"
+        f"factors: {factors}\n"
+        f"characteristic: {''.join(pieces) or '0'}\n"
+        f"commutant dimension: {report['commutant_dimension']}\n"
+        "indecomposable: true\n"
     )
 
 

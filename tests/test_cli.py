@@ -11,15 +11,18 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     annihilating_quotient_step,
+    assembled_k_is_unitriangular,
     column_swapping_quotient_step,
+    report_analyze_text,
     row_swapping_full_step,
     swapping_quotient_step,
 )
 import extschur
 import extschur.cli as cli
-from extschur import hecke_action, tableaux
+from extschur import hecke_action, module_analysis, tableaux
 from extschur.cli import ALL_CHECKS, main
-from extschur.compositions import compositions_of, format_composition
+from extschur.compositions import _mask, compositions_of, format_composition
+from extschur.module_analysis import _Shape
 from extschur.hecke_action import verify_relations
 from extschur.module_analysis import (
     characteristic,
@@ -27,7 +30,6 @@ from extschur.module_analysis import (
     verify_submodule_closure,
 )
 from extschur.qsym import (
-    KMatrix,
     QSymElement,
     extended_schur_in_F,
     extended_schur_in_M,
@@ -708,23 +710,75 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert "first counterexample: alpha=1,1" in out
 
 
+def _skew_descent_masks(monkeypatch, shape_of, mask_of) -> None:
+    """Give every shape ``shape_of(m)``, m >= 2, one more tableau, with
+    the descent mask ``mask_of(m)``, in what each ``_Shape`` reads."""
+    real = module_analysis._descent_masks
+
+    def skewed(alpha):
+        masks = real(alpha)
+        if alpha.weight >= 2 and alpha == shape_of(alpha.weight):
+            masks[mask_of(alpha.weight)] += 1
+        return masks
+
+    monkeypatch.setattr(module_analysis, "_descent_masks", skewed)
+
+
 def test_verify_reports_non_triangular_kmatrix_with_exit_1(capsys, monkeypatch):
-    real = cli._k_matrix_of_masks
-
-    def skewed(n, masks_by_shape):
-        km = real(n, masks_by_shape)
-        if n < 2:
-            return km
-        entries = [list(row) for row in km.entries]
-        entries[0][-1] = 1
-        return KMatrix(km.n, km.compositions, tuple(map(tuple, entries)))
-
-    monkeypatch.setattr(cli, "_k_matrix_of_masks", skewed)
+    # 1^m comes first in lexicographic order and (m) last, so a tableau of
+    # shape 1^m with descent composition (m) is an entry above the diagonal
+    _skew_descent_masks(monkeypatch, lambda m: (1,) * m, lambda m: _mask((m,)))
     code, out, err = run(capsys, "verify", "--n", "3", "--checks", "kmatrix")
     assert code == 1
     assert "kmatrix: 1 pass, 2 fail" in out
     assert "first counterexample: n=2" in out
     assert "Traceback" not in out + err
+
+
+def test_verify_reports_a_kmatrix_diagonal_of_2_with_exit_1(capsys, monkeypatch):
+    # a second tableau of shape (m) with descent composition (m)
+    _skew_descent_masks(monkeypatch, lambda m: (m,), lambda m: _mask((m,)))
+    code, out, err = run(capsys, "verify", "--n", "3", "--checks", "kmatrix")
+    assert code == 1
+    assert "kmatrix: 1 pass, 2 fail" in out
+    assert "first counterexample: n=2" in out
+    assert "Traceback" not in out + err
+
+
+def test_kmatrix_check_matches_the_assembled_determinant():
+    # one K row per shape against K assembled per weight, on the true
+    # descent masks of every weight up to 9 and, up to weight 6, with each
+    # shape given one more tableau of each descent mask in turn
+    for n in range(1, 10):
+        shapes = [_Shape(alpha) for alpha in compositions_of(n)]
+        assert all(map(cli._check_kmatrix, shapes)), n
+        assert assembled_k_is_unitriangular(n), n
+    for n in range(1, 7):
+        comps = compositions_of(n)
+        for skewed in comps:
+            for beta in comps:
+                def masks_of(alpha):
+                    masks = module_analysis._descent_masks(alpha)
+                    if alpha == skewed:
+                        masks[_mask(beta)] += 1
+                    return masks
+
+                rows = []
+                for alpha in comps:
+                    shape = _Shape(alpha)
+                    shape.descent_masks = masks_of(alpha)
+                    rows.append(cli._check_kmatrix(shape))
+                verdict = assembled_k_is_unitriangular(n, masks_of)
+                assert all(rows) == verdict, (skewed, beta)
+                # only a tableau on or right of the diagonal breaks K
+                assert verdict == (beta < skewed), (skewed, beta)
+
+
+def test_analyze_text_matches_the_report_dict(capsys):
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            code, out, err = run(capsys, "analyze", "--alpha", format_composition(alpha))
+            assert (code, out, err) == (0, report_analyze_text(alpha), ""), alpha
 
 
 def test_output_is_deterministic(capsys):

@@ -24,6 +24,19 @@ def compositions(draw, max_weight=10):
     return draw(st.sampled_from(compositions_of(n)))
 
 
+def test_lex_order_is_the_lowest_differing_descent():
+    # beta < alpha exactly when the lowest bit where their descent masks
+    # differ is set in beta's: the first part where they differ ends first
+    # in beta; the kmatrix check of verify reads K's triangularity this way
+    for n in range(1, 10):
+        comps = compositions_of(n)
+        for alpha in comps:
+            own = _mask(alpha)
+            for beta in comps:
+                m = _mask(beta)
+                assert (beta < alpha) == bool(m & (m ^ own) & -(m ^ own)), (alpha, beta)
+
+
 def test_composition_is_a_tuple_value():
     alpha = Composition((2, 1, 3))
     assert alpha == (2, 1, 3)

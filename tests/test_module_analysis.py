@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     action_table,
+    column_rule_submodule_closure,
     cyclic_commutant_basis,
     dense_commutant_basis,
     dense_matrices,
@@ -573,6 +574,17 @@ def test_verify_submodule_closure_matches_tableau_oracle(monkeypatch, step):
             verdicts.append(verdict)
     # the correct operator keeps every closure; each broken one breaks some
     assert all(verdicts) == (step is None)
+
+
+@pytest.mark.parametrize("step", [None, row_swapping_full_step, erratic_full_step])
+def test_submodule_check_matches_the_column_rule(monkeypatch, step):
+    # extendedness read off the SET basis against the column rule on every
+    # row word, under the true full operator and two broken ones
+    if step is not None:
+        monkeypatch.setattr(hecke_action, "_full_step", step)
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            assert verify_submodule_closure(alpha) == column_rule_submodule_closure(alpha), alpha
 
 
 def test_matrix_monoid_orbit_of_super_standard_spans():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 
@@ -453,6 +454,20 @@ def test_schur_in_F_examples():
     assert schur_in_F((2, 1)) == QSymElement(3, "F", {(2, 1): 1, (1, 2): 1})
     assert schur_in_F((4,)) == fundamental((4,))
     assert schur_in_F((1, 1)) == fundamental((1, 1))
+
+
+def test_schur_in_F_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        schur_in_F((3, 2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_schur_in_F_grows_a_long_row_without_recursion():
+    assert schur_in_F((1200,)) == fundamental((1200,))
 
 
 def test_schur_in_F_rejects_non_partitions():

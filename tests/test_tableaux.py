@@ -18,8 +18,8 @@ from helpers import (
 from extschur.compositions import Composition, _mask, compositions_of, is_partition
 from extschur.tableaux import (
     Tableau,
-    _column_strict_flags,
     _descent_masks,
+    _is_column_strict,
     _grown,
     _row_word,
     _set_count,
@@ -125,7 +125,7 @@ def test_column_flag_of_each_row_word_is_column_strictness():
     for n in range(0, 8):
         for alpha in compositions_of(n):
             srits = enumerate_srit(alpha)
-            flags = _column_strict_flags(alpha, [_row_word(t) for t in srits])
+            flags = [_is_column_strict(alpha, _row_word(t)) for t in srits]
             assert flags == [columns_increase(t.rows) for t in srits], alpha
 
 
@@ -206,7 +206,7 @@ def test_grown_lists_the_row_words_of_the_filter():
     for n in range(0, 9):
         for alpha in compositions_of(n):
             words = _srit_words(alpha)
-            kept = [w for w, ok in zip(words, _column_strict_flags(alpha, words)) if ok]
+            kept = [w for w in words if _is_column_strict(alpha, w)]
             grown = _grown(alpha)
             assert all(type(w) is tuple and len(w) == n for w in grown), alpha
             assert sorted(grown) == sorted(kept), alpha
