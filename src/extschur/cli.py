@@ -2,18 +2,26 @@
 
 Commands: expand, tableaux, char, analyze, verify, kmatrix.  Exit codes:
 0 success / all checks pass, 1 verification failure (a failed check, or a
-module analyze cannot certify), 2 usage error or a request refused before
-it starts because its output would be too large.
+module analyze cannot certify) or stdout closed by its reader before the
+output ended, 2 usage error or a request refused before it starts because
+its output would be too large.
+
+The grammar is one table, ``_COMMANDS`` with the shared options
+``_SHARED``.  A call made of a command and exact long options of it is
+parsed from the table alone; argparse is imported, and its parser built
+from the same table, only for help and for every other call, so
+abbreviations, ``--opt=value``, help screens and usage errors are
+argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
+from types import SimpleNamespace
 
 from .compositions import (
     Composition,
@@ -61,10 +69,10 @@ ALL_CHECKS = (
 
 FORMATS = ("text", "json", "csv")
 
-# expand --basis M printed the 524,288 terms of --alpha 20 in 9.1-10.2 s
-# and 537 MB with --format json, about 18 us per term, and in 4.0-4.6 s and
-# 197 MB as text, on a 2-core host with Python 3.11.7; a larger expansion is
-# refused before any refining
+# expand --basis M printed the 524,288 terms of --alpha 20 in 8.6-9.3 s
+# and 158 MB with --format json, written term by term, about 16-18 us per
+# term, and in 4.2-4.6 s and 199 MB as text, on a 2-core host with Python
+# 3.11.7; a larger expansion is refused before any refining
 M_TERM_SECONDS = 18e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents --format json, the costliest listing of SETs,
@@ -80,63 +88,116 @@ class UsageError(Exception):
     pass
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process;
-    parsing leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=FORMATS, default="text", help="output format"
-    )
-    common.add_argument(
-        "--max-n", type=int, default=8, dest="max_n",
-        help="cap on the weight of requested compositions (default 8)",
-    )
+# The CLI grammar, read by the strict parser and by the argparse builder:
+# each command's help and options, each option as flag: (dest, kind,
+# default, help), where kind is int, str, a tuple of choices or bool (a
+# store-true flag) and a default of _REQUIRED marks a required option.  The
+# shared options are accepted after every command.
+_REQUIRED = object()
+_SHARED = {
+    "--format": ("format", FORMATS, "text", "output format"),
+    "--max-n": ("max_n", int, 8, "cap on the weight of requested compositions (default 8)"),
+}
+_ALPHA = ("alpha", str, _REQUIRED, None)
+_N = ("n", int, _REQUIRED, None)
+_COMMANDS = {
+    "expand": ("extended Schur expansion of one shape", {
+        "--alpha": ("alpha", str, _REQUIRED, "composition, e.g. 2,1,3"),
+        "--basis": ("basis", ("F", "M"), "F", None),
+    }),
+    "tableaux": ("list the standard fillings of one shape", {
+        "--alpha": _ALPHA,
+        "--kind": ("kind", ("set", "srit"), "set", None),
+        "--show-descents": ("show_descents", bool, False, None),
+    }),
+    "char": ("quasisymmetric characteristic of one shape", {"--alpha": _ALPHA}),
+    "analyze": ("full module analysis of one shape", {"--alpha": _ALPHA}),
+    "verify": ("run verification sweeps over all weights up to n", {
+        "--n": _N,
+        "--checks": ("checks", str, ",".join(ALL_CHECKS),
+                     "comma-separated subset of: " + ", ".join(ALL_CHECKS)),
+    }),
+    "kmatrix": ("descent-count matrix of one degree", {"--n": _N}),
+}
 
+
+def _parse_strict(argv: list):
+    """The namespace argparse makes of ``argv`` when it is a command followed
+    by exact long options of that command, each given at most once, each
+    value the next item, a str not starting with '-', that converts and lies
+    in its choices, and every required option present; otherwise None, and
+    argparse parses ``argv`` (help, abbreviations, '--opt=value', repeats,
+    which argparse settles by keeping the last, and every usage error)."""
+    if not argv or type(argv[0]) is not str or argv[0] not in _COMMANDS:
+        return None
+    options = {**_SHARED, **_COMMANDS[argv[0]][1]}
+    values = {dest: default for dest, _, default, _ in options.values()}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        # popped, so that a repeated option declines
+        spec = options.pop(flag, None) if type(flag) is str else None
+        if spec is None:
+            return None
+        dest, kind, _, _ = spec
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if type(value) is not str or value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_parser():
+    """The argparse parser of the same grammar, built on first use and kept
+    for the process; parsing leaves it unchanged."""
+    import argparse
+
+    def add_options(parser, options) -> None:
+        for flag, (dest, kind, default, text) in options.items():
+            if kind is bool:
+                parser.add_argument(flag, action="store_true", dest=dest, help=text)
+            else:
+                parser.add_argument(
+                    flag, dest=dest, help=text,
+                    type=int if kind is int else None,
+                    choices=kind if type(kind) is tuple else None,
+                    required=default is _REQUIRED,
+                    default=None if default is _REQUIRED else default,
+                )
+
+    common = argparse.ArgumentParser(add_help=False)
+    add_options(common, _SHARED)
     parser = argparse.ArgumentParser(
         prog="extschur",
         description="Extended Schur expansions, standard extended tableaux, "
         "and exact analysis of the associated 0-Hecke modules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", parents=[common],
-                       help="extended Schur expansion of one shape")
-    p.add_argument("--alpha", required=True, help="composition, e.g. 2,1,3")
-    p.add_argument("--basis", choices=("F", "M"), default="F")
-
-    p = sub.add_parser("tableaux", parents=[common],
-                       help="list the standard fillings of one shape")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--kind", choices=("set", "srit"), default="set")
-    p.add_argument("--show-descents", action="store_true", dest="show_descents")
-
-    p = sub.add_parser("char", parents=[common],
-                       help="quasisymmetric characteristic of one shape")
-    p.add_argument("--alpha", required=True)
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full module analysis of one shape")
-    p.add_argument("--alpha", required=True)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run verification sweeps over all weights up to n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--checks", default=",".join(ALL_CHECKS),
-                   help="comma-separated subset of: " + ", ".join(ALL_CHECKS))
-
-    p = sub.add_parser("kmatrix", parents=[common],
-                       help="descent-count matrix of one degree")
-    p.add_argument("--n", type=int, required=True)
+    for command, (text, options) in _COMMANDS.items():
+        add_options(sub.add_parser(command, parents=[common], help=text), options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_strict(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         if args.max_n < 1:
             raise UsageError("--max-n must be at least 1")
@@ -158,10 +219,19 @@ def main(argv=None) -> int:
             "verify": _cmd_verify,
             "kmatrix": _cmd_kmatrix,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at exit writes nowhere instead of raising again
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _require_alpha(args) -> Composition:
@@ -242,7 +312,14 @@ def _json_text(value, indent: str = "") -> str:
 
 def _emit_qsym(element: QSymElement, fmt: str) -> None:
     if fmt == "json":
-        print(_json_text(element.to_json()))
+        # the text of json.dumps(element.to_json(), indent=2), printed term by term
+        print(f'{{\n  "degree": {element.degree},\n  "basis": {_json_text(element.basis)},\n'
+              '  "terms": [', end="")
+        terms = element.terms()
+        for k, (alpha, c) in enumerate(terms):
+            term = {"composition": list(alpha), "coefficient": c}
+            print(",\n    " if k else "\n    ", _json_text(term, "    "), sep="", end="")
+        print("\n  ]\n}" if terms else "]\n}")
     else:
         print(format_qsym(element))
 

@@ -1,13 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     annihilating_quotient_step,
@@ -126,6 +128,9 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
         ("expand", "--alpha", "2,1,3", "--basis", "M"),
         ("analyze", "--alpha"),  # usage error raised by the parser itself
         ("verify", "--n", "3", "--format", "json"),
+        ("expand", "--al", "2,1"),  # argparse's abbreviation and = forms
+        ("expand", "--alpha=2,1"),
+        ("verify", "--n", "-1"),
     ):
         fresh = subprocess.run(
             [sys.executable, "-m", "extschur.cli", *argv],
@@ -135,17 +140,139 @@ def test_repeated_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():
-    # -I ignores PYTHONPATH, so the child puts the source tree on sys.path
+    # -I ignores PYTHONPATH, so the child puts the source tree on sys.path;
+    # argparse, with gettext, is built only for help and usage errors
     src = str(Path(extschur.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import extschur.cli; "
-        "print(*[m for m in ('dataclasses', 'typing', 'inspect', 'ast') if m in sys.modules])"
-    )
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+names = ("dataclasses", "typing", "inspect", "ast", "argparse", "gettext")
+import extschur.cli
+print(*[m for m in names if m in sys.modules])
+with redirect_stdout(io.StringIO()):
+    codes = [extschur.cli.main(call.split(" ")) for call in sys.argv[2:]]
+print(*codes, *[m for m in names if m in sys.modules])
+"""
+    calls = ["expand --alpha 2,1,3 --basis M", "analyze --alpha 2,1 --format json",
+             "verify --n 3 --checks relations,kmatrix", "tableaux --alpha 2,1 --show-descents",
+             "kmatrix --n 3 --format csv --max-n 4", "char --alpha 1,2"]
     child = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-c", code, src, *calls],
+        capture_output=True, text=True, check=True,
     )
-    assert child.stdout == "\n"
+    assert child.stdout == "\n0 0 0 0 0 0\n"
     assert child.stderr == ""
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (("--help",), "usage: extschur [-h] {expand,"),
+    (("verify", "--help"), "usage: extschur verify [-h]"),
+])
+def test_help_still_comes_from_argparse(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
+def argparse_result(argv):
+    """``vars()`` of argparse's namespace for ``argv``, or the SystemExit it raised."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc
+
+
+def assert_parsed_as_argparse_parses(argv) -> bool:
+    """The strict parser declines ``argv`` or agrees with argparse; True when it accepts."""
+    fast = cli._parse_strict(argv)
+    if fast is None:
+        return False
+    expected = argparse_result(argv)
+    assert not isinstance(expected, SystemExit), (argv, vars(fast))
+    assert vars(fast) == expected, argv
+    return True
+
+
+_FLAGS = ["--alpha", "--basis", "--kind", "--show-descents", "--n", "--checks",
+          "--format", "--max-n"]
+_ODD_FLAGS = ["--al", "--max", "--sh", "--alpha=2,1", "--n=3", "--format=json",
+              "--bogus", "-h", "--"]
+_VALUES = ["2,1", "", " 5", "\u0665", "1_0", "-1", "-", "x", "3", "0", "text", "json", "csv",
+           "xml", "F", "M", "G", "set", "srit", "relations,kmatrix"]
+_PLAUSIBLE = {
+    "--basis": ["F", "M", "G"], "--kind": ["set", "srit", "x"], "--format": ["text", "json", "csv"],
+    "--n": ["3", "0", " 5", "\u0665", "1_0"], "--max-n": ["9", "0", "1_0"],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """Mostly a command with its own options and plausible values, with
+    repeats, other commands' options, abbreviations, '=' forms, '-h', '--',
+    negative numbers and stray values mixed in."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "-h", "--alpha"]))
+    options = {**cli._SHARED, **cli._COMMANDS[command][1]} if command in cli._COMMANDS else {}
+    own = [flag for flag in _FLAGS if flag in options] or _FLAGS
+    required = "--n" if command in ("verify", "kmatrix") else "--alpha"
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=3))
+    if required not in flags and draw(st.integers(0, 3)):
+        flags.append(required)
+    if not draw(st.integers(0, 2)):
+        flags += draw(st.lists(st.sampled_from(_FLAGS + _ODD_FLAGS), min_size=1, max_size=2))
+    flags = draw(st.permutations(flags))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag not in ("--show-descents", "--") and draw(st.integers(0, 9)):
+            plausible = _PLAUSIBLE.get(flag, _VALUES)
+            argv.append(draw(st.sampled_from(plausible if draw(st.integers(0, 3)) else _VALUES)))
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(cli_argvs())
+def test_strict_parse_declines_or_agrees_with_argparse(argv):
+    assert_parsed_as_argparse_parses(argv)
+
+
+def test_well_formed_calls_take_the_strict_parse():
+    calls = [
+        ["expand", "--alpha", "2,1,3", "--basis", "M", "--format", "json", "--max-n", "9"],
+        ["expand", "--max-n", "\u0665", "--alpha", ""],
+        ["tableaux", "--show-descents", "--alpha", "2,1", "--kind", "srit"],
+        ["char", "--alpha", "1,2", "--format", "csv"],
+        ["analyze", "--format", "text", "--alpha", "x"],
+        ["verify", "--n", " 5", "--checks", "relations,kmatrix"],
+        ["verify", "--checks", "", "--n", "1_0", "--max-n", "0"],
+        ["kmatrix", "--n", "3", "--format", "csv"],
+    ]
+    for argv in calls:
+        assert assert_parsed_as_argparse_parses(argv), argv
+    for argv in (["expand"], ["expand", "--alpha", "2", "--alpha", "2"], ["kmatrix", "--n", "-1"],
+                 ["verify", "--n", "x"], ["expand", "--alpha", "2", "--basis", "G"],
+                 ["expand", "--alpha", "2", "--max-n"], ["expand", "--alpha", 2], [],
+                 ["char", "--alpha", "2", "--kind", "set"], ["expand", "--alpha", "2", "--bogus"]):
+        assert cli._parse_strict(argv) is None, argv
+
+
+@pytest.mark.parametrize("argv", [("--format", "json"), ("--kind", "srit")])
+def test_a_closed_pipe_ends_the_listing_quietly(argv):
+    # each listing is larger than a 64 KB pipe buffer, so the reader closes
+    # the pipe while the CLI is still writing
+    env = {**os.environ, "PYTHONPATH": str(Path(extschur.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "extschur.cli", "tableaux", "--alpha", "4,3,2,1", "--max-n", "10",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_tableaux_set_with_descents(capsys):
@@ -551,6 +678,39 @@ def test_every_json_command_prints_what_json_dumps_prints(capsys):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert (code, err) == (0, ""), argv
         assert_json_dumps_form(out)
+
+
+qsym_elements = st.integers(0, 7).flatmap(lambda n: st.builds(
+    QSymElement,
+    st.just(n),
+    st.sampled_from("FM"),
+    st.dictionaries(
+        st.sampled_from(compositions_of(n)),
+        st.integers().filter(bool) | st.sampled_from([-(10 ** 40), 2 ** 63]),
+        max_size=40,
+    ),
+))
+
+
+@given(qsym_elements)
+def test_streamed_qsym_json_is_what_json_dumps_prints(element):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_qsym(element, "json")
+    assert out.getvalue() == json.dumps(element.to_json(), indent=2) + "\n"
+
+
+def test_expand_and_char_json_are_what_json_dumps_prints(capsys):
+    for n in range(0, 7):
+        for alpha in compositions_of(n):
+            label = format_composition(alpha)
+            for argv, element in (
+                (("expand", "--alpha", label), extended_schur_in_F(alpha)),
+                (("expand", "--alpha", label, "--basis", "M"), extended_schur_in_M(alpha)),
+                (("char", "--alpha", label), characteristic(alpha)),
+            ):
+                expected = json.dumps(element.to_json(), indent=2) + "\n"
+                assert run(capsys, *argv, "--format", "json") == (0, expected, ""), argv
 
 
 def test_verify_json_prints_a_failure_as_json_dumps_does(capsys, monkeypatch):
