@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 from types import SimpleNamespace
@@ -69,10 +70,10 @@ ALL_CHECKS = (
 
 FORMATS = ("text", "json", "csv")
 
-# expand --basis M printed the 524,288 terms of --alpha 20 in 8.6-9.3 s
-# and 158 MB with --format json, written term by term, about 16-18 us per
-# term, and in 4.2-4.6 s and 199 MB as text, on a 2-core host with Python
-# 3.11.7; a larger expansion is refused before any refining
+# expand --basis M printed the 524,288 terms of --alpha 20 in 8.7-10.3 s
+# and 158 MB with --format json, term by term, and in 4.3-5.9 s and 159 MB
+# as text, 4,096 terms at a time (2-core host, Python 3.11.7): about 16-20
+# us per JSON term; a larger expansion is refused before any refining
 M_TERM_SECONDS = 18e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents --format json, the costliest listing of SETs,
@@ -263,16 +264,16 @@ def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
 
 def format_qsym(x: QSymElement) -> str:
     """Render as e.g. 'F[2,1,3] + 2*F[1,2,3] - F[6]'; zero is '0'."""
-    pieces = []
-    for alpha, c in x.terms():
+    return "".join(_qsym_pieces(x)) or "0"
+
+
+def _qsym_pieces(x: QSymElement):
+    """The text of :func:`format_qsym`, one term at a time, each after
+    the first with its ' + ' or ' - '; none for zero."""
+    for k, (alpha, c) in enumerate(x.terms()):
         term = f"{x.basis}[{','.join(map(str, alpha))}]"
-        magnitude = abs(c)
-        body = term if magnitude == 1 else f"{magnitude}*{term}"
-        if pieces:
-            pieces.append((" + " if c > 0 else " - ") + body)
-        else:
-            pieces.append(("-" if c < 0 else "") + body)
-    return "".join(pieces) or "0"
+        body = term if abs(c) == 1 else f"{abs(c)}*{term}"
+        yield ((" + " if c > 0 else " - ") if k else ("-" if c < 0 else "")) + body
 
 
 _INT_ONLY = {int}
@@ -321,7 +322,12 @@ def _emit_qsym(element: QSymElement, fmt: str) -> None:
             print(",\n    " if k else "\n    ", _json_text(term, "    "), sep="", end="")
         print("\n  ]\n}" if terms else "]\n}")
     else:
-        print(format_qsym(element))
+        # the text of format_qsym, written some thousands of terms at a time
+        pieces = _qsym_pieces(element)
+        sys.stdout.write("".join(islice(pieces, 4096)) or "0")
+        while chunk := "".join(islice(pieces, 4096)):
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
 
 
 def _cmd_expand(args) -> int:
@@ -362,7 +368,7 @@ def _cmd_tableaux(args) -> int:
     _require_set_budget(alpha, args.kind)
     # the tableaux of enumerate_set or enumerate_srit, each made when printed
     words = _set_words(alpha) if args.kind == "set" else _srit_words(alpha)
-    listing = (_from_row_word(w, len(alpha)) for w in words)
+    listing = map(_from_row_word, words)
     if args.format == "json":
         # the text of json.dumps(items, indent=2), printed item by item
         for k, t in enumerate(listing):

@@ -11,8 +11,8 @@ Each family is defined once, as a rule on row words (letter ``v-1`` of the
 row word is the 0-based row of entry ``v``; the column of ``v`` is the
 count of its letter up to and including it): :func:`_full_step` and
 :func:`_quotient_step` only compare or swap two letters.  ``apply_word``
-goes through them, converting to and from the validated ``Tableau`` at
-its boundary; ``pi_full`` and ``pi_quotient`` are its one-letter calls.
+runs them on the word a ``Tableau`` stores, and stores the image's word;
+``pi_full`` and ``pi_quotient`` are its one-letter calls.
 
 One table per basis records where each operator sends each tableau.
 ``_word_table`` builds it from row words, word by word; the full basis is
@@ -120,7 +120,7 @@ def pi_quotient(i: int, t: Tableau) -> ActionResult:
     image = apply_word((i,), t)
     if isinstance(image, Zero):
         return image
-    return Fixed(t) if image == t else Swapped(image)
+    return Fixed(t) if _row_word(image) == _row_word(t) else Swapped(image)
 
 
 def _check_kind(kind) -> None:
@@ -146,15 +146,15 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
         w = step(i, w)
         if w is None:
             return Zero()
-    return _from_row_word(w, len(t.rows))
+    return _from_row_word(w)
 
 
-def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
+def _word_table(words: list[RowWord], kind: Kind) -> ActionTable:
     """Entry ``[i-1][j]``: index in ``words`` of the i-th operator's image
     of ``words[j]`` (``j`` when fixed), ``None`` when annihilated.  The
-    basis is given by the row words of its tableaux, of ``height`` rows; a
-    ``Tableau`` is built only to name an image outside the basis, in the
-    ``KeyError`` raised for it."""
+    basis is given by the row words of its tableaux; a ``Tableau`` is
+    built only to name an image outside the basis, in the ``KeyError``
+    raised for it."""
     # the rules are looked up per call, so a substituted rule is seen here
     step = _full_step if kind == "full" else _quotient_step
     index = {w: j for j, w in enumerate(words)}
@@ -171,7 +171,7 @@ def _word_table(words: list[RowWord], kind: Kind, height: int) -> ActionTable:
             elif image in index:
                 row.append(index[image])
             else:
-                raise KeyError(_from_row_word(image, height))
+                raise KeyError(_from_row_word(image))
     return tuple(tuple(row) for _, row in rows)
 
 
@@ -220,10 +220,10 @@ def verify_relations(alpha: Composition, kind: Kind = "quotient") -> RelationRep
     alpha = Composition(alpha)
     n = alpha.weight
     words = _set_words(alpha) if kind == "quotient" else _srit_words(alpha)
-    table = _word_table(words, kind, len(alpha))
+    table = _word_table(words, kind)
     relations = _relations(n)
     violations = tuple(
-        RelationViolation(*relations[r][:3], _from_row_word(words[k], len(alpha)))
+        RelationViolation(*relations[r][:3], _from_row_word(words[k]))
         for k, r in _relation_failures(table, n)
     )
     return RelationReport(alpha, kind, len(words), violations)
@@ -343,7 +343,7 @@ def filtration(alpha: Composition) -> Filtration:
     """
     alpha = Composition(alpha)
     words = _filtration_words(alpha, _grown(alpha))
-    return Filtration(alpha, tuple(_from_row_word(w, len(alpha)) for w in words))
+    return Filtration(alpha, tuple(map(_from_row_word, words)))
 
 
 def _filtration_words(alpha: Composition, words: list[RowWord]) -> list[RowWord]:

@@ -11,7 +11,8 @@ operators that move the j-th tableau make the descent mask of its
 composition factor.  In the filtration basis every operator matrix
 therefore has at most one 1 per column and never maps a basis vector to a
 later one, so the chain of leading subspaces is a composition series with
-one-dimensional subquotients.  A ``Tableau`` is built only for output: the
+one-dimensional subquotients.  Beyond ``tableaux.super_standard``, whose
+word is the generator's, a ``Tableau`` is built only for output: the
 ``Filtration`` of :func:`matrices` and the tableaux a refusal names.
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
@@ -62,7 +63,9 @@ from .tableaux import (
     _descent_masks,
     _from_row_word,
     _grown,
+    _row_word,
     _srit_words,
+    super_standard,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -114,7 +117,7 @@ class _Shape:
 
     @cached_property
     def full_table(self) -> ActionTable:
-        return _word_table(self.srit_words, "full", len(self.alpha))
+        return _word_table(self.srit_words, "full")
 
     @cached_property
     def words(self) -> list[RowWord]:
@@ -122,7 +125,7 @@ class _Shape:
 
     @cached_property
     def quotient_table(self) -> ActionTable:
-        return _word_table(self.words, "quotient", len(self.alpha))
+        return _word_table(self.words, "quotient")
 
     @cached_property
     def descent_masks(self) -> Counter[int]:
@@ -151,14 +154,12 @@ class _Shape:
 
     @cached_property
     def generator(self) -> int:
-        """Index of the super-standard row word ``0^alpha_1 1^alpha_2 ...``."""
-        return self.words.index(
-            tuple(r for r, part in enumerate(self.alpha) for _ in range(part))
-        )
+        """Index of the row word of ``tableaux.super_standard``."""
+        return self.words.index(_row_word(super_standard(self.alpha)))
 
     def tableau(self, j: int):
         """The rows of the j-th basis tableau, for a message."""
-        return _from_row_word(self.words[j], len(self.alpha)).rows
+        return _from_row_word(self.words[j]).rows
 
     @cached_property
     def refusal(self) -> str | None:
@@ -264,7 +265,7 @@ def matrices(alpha) -> ModuleMatrices:
         tuple(tuple(int(images[j] == k) for j in range(m)) for k in range(m))
         for images in shape.quotient_table
     )
-    order = tuple(_from_row_word(w, len(shape.alpha)) for w in shape.words)
+    order = tuple(map(_from_row_word, shape.words))
     return ModuleMatrices(shape.alpha, Filtration(shape.alpha, order), mats)
 
 

@@ -15,9 +15,10 @@ letter up to and including it.  :func:`_srit_words` lists them and
 :func:`enumerate_srit` turns them into tableaux.  :func:`_is_column_strict`
 reads the column condition off one word; a tableau checks its own word
 with it, so the column rule is written once.
-:func:`_row_word` and :func:`_from_row_word` convert one way and the
-other; a tableau keeps its row word, the one it was built from or one
-built once from its rows.
+A tableau is its row word: ``Tableau(rows)`` validates rows and stores
+their word, :func:`_from_row_word` stores a word made here or by an
+operator without validating it again, and :func:`_row_word` reads it.
+The rows are a view of the word, built for output.
 
 :func:`enumerate_set` grows the standard extended tableaux entry by entry
 as row words (:func:`_grown`), from an explicit stack rather than by
@@ -46,9 +47,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .compositions import Composition, DescentSubset, _Record, composition_of_subset
+from .compositions import Composition, _composition_of_mask, _Record
 
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
@@ -60,6 +61,7 @@ class Tableau(_Record):
 
     ``rows`` lists the rows bottom-up.  Every row strictly increases left to
     right and the entries are exactly 1..n; no column condition is imposed.
+    The tableau is stored as its row word; ``rows`` is built from it.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -76,41 +78,33 @@ class Tableau(_Record):
             seen.extend(row)
         if sorted(seen) != list(range(1, len(seen) + 1)):
             raise ValueError("entries must be exactly 1..n")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def shape(self) -> Composition:
-        # rows are checked nonempty, so no check; cheaper than a cache
-        return tuple.__new__(Composition, map(len, self.rows))
+        row_of = {v: r for r, row in enumerate(rows) for v in row}
+        word = tuple(row_of[v] for v in range(1, len(seen) + 1))
+        # the validated rows are what the view would build from the word
+        self.__dict__.update(_word=word, rows=rows)
 
     @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        rows: list[list[int]] = [[] for _ in range(max(self._word, default=-1) + 1)]
+        for v, r in enumerate(self._word, start=1):
+            rows[r].append(v)
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def shape(self) -> Composition:
+        w = self._word  # every letter up to the largest occurs: no part is 0
+        return tuple.__new__(Composition, map(w.count, range(max(w, default=-1) + 1)))
+
+    @property
     def size(self) -> int:
         """Number of boxes."""
-        return sum(len(row) for row in self.rows)
+        return len(self._word)
 
     @cached_property
     def positions(self) -> dict[int, Box]:
         """Map each entry to its (row, col), bottom row first, 1-based."""
-        pos: dict[int, Box] = {}
-        for r, row in enumerate(self.rows, start=1):
-            for c, value in enumerate(row, start=1):
-                pos[value] = (r, c)
-        return pos
-
-    @cached_property
-    def _word(self) -> RowWord:
-        """The row word, built once per tableau; read it through
-        :func:`_row_word`."""
-        word = [0] * self.size
-        for r, row in enumerate(self.rows):
-            for v in row:
-                word[v - 1] = r
-        return tuple(word)
-
-    @cached_property
-    def is_column_strict(self) -> bool:
-        """True when every column strictly increases bottom to top."""
-        return _is_column_strict(self.shape, self._word)
+        w = self._word  # the column of v counts its letter up to v
+        return {v: (r + 1, w[:v].count(r)) for v, r in enumerate(w, 1)}
 
     def entry(self, row: int, col: int) -> int:
         """Entry in the given box (1-based coordinates)."""
@@ -125,10 +119,7 @@ class Tableau(_Record):
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
     """Entries read left to right along rows, bottom row first."""
-    word: list[int] = []
-    for row in t.rows:
-        word.extend(row)
-    return tuple(word)
+    return tuple(v + 1 for v in _reading_word(t._word))
 
 
 def enumerate_srit(alpha: Composition) -> list[Tableau]:
@@ -138,7 +129,7 @@ def enumerate_srit(alpha: Composition) -> list[Tableau]:
     the bottom-up reading word: the tableaux of :func:`_srit_words`.
     """
     alpha = Composition(alpha)
-    return [_from_row_word(w, len(alpha)) for w in _srit_words(alpha)]
+    return list(map(_from_row_word, _srit_words(alpha)))
 
 
 def _row_word(t: Tableau) -> RowWord:
@@ -146,14 +137,12 @@ def _row_word(t: Tableau) -> RowWord:
     return t._word
 
 
-def _from_row_word(w: RowWord, height: int) -> Tableau:
-    """The validated tableau whose row word is ``w``; rows fill in
-    increasing order, so each row increases."""
-    rows: list[list[int]] = [[] for _ in range(height)]
-    for v, r in enumerate(w, start=1):
-        rows[r].append(v)
-    t = Tableau(tuple(tuple(row) for row in rows))
-    t.__dict__["_word"] = tuple(w)  # the cached row word, not built again
+def _from_row_word(w: RowWord) -> Tableau:
+    """The tableau whose row word is ``w``, a word that the growth, the
+    SRIT fill or an operator made: its rows fill in increasing order, so
+    each row increases, and it is not validated again."""
+    t = object.__new__(Tableau)
+    t.__dict__["_word"] = tuple(w)
     return t
 
 
@@ -243,7 +232,7 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
     tableaux: the tableaux of :func:`_set_words`.
     """
     alpha = Composition(alpha)
-    return [_from_row_word(w, len(alpha)) for w in _set_words(alpha)]
+    return list(map(_from_row_word, _set_words(alpha)))
 
 
 def _set_words(alpha: Composition) -> list[RowWord]:
@@ -384,7 +373,7 @@ def _grown(alpha: Composition) -> list[RowWord]:
 
 def is_standard_extended(t: Tableau) -> bool:
     """True when every column of t strictly increases bottom to top."""
-    return t.is_column_strict
+    return _is_column_strict(t.shape, t._word)
 
 
 def descent_composition(t: Tableau) -> Composition:
@@ -393,10 +382,16 @@ def descent_composition(t: Tableau) -> Composition:
     An entry i is a descent when i lies weakly to the right of i+1, i.e.
     col(i) >= col(i+1); rows play no role in the comparison.
     """
-    n = t.size
-    pos = t.positions
-    descents = tuple(i for i in range(1, n) if pos[i][1] >= pos[i + 1][1])
-    return composition_of_subset(DescentSubset(n, descents))
+    filled = [0] * len(t.shape)
+    mask = 0
+    previous = -1  # the column of the entry before, 0-based
+    for v, r in enumerate(t._word):
+        column = filled[r]
+        filled[r] = column + 1
+        if column <= previous:
+            mask |= 1 << v - 1
+        previous = column
+    return _composition_of_mask(mask, t.size)
 
 
 def super_standard(alpha: Composition) -> Tableau:
@@ -405,29 +400,25 @@ def super_standard(alpha: Composition) -> Tableau:
     Always standard extended, with descent composition alpha.
     """
     alpha = Composition(alpha)
-    rows = []
-    start = 1
-    for part in alpha:
-        rows.append(tuple(range(start, start + part)))
-        start += part
-    return Tableau(tuple(rows))
+    return _from_row_word(tuple(r for r, part in enumerate(alpha) for _ in range(part)))
 
 
 def row_sum_vector(t: Tableau) -> RowSumVector:
     """Entry j is the sum of all entries in rows 1..j (bottom-up)."""
-    sums = []
-    total = 0
-    for row in t.rows:
-        total += sum(row)
-        sums.append(total)
-    return tuple(sums)
+    sums = [0] * len(t.shape)
+    for v, r in enumerate(t._word, 1):
+        sums[r] += v
+    return tuple(accumulate(sums))
 
 
 def swap_entries(t: Tableau, i: int) -> Tableau:
-    """Exchange the entries i and i+1, keeping the shape."""
-    r1, c1 = t.positions[i]
-    r2, c2 = t.positions[i + 1]
-    rows = [list(row) for row in t.rows]
-    rows[r1 - 1][c1 - 1] = i + 1
-    rows[r2 - 1][c2 - 1] = i
-    return Tableau(tuple(tuple(row) for row in rows))
+    """Exchange the entries i and i+1, keeping the shape; ``KeyError``
+    unless both are entries, ``ValueError`` when they share a row."""
+    w = t._word
+    if not 0 < i < len(w):
+        raise KeyError(i + 1 if 0 < i == len(w) else i)  # the entry t lacks
+    if w[i - 1] == w[i]:
+        # the rows Tableau refuses, with its message
+        swap = {i: i + 1, i + 1: i}
+        return Tableau([[swap.get(v, v) for v in row] for row in t.rows])
+    return _from_row_word(w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:])

@@ -5,7 +5,10 @@ Laplace expansion, dense rational elimination) or by the slower route a
 fast path in the package replaced: the SRITs chosen row by row as
 combinations of tableau entries (:func:`combination_srit`), the SRIT
 filter (:func:`filtered_set`),
-the operators read off entry positions and applied by ``swap_entries``
+the boxes of the entries read off the rows (:func:`box_of_entries`), the
+descents and the swap of two entries read off those boxes
+(:func:`positional_descent_composition`, :func:`positional_swap`), the
+operators read off the boxes and applied by that swap
 (:func:`positional_pi_full`, :func:`positional_pi_quotient`), the replay
 word walked over validated tableaux (:func:`tableau_generation_path`),
 the operator matrices rebuilt column by column from ``pi_quotient``
@@ -31,7 +34,7 @@ nullspace read off the reduced row echelon form over the rationals
 (:func:`rref_nullspace`), the count of each descent mask over the grown
 tableaux (:func:`grown_descent_masks`), the extended Schur expansions and
 the descent-count matrix counted over validated tableaux by
-``descent_composition`` (:func:`tableau_schur_in_F`,
+:func:`positional_descent_composition` (:func:`tableau_schur_in_F`,
 :func:`tableau_k_matrix`), the refinements as products of the
 compositions of each part and the basis changes through them
 (:func:`product_refinements`, :func:`product_basis_change`), the
@@ -104,7 +107,6 @@ from extschur.tableaux import (
     reading_word,
     row_sum_vector,
     super_standard,
-    swap_entries,
 )
 
 Rows = tuple[tuple[int, ...], ...]
@@ -173,6 +175,11 @@ def filtered_set(alpha) -> list:
     row-increasing tableau through the column check, in the order of
     ``enumerate_srit``: the oracle for the direct generator."""
     return [t for t in enumerate_srit(alpha) if is_standard_extended(t)]
+
+
+def box_of_entries(rows: Rows) -> dict[int, tuple[int, int]]:
+    """1-based (row, col) of each entry, read off the rows."""
+    return {v: (r, c) for r, row in enumerate(rows, 1) for c, v in enumerate(row, 1)}
 
 
 def row_of_entries(rows: Rows) -> dict[int, int]:
@@ -510,8 +517,7 @@ def action_table(basis, kind: Kind) -> ActionTable:
     _check_kind(kind)
     if kind == "quotient" and not all(is_standard_extended(t) for t in basis):
         raise ValueError("tableau is not standard extended")
-    height = len(basis[0].rows) if basis else 0
-    return _word_table([_row_word(t) for t in basis], kind, height)
+    return _word_table([_row_word(t) for t in basis], kind)
 
 
 def filtration_words(filt: Filtration) -> tuple[RowWord, ...]:
@@ -541,35 +547,61 @@ def replayed_relations(alpha, kind) -> RelationReport:
     return RelationReport(alpha, kind, len(basis), tuple(violations))
 
 
+def positional_descent_composition(t: Tableau) -> Composition:
+    """The descent composition read off the boxes of the entries
+    (:func:`box_of_entries`): i is a descent when col(i) >= col(i+1), and
+    the descents make a validated ``DescentSubset``.  The oracle for the
+    row-word ``tableaux.descent_composition``."""
+    n = t.size
+    pos = box_of_entries(t.rows)
+    descents = tuple(i for i in range(1, n) if pos[i][1] >= pos[i + 1][1])
+    return composition_of_subset(DescentSubset(n, descents))
+
+
+def positional_swap(t: Tableau, i: int) -> Tableau:
+    """The entries i and i+1 exchanged in their boxes
+    (:func:`box_of_entries`), the rows validated again by ``Tableau``: the
+    oracle for the row-word ``tableaux.swap_entries``.  An i or i+1 that
+    is no entry raises ``KeyError``, and two entries of one row
+    ``ValueError``."""
+    pos = box_of_entries(t.rows)
+    r1, c1 = pos[i]
+    r2, c2 = pos[i + 1]
+    rows = [list(row) for row in t.rows]
+    rows[r1 - 1][c1 - 1] = i + 1
+    rows[r2 - 1][c2 - 1] = i
+    return Tableau(tuple(tuple(row) for row in rows))
+
+
 def positional_pi_full(i: int, t):
-    """The full operator read off the positions of i and i+1 and applied
-    by ``swap_entries``: the oracle for the row-word rule behind
-    ``pi_full``."""
-    pos = t.positions
+    """The full operator read off the boxes of i and i+1
+    (:func:`box_of_entries`) and applied by :func:`positional_swap`: the
+    oracle for the row-word rule behind ``pi_full``."""
+    pos = box_of_entries(t.rows)
     if pos[i][0] >= pos[i + 1][0]:
         return t
-    return swap_entries(t, i)
+    return positional_swap(t, i)
 
 
 def positional_pi_quotient(i: int, t):
-    """The quotient operator read off the columns of i and i+1 in
-    ``t.positions``: the oracle for the row-word rule behind
+    """The quotient operator read off the columns of i and i+1
+    (:func:`box_of_entries`): the oracle for the row-word rule behind
     ``pi_quotient``."""
-    pos = t.positions
+    pos = box_of_entries(t.rows)
     ci = pos[i][1]
     cj = pos[i + 1][1]
     if ci < cj:
         return Fixed(t)
     if ci == cj:
         return Zero()
-    return Swapped(swap_entries(t, i))
+    return Swapped(positional_swap(t, i))
 
 
 def tableau_generation_path(s: Tableau) -> tuple[int, ...]:
     """The replay word walked over validated tableaux: the earliest box
     (rows bottom-up, left to right) that disagrees with the super-standard
-    tableau has its entry lowered by ``swap_entries``, and the letters are
-    reversed.  The oracle for the row-word walk behind
+    tableau has its entry lowered by :func:`positional_swap`, and the
+    letters are reversed.  The oracle for the row-word walk behind
     ``generation_path``."""
     if not is_standard_extended(s):
         raise ValueError("tableau is not standard extended")
@@ -584,7 +616,7 @@ def tableau_generation_path(s: Tableau) -> tuple[int, ...]:
             if a != b
         )
         letters.append(entry - 1)
-        current = swap_entries(current, entry - 1)
+        current = positional_swap(current, entry - 1)
     letters.reverse()
     return tuple(letters)
 
@@ -613,7 +645,7 @@ def column_rule_submodule_closure(alpha) -> bool:
     extended = [_is_column_strict(alpha, w) for w in words]
     return not any(
         extended[k] and not extended[j]
-        for images in _word_table(words, "full", len(alpha))
+        for images in _word_table(words, "full")
         for j, k in enumerate(images)
     )
 
@@ -718,9 +750,9 @@ def grown_descent_masks(alpha) -> Counter:
 def tableau_schur_in_F(alpha) -> QSymElement:
     """The fundamental expansion of the extended Schur function counted
     over the validated tableaux of ``enumerate_set``, one
-    ``descent_composition`` each: the oracle for the descent masks of
-    ``qsym.extended_schur_in_F``."""
-    counts = Counter(descent_composition(t) for t in enumerate_set(alpha))
+    :func:`positional_descent_composition` each: the oracle for the descent
+    masks of ``qsym.extended_schur_in_F``."""
+    counts = Counter(positional_descent_composition(t) for t in enumerate_set(alpha))
     return QSymElement(sum(alpha), "F", dict(counts))
 
 
@@ -734,7 +766,7 @@ def tableau_k_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     for alpha in comps:
         row = [0] * len(comps)
         for t in enumerate_set(alpha):
-            row[index[descent_composition(t)]] += 1
+            row[index[positional_descent_composition(t)]] += 1
         rows.append(tuple(row))
     return tuple(rows)
 

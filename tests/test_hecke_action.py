@@ -295,7 +295,7 @@ def row_increasing_tableaux(draw, max_weight=10):
 def test_row_word_round_trip(t):
     word = _row_word(t)
     assert len(word) == t.size
-    assert _from_row_word(word, len(t.rows)) == t
+    assert _from_row_word(word) == t
 
 
 def test_action_table_matches_pi_full():

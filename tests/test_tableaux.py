@@ -1,10 +1,14 @@
+import copy
 import gc
+import pickle
+from itertools import accumulate
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    box_of_entries,
     brute_set,
     brute_srit,
     columns_increase,
@@ -14,11 +18,14 @@ from helpers import (
     filtered_set,
     grown_descent_masks,
     hook_length,
+    positional_descent_composition,
+    positional_swap,
 )
 from extschur.compositions import Composition, _mask, compositions_of, is_partition
 from extschur.tableaux import (
     Tableau,
     _descent_masks,
+    _from_row_word,
     _is_column_strict,
     _grown,
     _row_word,
@@ -363,6 +370,57 @@ def test_swap_entries():
     t = swap_entries(SET_213[0], 2)
     assert t == SET_213[1]
     assert swap_entries(t, 2) == SET_213[0]
+    # a slice of the word would wrap round at 0 and -1
+    for i in (-1, 0, 6, 7):
+        with pytest.raises(KeyError):
+            swap_entries(t, i)
+
+
+def _swap_outcome(swap, t, i):
+    """The row word of ``swap(t, i)``, or the type and text of the
+    KeyError or ValueError it raises."""
+    try:
+        return _row_word(swap(t, i))
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_word_built_tableaux_are_the_row_built_ones():
+    # every row word of weight <= 7, stored unvalidated, against the
+    # tableau validated from rows chosen as combinations of entries, and
+    # every read of the word against its oracle on those rows
+    for n in range(0, 8):
+        for alpha in compositions_of(n):
+            ends = tuple(accumulate(alpha))
+            ss_rows = tuple(tuple(range(a + 1, b + 1)) for a, b in zip((0,) + ends, ends))
+            assert repr(super_standard(alpha)) == repr(Tableau(ss_rows)), alpha
+            assert _row_word(super_standard(alpha)) == _row_word(Tableau(ss_rows)), alpha
+            oracle = combination_srit(alpha)
+            words = _srit_words(alpha)
+            assert len(words) == len(oracle), alpha
+            # the clones carry the word alone, and build every view anew
+            fresh = list(map(_from_row_word, words))
+            for clones in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+                for clone, u in zip(clones, oracle):
+                    assert type(clone) is Tableau
+                    assert repr(clone) == repr(u) and clone == u and hash(clone) == hash(u)
+            for w, u in zip(words, oracle):
+                t = _from_row_word(w)
+                assert repr(t) == repr(u) and str(t) == str(u)
+                assert t == u and u == t and hash(t) == hash(u)
+                assert t.to_json() == u.to_json()
+                assert t.rows == u.rows and t.shape == u.shape == alpha
+                assert type(t.shape) is Composition and t.size == u.size == n
+                boxes = box_of_entries(u.rows)
+                assert t.positions == u.positions == boxes
+                assert all(t.entry(r, c) == v for v, (r, c) in boxes.items())
+                assert is_standard_extended(t) == columns_increase(u.rows)
+                assert descent_composition(t) == positional_descent_composition(u)
+                # the indices outside 1..n-1 on the first tableau of each shape
+                for i in range(1, n) if u is not oracle[0] else range(-1, n + 2):
+                    assert _swap_outcome(swap_entries, t, i) == _swap_outcome(positional_swap, u, i)
+                assert reading_word(t) == tuple(v for row in u.rows for v in row)
+                assert row_sum_vector(t) == tuple(accumulate(sum(row) for row in u.rows))
 
 
 @given(small_compositions())
