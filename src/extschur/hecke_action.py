@@ -16,13 +16,13 @@ runs them on the word a ``Tableau`` stores, and stores the image's word;
 
 One table per basis records where each operator sends each tableau.
 ``_word_table`` builds it from row words, word by word; the full basis is
-taken straight from ``tableaux._srit_words``, and the quotient basis as
-the row words that ``tableaux._grown`` grows, sorted by
-:func:`_filtration_words` into filtration order (or into reading-word
-order by ``tableaux._set_words`` for the relation sweep), so no
-``Tableau`` is built for either.  The
-relation sweep composes the table's rows, and the submodule closure check
-and every module invariant read it instead of applying operators.
+taken straight from ``tableaux._srit_words`` and the quotient basis from
+``tableaux._set_words``, which sorts the grown row words once by reading
+word, so no ``Tableau`` is built for either.  The relation sweep reads
+the quotient basis in that order; the module reads it in filtration
+order, :func:`_filtration_words`, a stable re-sort by row sums.  The
+relation sweep composes the table's rows, and the submodule closure
+check and every module invariant read it instead of applying operators.
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -32,15 +32,14 @@ left weak order on permutations, so :func:`preceq` compares inversion sets.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 
 from .compositions import Composition, _Record
 from .tableaux import (
     RowWord,
     Tableau,
     _from_row_word,
-    _grown,
     _reading_word,
+    _row_sums,
     _row_word,
     _set_words,
     _srit_words,
@@ -134,6 +133,7 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
     In quotient mode the result stays zero once any step annihilates.
     """
     _check_kind(kind)
+    word = tuple(word)  # read twice: checked, then applied
     for i in word:
         _check_index(i, t.size)
     if not word:
@@ -338,25 +338,19 @@ def filtration(alpha: Composition) -> Filtration:
     swap strictly increases the row-sum vector, so reachable tableaux sort
     earlier), with ties broken by ascending reading word; the
     super-standard tableau comes last.  The order is defined once, on row
-    words, by :func:`_filtration_words`, which the module invariants read
-    directly; the tableaux here are built from those words.
+    words, by :func:`_filtration_words`, a stable re-sort by row sums of
+    the reading-word order; the tableaux here are built from those words.
     """
     alpha = Composition(alpha)
-    words = _filtration_words(alpha, _grown(alpha))
-    return Filtration(alpha, tuple(map(_from_row_word, words)))
+    return Filtration(alpha, tuple(map(_from_row_word, _filtration_words(alpha))))
 
 
-def _filtration_words(alpha: Composition, words: list[RowWord]) -> list[RowWord]:
-    """The row words of the standard extended tableaux of alpha, as
-    ``tableaux._grown`` lists them, in filtration order: row-sum vector
-    descending, then reading word ascending, both read off the reading
-    word (:func:`~extschur.tableaux._reading_word`), whose entries, lowered
-    by one, shift every row sum of the shape alike.  The super-standard
-    tableau comes last.  No ``Tableau`` is built."""
-    ends = list(accumulate(alpha))
-
-    def key(w: RowWord):
-        reading = _reading_word(w)
-        return [-sum(reading[:end]) for end in ends], reading
-
-    return sorted(words, key=key)
+def _filtration_words(alpha: Composition) -> list[RowWord]:
+    """The row words of the standard extended tableaux of alpha in
+    filtration order: ``tableaux._set_words``, in ascending reading-word
+    order, re-sorted by row sums, descending.  The sort is stable, so
+    tableaux with equal row sums keep their reading-word order, and the
+    super-standard tableau, with the least row sums, comes last.  No
+    ``Tableau`` is built."""
+    height = len(alpha)
+    return sorted(_set_words(alpha), key=lambda w: _row_sums(w, height), reverse=True)

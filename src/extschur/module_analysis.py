@@ -1,10 +1,10 @@
 """Matrix realization of the quotient modules and their invariants.
 
 Every invariant of one shape is read off one private ``_Shape``: the
-standard extended tableaux are grown once as row words
-(``tableaux._grown``), put in filtration order (``hecke_action.
-_filtration_words``), and every per-shape result is read from one action
-table on that order, built by ``hecke_action._word_table``: entry
+standard extended tableaux are grown once as row words and sorted once by
+reading word (``tableaux._set_words``), a stable sort by row sums puts
+them in filtration order (``hecke_action._filtration_words``), and every
+per-shape result is read from one action table on that order, built by ``hecke_action._word_table``: entry
 ``[i-1][j]`` is the filtration index of the i-th operator's image of the
 j-th basis tableau, ``j`` when fixed and ``None`` when annihilated.  The
 operators that move the j-th tableau make the descent mask of its
@@ -62,7 +62,6 @@ from .tableaux import (
     RowWord,
     _descent_masks,
     _from_row_word,
-    _grown,
     _row_word,
     _srit_words,
     super_standard,
@@ -121,7 +120,7 @@ class _Shape:
 
     @cached_property
     def words(self) -> list[RowWord]:
-        return _filtration_words(self.alpha, _grown(self.alpha))
+        return _filtration_words(self.alpha)
 
     @cached_property
     def quotient_table(self) -> ActionTable:

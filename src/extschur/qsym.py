@@ -26,8 +26,6 @@ through :func:`_element`, which checks nothing.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, reduce
@@ -264,14 +262,12 @@ class KMatrix(_Record):
         return prod(row[i] for i, row in enumerate(self.entries))
 
     def to_csv(self) -> str:
-        """Header row and column of composition strings, integer entries."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        labels = [format_composition(alpha) for alpha in self.compositions]
-        writer.writerow([""] + labels)
-        for label, row in zip(labels, self.entries):
-            writer.writerow([label] + list(row))
-        return buffer.getvalue()
+        """Header row and column of composition strings, integer entries,
+        quoted as ``csv.writer`` quotes them."""
+        labels = [f'"{s}"' if "," in s else s for s in map(format_composition, self.compositions)]
+        lines = [",".join(["", *labels]) or '""']  # a row of one empty field
+        lines += (",".join([label, *map(str, row)]) for label, row in zip(labels, self.entries))
+        return "\n".join(lines) + "\n"
 
 
 def k_matrix(n: int) -> KMatrix:

@@ -405,16 +405,25 @@ def super_standard(alpha: Composition) -> Tableau:
 
 def row_sum_vector(t: Tableau) -> RowSumVector:
     """Entry j is the sum of all entries in rows 1..j (bottom-up)."""
-    sums = [0] * len(t.shape)
-    for v, r in enumerate(t._word, 1):
+    return tuple(accumulate(_row_sums(t._word, len(t.shape))))
+
+
+def _row_sums(w: RowWord, height: int) -> list[int]:
+    """Entry r is the sum of the entries in 0-based row r of the tableau of
+    ``height`` rows with row word ``w``.  Two tableaux of one shape compare
+    alike on these and on their row-sum vectors, the running totals."""
+    sums = [0] * height
+    for v, r in enumerate(w, 1):
         sums[r] += v
-    return tuple(accumulate(sums))
+    return sums
 
 
 def swap_entries(t: Tableau, i: int) -> Tableau:
     """Exchange the entries i and i+1, keeping the shape; ``KeyError``
     unless both are entries, ``ValueError`` when they share a row."""
     w = t._word
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise KeyError(i)  # a bool or a float names no entry
     if not 0 < i < len(w):
         raise KeyError(i + 1 if 0 < i == len(w) else i)  # the entry t lacks
     if w[i - 1] == w[i]:

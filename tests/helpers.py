@@ -24,7 +24,7 @@ which row words are extended (:func:`column_rule_submodule_closure`),
 ``K`` assembled for a whole weight before its determinant is read
 (:func:`assembled_k_is_unitriangular`), the ``analyze`` text printed from
 the ``analysis_report`` dict (:func:`report_analyze_text`), the filtration order sorted over
-validated tableaux (:func:`tableau_filtration_order`), the primitive
+validated tableaux by keys read off their rows (:func:`tableau_filtration_order`), the primitive
 basis of the generator's weight space (:func:`weight_space`) and its
 dimension as a rank (:func:`weight_dimension`, with the rank that drops
 pinned columns first, :func:`pinned_rank`), the indices fixed by every
@@ -58,7 +58,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import field, make_dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from math import factorial, gcd
 
 from extschur.compositions import (
@@ -104,8 +104,6 @@ from extschur.tableaux import (
     enumerate_set,
     enumerate_srit,
     is_standard_extended,
-    reading_word,
-    row_sum_vector,
     super_standard,
 )
 
@@ -318,11 +316,14 @@ def dense_matrices(alpha) -> ModuleMatrices:
 
 def tableau_filtration_order(alpha) -> list[Tableau]:
     """The standard extended tableaux of alpha sorted as validated
-    tableaux, by descending row-sum vector, then ascending reading word:
-    the oracle for the row-word order of ``hecke_action._filtration_words``."""
+    tableaux, by descending row-sum vector, then ascending reading word,
+    both read off the rows (the rows concatenated, the running totals of
+    the row sums): the oracle for the row-word order of
+    ``hecke_action._filtration_words``."""
 
     def key(t: Tableau):
-        return tuple(-x for x in row_sum_vector(t)), reading_word(t)
+        sums = accumulate(sum(row) for row in t.rows)
+        return tuple(-x for x in sums), tuple(chain.from_iterable(t.rows))
 
     return sorted(enumerate_set(Composition(alpha)), key=key)
 

@@ -147,7 +147,7 @@ def test_cli_import_loads_neither_dataclasses_nor_typing():
 import io, sys
 from contextlib import redirect_stdout
 sys.path.insert(0, sys.argv[1])
-names = ("dataclasses", "typing", "inspect", "ast", "argparse", "gettext")
+names = ("dataclasses", "typing", "inspect", "ast", "argparse", "gettext", "csv")
 import extschur.cli
 print(*[m for m in names if m in sys.modules])
 with redirect_stdout(io.StringIO()):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     action_table,
@@ -34,7 +34,6 @@ from extschur.hecke_action import (
 from extschur.tableaux import (
     Tableau,
     _from_row_word,
-    _grown,
     _row_word,
     descent_composition,
     enumerate_set,
@@ -161,6 +160,18 @@ def test_apply_word_idempotent():
         for t in enumerate_set(alpha):
             for i in range(1, 5):
                 assert apply_word((i, i), t) == apply_word((i,), t)
+
+
+def test_apply_word_reads_a_one_shot_word_once():
+    # the letters are checked and then applied: an iterator or a generator
+    # must not be used up by the check
+    sup = super_standard(Composition((2, 1, 3)))
+    for kind in ("full", "quotient"):
+        for word in ((1, 3), (2, 3), (3, 2, 3)):
+            expected = apply_word(word, sup, kind)
+            assert expected != sup, (kind, word)
+            assert apply_word(iter(word), sup, kind) == expected, (kind, word)
+            assert apply_word((i for i in word), sup, kind) == expected, (kind, word)
 
 
 def test_apply_word_rejects_bad_letters():
@@ -519,9 +530,20 @@ def test_filtration_words_match_tableau_sort():
     for n in range(0, 9):
         for alpha in compositions_of(n):
             order = tableau_filtration_order(alpha)
-            words = _filtration_words(alpha, _grown(alpha))
+            words = _filtration_words(alpha)
             assert words == [_row_word(t) for t in order], alpha
             assert filtration(alpha).order == tuple(order), alpha
             assert filtration_words(filtration(alpha)) == tuple(words), alpha
             # the super-standard tableau comes last
             assert order[-1] == super_standard(alpha), alpha
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([alpha for n in range(9, 12) for alpha in compositions_of(n)]))
+# the smallest shape whose growth order breaks a row-sum tie unlike the
+# reading words, so a re-sort of the grown words fails here
+@example(Composition((4, 3, 2)))
+def test_filtration_words_match_tableau_sort_at_weights_9_to_11(alpha):
+    order = tableau_filtration_order(alpha)
+    assert _filtration_words(alpha) == [_row_word(t) for t in order]
+    assert filtration(alpha).order == tuple(order)

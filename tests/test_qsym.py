@@ -1,5 +1,7 @@
 import copy
+import csv
 import gc
+import io
 import pickle
 import random
 
@@ -20,6 +22,7 @@ from extschur.compositions import (
     Composition,
     _mask,
     compositions_of,
+    format_composition,
     is_partition,
     refinements,
 )
@@ -430,6 +433,27 @@ def test_k_matrix_row_2_1_3():
 def test_k_matrix_csv():
     lines = k_matrix(2).to_csv().splitlines()
     assert lines == [',"1,1",2', '"1,1",1,0', "2,0,1"]
+
+
+def csv_writer_text(km: KMatrix) -> str:
+    """The CSV text of ``km`` as ``csv.writer`` writes it: the oracle for
+    the joined lines of ``KMatrix.to_csv``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    labels = [format_composition(alpha) for alpha in km.compositions]
+    writer.writerow([""] + labels)
+    for label, row in zip(labels, km.entries):
+        writer.writerow([label] + list(row))
+    return buffer.getvalue()
+
+
+def test_k_matrix_csv_matches_csv_writer():
+    for n in range(1, 9):
+        km = k_matrix(n)
+        assert km.to_csv() == csv_writer_text(km), n
+    # weight 0: one empty label; no compositions: a row of one empty field
+    for km in (KMatrix(0, (Composition(()),), ((1,),)), KMatrix(0, (), ())):
+        assert km.to_csv() == csv_writer_text(km)
 
 
 def test_ribbon_in_shin_examples():

@@ -370,10 +370,13 @@ def test_swap_entries():
     t = swap_entries(SET_213[0], 2)
     assert t == SET_213[1]
     assert swap_entries(t, 2) == SET_213[0]
-    # a slice of the word would wrap round at 0 and -1
-    for i in (-1, 0, 6, 7):
+    # a slice of the word would wrap round at 0 and -1; a bool or a float
+    # is refused like an index outside 1..n-1, not read as an integer
+    for i in (-1, 0, 6, 7, True, 1.0):
         with pytest.raises(KeyError):
             swap_entries(t, i)
+    with pytest.raises(KeyError):
+        swap_entries(super_standard((2, 1, 3)), True)
 
 
 def _swap_outcome(swap, t, i):
