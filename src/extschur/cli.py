@@ -77,10 +77,10 @@ FORMATS = ("text", "json", "csv")
 M_TERM_SECONDS = 18e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents --format json, the costliest listing of SETs,
-# took 2.7-4.1 s for the 64,064 SETs of 5,3,3,2,1 and 0.9-1.4 s for the
-# 20,592 of 5,3,2,1,1,1, about 50 us per SET, where analyze and the text
-# listing took 25-44 us, on the same host; analyze, char and tableaux refuse
-# a shape with more SETs (SRITs for --kind srit) before making any
+# took 3.2-3.8 s for the 64,064 SETs of 5,3,3,2,1 and 1.2-1.4 s for the
+# 20,592 of 5,3,2,1,1,1, about 50-65 us per SET, where analyze and the
+# text listing took 20-28 us, on the same host; analyze, char and tableaux
+# refuse a shape with more SETs (SRITs for --kind srit) before making any
 SET_SECONDS = 50e-6
 SET_BUDGET = 300_000
 

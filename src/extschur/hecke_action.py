@@ -9,20 +9,25 @@ satisfy the idempotent, distant-commutation and braid relations.
 
 Each family is defined once, as a rule on row words (letter ``v-1`` of the
 row word is the 0-based row of entry ``v``; the column of ``v`` is the
-count of its letter up to and including it): :func:`_full_step` and
-:func:`_quotient_step` only compare or swap two letters.  ``apply_word``
-runs them on the word a ``Tableau`` stores, and stores the image's word;
-``pi_full`` and ``pi_quotient`` are its one-letter calls.
+count of its letter up to and including it).  :func:`_full_step` compares
+or swaps the two letters of one operator.  :func:`_quotient_images`
+counts every entry's column in one pass over the word and returns the
+images of all the quotient operators at once.  ``apply_word`` runs the
+rules on the word a ``Tableau`` stores, taking image ``i-1`` of the
+quotient rule for letter ``i``, and stores the image's word; ``pi_full``
+and ``pi_quotient`` are its one-letter calls.
 
 One table per basis records where each operator sends each tableau.
-``_word_table`` builds it from row words, word by word; the full basis is
-taken straight from ``tableaux._srit_words`` and the quotient basis from
-``tableaux._set_words``, which sorts the grown row words once by reading
-word, so no ``Tableau`` is built for either.  The relation sweep reads
-the quotient basis in that order; the module reads it in filtration
-order, :func:`_filtration_words`, a stable re-sort by row sums.  The
-relation sweep composes the table's rows, and the submodule closure
-check and every module invariant read it instead of applying operators.
+``_word_table`` builds it from row words, word by word, with one call of
+the quotient rule per word; the full basis is taken straight from
+``tableaux._srit_words`` and the quotient basis from
+``tableaux._set_words``, so no ``Tableau`` is built for either.  The
+relation sweep reads the quotient basis in reading-word order; the module
+reads it in filtration order, :func:`_filtration_words`.  Both orders
+come from one sort of the integer keys that ``tableaux._grown`` sums as
+it places the entries.  The relation sweep composes the table's rows with
+``operator.itemgetter``, and the submodule closure check and every module
+invariant read the table instead of applying operators.
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -32,16 +37,18 @@ left weak order on permutations, so :func:`preceq` compares inversion sets.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
 from .compositions import Composition, _Record
 from .tableaux import (
     RowWord,
     Tableau,
     _from_row_word,
+    _grown,
     _reading_word,
-    _row_sums,
     _row_word,
     _set_words,
+    _sorted_by,
     _srit_words,
     is_standard_extended,
 )
@@ -85,19 +92,28 @@ def _full_step(i: int, w: RowWord) -> RowWord:
     return w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
 
 
-def _quotient_step(i: int, w: RowWord) -> RowWord | None:
-    """The quotient operator on the row word of a standard extended
-    tableau: fixes when i is in a strictly lower column than i+1,
-    annihilates (``None``) when they share a column, otherwise swaps.  The
-    column of an entry counts its row letter up to and including it."""
-    a, b = w[i - 1], w[i]
-    ci = w[:i].count(a)
-    cj = w[:i + 1].count(b)
-    if ci < cj:
-        return w
-    if ci == cj:
-        return None
-    return w[:i - 1] + (b, a) + w[i + 1:]
+def _quotient_images(w: RowWord) -> list[RowWord | None]:
+    """Every quotient operator on the row word of a standard extended
+    tableau, image ``i-1`` for operator i: ``w`` itself when i is in a
+    strictly lower column than i+1, ``None`` (annihilated) when they share
+    a column, otherwise ``w`` with the letters of i and i+1 swapped.  The
+    column of an entry counts its row letter up to and including it, so
+    one pass over ``w`` counts each column and compares it with the one
+    before."""
+    filled = [0] * len(w)
+    images: list[RowWord | None] = []
+    previous = len(w) + 1  # above every column: entry 1 adds no image
+    for i, r in enumerate(w):  # entry i+1, compared with entry i
+        filled[r] += 1
+        column = filled[r]
+        if previous < column:
+            images.append(w)
+        elif previous == column:
+            images.append(None)
+        elif i:
+            images.append(w[:i - 1] + (r, w[i - 1]) + w[i + 1:])
+        previous = column
+    return images
 
 
 def pi_full(i: int, t: Tableau) -> Tableau:
@@ -140,10 +156,9 @@ def apply_word(word, t: Tableau, kind: Kind = "quotient") -> Tableau | Zero:
         return t
     if kind == "quotient" and not is_standard_extended(t):
         raise ValueError("tableau is not standard extended")
-    step = _full_step if kind == "full" else _quotient_step
     w = _row_word(t)
     for i in word:
-        w = step(i, w)
+        w = _full_step(i, w) if kind == "full" else _quotient_images(w)[i - 1]
         if w is None:
             return Zero()
     return _from_row_word(w)
@@ -155,24 +170,35 @@ def _word_table(words: list[RowWord], kind: Kind) -> ActionTable:
     basis is given by the row words of its tableaux; a ``Tableau`` is
     built only to name an image outside the basis, in the ``KeyError``
     raised for it."""
-    # the rules are looked up per call, so a substituted rule is seen here
-    step = _full_step if kind == "full" else _quotient_step
-    index = {w: j for j, w in enumerate(words)}
+    get = {w: j for j, w in enumerate(words)}.get
     n = len(words[0]) if words else 0
-    rows: list[tuple[int, list[int | None]]] = [(i, []) for i in range(1, n)]
-    # word by word, so each word is read while it is in the cache
-    for j, w in enumerate(words):
-        for i, row in rows:
-            image = step(i, w)
-            if image is w:
-                row.append(j)
-            elif image is None:
-                row.append(None)
-            elif image in index:
-                row.append(index[image])
-            else:
-                raise KeyError(_from_row_word(image))
-    return tuple(tuple(row) for _, row in rows)
+    rows: list[list[int | None]] = [[] for _ in range(1, n)]
+    # word by word, so each word is read while it is in the cache; the
+    # rules are looked up per call, so a substituted rule is seen here
+    if kind == "full":
+        step = _full_step
+        for j, w in enumerate(words):
+            for i, row in enumerate(rows, 1):
+                image = step(i, w)
+                if image is w:
+                    row.append(j)
+                elif (k := get(image)) is not None:
+                    row.append(k)
+                else:
+                    raise KeyError(_from_row_word(image))
+    else:
+        images = _quotient_images
+        for j, w in enumerate(words):
+            for row, image in zip(rows, images(w)):
+                if image is w:
+                    row.append(j)
+                elif image is None:
+                    row.append(None)
+                elif (k := get(image)) is not None:
+                    row.append(k)
+                else:
+                    raise KeyError(_from_row_word(image))
+    return tuple(map(tuple, rows))
 
 
 class RelationViolation(_Record):
@@ -245,13 +271,15 @@ def _relation_failures(table: ActionTable, n: int) -> list[tuple[int, int]]:
     as whole table rows composed letter by letter."""
     m = len(table[0]) if table else 0
     # an annihilated image becomes the extra index m, which every row fixes
-    rows = [[m if k is None else k for k in row] + [m] for row in table]
+    rows = [tuple(m if k is None else k for k in row) + (m,) for row in table]
 
-    def act(word) -> list[int]:
-        """Images of every basis index under the word, first letter first."""
+    def act(word) -> tuple[int, ...]:
+        """Images of every basis index under the word, first letter first:
+        each later letter's row read at all of them at once (``m + 1 >= 2``
+        indices, so ``itemgetter`` returns a tuple)."""
         images = rows[word[0] - 1]
         for i in word[1:]:
-            images = list(map(rows[i - 1].__getitem__, images))
+            images = itemgetter(*images)(rows[i - 1])
         return images
 
     failures = []
@@ -347,10 +375,8 @@ def filtration(alpha: Composition) -> Filtration:
 
 def _filtration_words(alpha: Composition) -> list[RowWord]:
     """The row words of the standard extended tableaux of alpha in
-    filtration order: ``tableaux._set_words``, in ascending reading-word
-    order, re-sorted by row sums, descending.  The sort is stable, so
-    tableaux with equal row sums keep their reading-word order, and the
-    super-standard tableau, with the least row sums, comes last.  No
-    ``Tableau`` is built."""
-    height = len(alpha)
-    return sorted(_set_words(alpha), key=lambda w: _row_sums(w, height), reverse=True)
+    filtration order: the grown words sorted once by the order keys that
+    ``tableaux._grown`` sums with them, row sums descending, then reading
+    words ascending.  So the super-standard tableau, with the least row
+    sums, comes last.  No ``Tableau`` and no key list per word is built."""
+    return _sorted_by(*_grown(alpha))

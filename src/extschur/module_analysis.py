@@ -1,14 +1,16 @@
 """Matrix realization of the quotient modules and their invariants.
 
 Every invariant of one shape is read off one private ``_Shape``: the
-standard extended tableaux are grown once as row words and sorted once by
-reading word (``tableaux._set_words``), a stable sort by row sums puts
-them in filtration order (``hecke_action._filtration_words``), and every
-per-shape result is read from one action table on that order, built by ``hecke_action._word_table``: entry
-``[i-1][j]`` is the filtration index of the i-th operator's image of the
-j-th basis tableau, ``j`` when fixed and ``None`` when annihilated.  The
-operators that move the j-th tableau make the descent mask of its
-composition factor.  In the filtration basis every operator matrix
+standard extended tableaux are grown once as row words, each with the
+integer key that ``tableaux._grown`` sums as it places the entries, and
+one sort of those keys puts them in filtration order
+(``hecke_action._filtration_words``).  Every per-shape result is read
+from one action table on that order, built by
+``hecke_action._word_table`` with one call of the quotient rule per word:
+entry ``[i-1][j]`` is the filtration index of the i-th operator's image
+of the j-th basis tableau, ``j`` when fixed and ``None`` when
+annihilated.  The operators that move the j-th tableau make the descent
+mask of its composition factor.  In the filtration basis every operator matrix
 therefore has at most one 1 per column and never maps a basis vector to a
 later one, so the chain of leading subspaces is a composition series with
 one-dimensional subquotients.  Beyond ``tableaux.super_standard``, whose
@@ -153,8 +155,11 @@ class _Shape:
 
     @cached_property
     def generator(self) -> int:
-        """Index of the row word of ``tableaux.super_standard``."""
-        return self.words.index(_row_word(super_standard(self.alpha)))
+        """Index of the row word of ``tableaux.super_standard``: the last,
+        where the filtration order puts it, unless a substituted order
+        moved it."""
+        words, g = self.words, _row_word(super_standard(self.alpha))
+        return len(words) - 1 if words[-1] == g else words.index(g)
 
     def tableau(self, j: int):
         """The rows of the j-th basis tableau, for a message."""

@@ -22,7 +22,10 @@ The rows are a view of the word, built for output.
 
 :func:`enumerate_set` grows the standard extended tableaux entry by entry
 as row words (:func:`_grown`), from an explicit stack rather than by
-Python recursion, and :func:`_set_words` puts them in reading-word order.
+Python recursion.  The growth also sums, placement by placement, one
+integer order key per word that holds both the reading word and the row
+sums, so :func:`_set_words` puts the words in reading-word order, and
+``hecke_action`` in filtration order, with one sort of plain integers.
 
 The extended Schur expansions need only how many standard extended
 tableaux have each descent mask (bit ``i-1`` set when ``i`` is a descent;
@@ -236,9 +239,19 @@ def enumerate_set(alpha: Composition) -> list[Tableau]:
 
 
 def _set_words(alpha: Composition) -> list[RowWord]:
-    """The row words of :func:`enumerate_set`, in its order; no
-    ``Tableau`` is built."""
-    return sorted(_grown(alpha), key=_reading_word)
+    """The row words of :func:`enumerate_set`, in its order: sorted once
+    by the reading key, the residue of each order key of :func:`_grown`
+    modulo ``n^n``.  No ``Tableau`` and no key list per word is built."""
+    words, keys = _grown(alpha)
+    shift = alpha.weight ** alpha.weight
+    keys = [key % shift for key in keys]  # the order keys are freed before the sort
+    return _sorted_by(words, keys)
+
+
+def _sorted_by(words: list[RowWord], keys: list[int]) -> list[RowWord]:
+    """``words`` in ascending order of ``keys``, the key of each word at
+    its index; the keys of distinct words differ."""
+    return [words[j] for j in sorted(range(len(words)), key=keys.__getitem__)]
 
 
 def _reading_word(w: RowWord) -> list[int]:
@@ -334,23 +347,48 @@ def _removals(alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return removals
 
 
-def _grown(alpha: Composition) -> list[RowWord]:
+def _grown(alpha: Composition) -> tuple[list[RowWord], list[int]]:
     """The row words of every standard extended tableau of shape alpha, in
     growth order: entry v goes in each box open to it, lowest row first,
     and everything v+1 onwards can grow from there is listed before v
     moves up.  The word so far is the explicit stack of placements, so no
     shape needs Python recursion, and each row keeps only its count of
-    filled boxes."""
+    filled boxes.
+
+    With the words come their order keys, ``reading - rows * n^n``, each
+    summed term by term as the entries are placed:
+
+    - the reading key ``reading`` adds ``v * n^(n-1-p)`` for entry ``v+1``
+      at reading position ``p`` (the boxes of the rows under it, then its
+      column), so it orders the tableaux as their reading words, and
+      ``0 <= reading < n^n`` makes it the key's residue modulo ``n^n``;
+    - the row-sum key ``rows`` adds ``(v+1) * B^(h-1-r)`` for entry
+      ``v+1`` in row ``r`` of the ``h`` rows, where ``B = n(n+1)/2 + 1``
+      exceeds every row sum, so it orders them as their row sums.
+
+    So the keys ascend in filtration order: row sums descending, then
+    reading words ascending."""
     n = alpha.weight
     below = _below(alpha)
     height = len(alpha)
+    base = n * (n + 1) // 2 + 1
+    row_term = [base ** (height - 1 - r) * n**n for r in range(height)]
+    # entry v+1 in box (r, c) adds v * box_term[r][c] - row_term[r]
+    box_term: list[list[int]] = []
+    p = 0
+    for r, part in enumerate(alpha):
+        box_term.append([n ** (n - 1 - q) - row_term[r] for q in range(p, p + part)])
+        p += part
     filled = [0] * height
     placed: list[int] = []  # the row of each entry placed so far
+    prefix_keys = [0]  # the key of each prefix of ``placed``
     words: list[RowWord] = []
+    keys: list[int] = []
     r = 0  # the lowest row still to try for the next entry
     while True:
         if len(placed) == n:
             words.append(tuple(placed))
+            keys.append(prefix_keys[-1])
             r = height
         while r < height:
             c = filled[r]
@@ -360,15 +398,17 @@ def _grown(alpha: Composition) -> list[RowWord]:
                     break
             r += 1
         if r < height:
-            filled[r] += 1
+            filled[r] = c + 1
+            prefix_keys.append(prefix_keys[-1] + len(placed) * box_term[r][c] - row_term[r])
             placed.append(r)
             r = 0
         elif placed:
             r = placed.pop()
+            prefix_keys.pop()
             filled[r] -= 1
             r += 1
         else:
-            return words
+            return words, keys
 
 
 def is_standard_extended(t: Tableau) -> bool:
@@ -405,17 +445,10 @@ def super_standard(alpha: Composition) -> Tableau:
 
 def row_sum_vector(t: Tableau) -> RowSumVector:
     """Entry j is the sum of all entries in rows 1..j (bottom-up)."""
-    return tuple(accumulate(_row_sums(t._word, len(t.shape))))
-
-
-def _row_sums(w: RowWord, height: int) -> list[int]:
-    """Entry r is the sum of the entries in 0-based row r of the tableau of
-    ``height`` rows with row word ``w``.  Two tableaux of one shape compare
-    alike on these and on their row-sum vectors, the running totals."""
-    sums = [0] * height
-    for v, r in enumerate(w, 1):
+    sums = [0] * len(t.shape)
+    for v, r in enumerate(t._word, 1):
         sums[r] += v
-    return sums
+    return tuple(accumulate(sums))
 
 
 def swap_entries(t: Tableau, i: int) -> Tableau:

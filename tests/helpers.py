@@ -9,7 +9,10 @@ the boxes of the entries read off the rows (:func:`box_of_entries`), the
 descents and the swap of two entries read off those boxes
 (:func:`positional_descent_composition`, :func:`positional_swap`), the
 operators read off the boxes and applied by that swap
-(:func:`positional_pi_full`, :func:`positional_pi_quotient`), the replay
+(:func:`positional_pi_full`, :func:`positional_pi_quotient`), the
+quotient operators one at a time, each counting the columns of its two
+entries afresh (:func:`quotient_step`), the order keys of the grown
+tableaux read off their rows (:func:`order_key_of_rows`), the replay
 word walked over validated tableaux (:func:`tableau_generation_path`),
 the operator matrices rebuilt column by column from ``pi_quotient``
 (:func:`dense_matrices`), the commutant with all ``m * m`` matrix entries
@@ -79,7 +82,6 @@ from extschur.hecke_action import (
     Swapped,
     Zero,
     _check_kind,
-    _quotient_step,
     _word_table,
     apply_word,
     filtration,
@@ -326,6 +328,21 @@ def tableau_filtration_order(alpha) -> list[Tableau]:
         return tuple(-x for x in sums), tuple(chain.from_iterable(t.rows))
 
     return sorted(enumerate_set(Composition(alpha)), key=key)
+
+
+def order_key_of_rows(rows) -> int:
+    """The order key of the tableau with these rows, read off them by its
+    definition: ``reading - row_sums * n^n``, where ``reading`` has digit
+    ``v - 1`` in base ``n`` for each entry ``v`` of the reading word (the
+    rows concatenated) and ``row_sums`` has digit ``sum(row)`` in base
+    ``n(n+1)/2 + 1`` for each row, bottom row first: the oracle for the
+    keys that ``tableaux._grown`` sums as it places the entries."""
+    reading_word = sum(rows, ())
+    n = len(reading_word)
+    reading = sum((v - 1) * n ** (n - 1 - p) for p, v in enumerate(reading_word))
+    base = n * (n + 1) // 2 + 1
+    row_sums = sum(sum(row) * base ** (len(rows) - 1 - r) for r, row in enumerate(rows))
+    return reading - row_sums * n**n
 
 
 def weight_space(table, g: int, m: int) -> list[tuple[int, ...]]:
@@ -713,6 +730,31 @@ def erratic_full_step(i: int, w):
     return w
 
 
+def quotient_step(i: int, w):
+    """The quotient operator i on the row word of a standard extended
+    tableau, one operator at a time: fixes when i is in a strictly lower
+    column than i+1, annihilates (``None``) when they share a column,
+    otherwise swaps.  The column of an entry counts its row letter up to
+    and including it, counted afresh for each operator: the oracle for
+    the one-pass ``hecke_action._quotient_images``."""
+    a, b = w[i - 1], w[i]
+    ci = w[:i].count(a)
+    cj = w[:i + 1].count(b)
+    if ci < cj:
+        return w
+    if ci == cj:
+        return None
+    return w[:i - 1] + (b, a) + w[i + 1:]
+
+
+def per_word(step):
+    """The per-word quotient rule of the one-operator rule ``step``: every
+    image of a row word, image ``i-1`` from ``step(i, w)``.  It lifts the
+    broken operators below, whose bodies read one operator at a time, to
+    the rule ``hecke_action._quotient_images`` that a test substitutes."""
+    return lambda w: [step(i, w) for i in range(1, len(w))]
+
+
 def swapping_quotient_step(i: int, w):
     """A broken quotient operator that never annihilates: fixes when i and
     i+1 share a row or a column, otherwise swaps their letters.  The swap
@@ -727,7 +769,7 @@ def annihilating_quotient_step(i: int, w):
     """A broken quotient operator that kills every tableau the true one
     swaps: the super-standard tableau then generates only the tableaux it
     fixes."""
-    image = _quotient_step(i, w)
+    image = quotient_step(i, w)
     return w if image is w else None
 
 
@@ -738,7 +780,7 @@ def column_swapping_quotient_step(i: int, w):
     a, b = w[i - 1], w[i]
     if w[:i].count(a) == w[:i + 1].count(b):
         return w[:i - 1] + (b, a) + w[i + 1:]
-    return _quotient_step(i, w)
+    return quotient_step(i, w)
 
 
 def grown_descent_masks(alpha) -> Counter:

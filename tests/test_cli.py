@@ -15,6 +15,7 @@ from helpers import (
     annihilating_quotient_step,
     assembled_k_is_unitriangular,
     column_swapping_quotient_step,
+    per_word,
     report_analyze_text,
     row_swapping_full_step,
     swapping_quotient_step,
@@ -774,14 +775,14 @@ def certified(alpha) -> bool:
     ("_full_step", row_swapping_full_step, "relations",
      lambda alpha: verify_relations(alpha, "full").ok),
     ("_full_step", row_swapping_full_step, "submodule", verify_submodule_closure),
-    ("_quotient_step", swapping_quotient_step, "relations",
+    ("_quotient_images", per_word(swapping_quotient_step), "relations",
      lambda alpha: verify_relations(alpha, "quotient").ok),
-    ("_quotient_step", swapping_quotient_step, "characteristic",
+    ("_quotient_images", per_word(swapping_quotient_step), "characteristic",
      lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
-    ("_quotient_step", swapping_quotient_step, "endomorphism", certified),
-    ("_quotient_step", annihilating_quotient_step, "endomorphism",
+    ("_quotient_images", per_word(swapping_quotient_step), "endomorphism", certified),
+    ("_quotient_images", per_word(annihilating_quotient_step), "endomorphism",
      lambda alpha: commutant_basis(alpha).dimension == 1),
-    ("_quotient_step", column_swapping_quotient_step, "characteristic",
+    ("_quotient_images", per_word(column_swapping_quotient_step), "characteristic",
      lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
 ], ids=["full-relations", "full-submodule", "quotient-relations",
         "quotient-characteristic", "quotient-endomorphism",
@@ -821,7 +822,7 @@ def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, 
     ("char", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
 ], ids=["unreached", "outside-basis", "char-outside-basis"])
 def test_analyze_reports_a_broken_operator_with_exit_1(capsys, monkeypatch, command, mutant, error):
-    monkeypatch.setattr(hecke_action, "_quotient_step", mutant)
+    monkeypatch.setattr(hecke_action, "_quotient_images", per_word(mutant))
     code, out, err = run(capsys, command, "--alpha", "2,1")
     assert (code, out, err) == (1, "", error)
     assert "Traceback" not in out + err

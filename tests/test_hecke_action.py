@@ -7,8 +7,10 @@ from helpers import (
     erratic_full_step,
     filtration_words,
     interval_module,
+    per_word,
     positional_pi_full,
     positional_pi_quotient,
+    quotient_step,
     replayed_relations,
     row_swapping_full_step,
     searched_preceq,
@@ -35,6 +37,7 @@ from extschur.tableaux import (
     Tableau,
     _from_row_word,
     _row_word,
+    _set_words,
     descent_composition,
     enumerate_set,
     enumerate_srit,
@@ -257,7 +260,7 @@ def test_verify_relations_matches_replay_when_every_relation_breaks(monkeypatch)
 
 
 def test_verify_relations_matches_replay_with_broken_quotient_operator(monkeypatch):
-    monkeypatch.setattr(hecke_action, "_quotient_step", swapping_quotient_step)
+    monkeypatch.setattr(hecke_action, "_quotient_images", per_word(swapping_quotient_step))
     total = 0
     for n in range(0, 6):
         for alpha in compositions_of(n):
@@ -547,3 +550,26 @@ def test_filtration_words_match_tableau_sort_at_weights_9_to_11(alpha):
     order = tableau_filtration_order(alpha)
     assert _filtration_words(alpha) == [_row_word(t) for t in order]
     assert filtration(alpha).order == tuple(order)
+
+
+def check_quotient_images(alpha) -> None:
+    """The one-pass rule gives every operator's image of every basis word
+    as the count-based oracle does, and returns a fixed word itself, which
+    is how ``_word_table`` reads a fixed word."""
+    for w in _set_words(alpha):
+        images = hecke_action._quotient_images(w)
+        expected = [quotient_step(i, w) for i in range(1, len(w))]
+        assert images == expected, w
+        assert [image is w for image in images] == [image is w for image in expected], w
+
+
+def test_quotient_images_match_the_counted_step():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            check_quotient_images(alpha)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([alpha for n in range(9, 12) for alpha in compositions_of(n)]))
+def test_quotient_images_match_the_counted_step_at_weights_9_to_11(alpha):
+    check_quotient_images(alpha)

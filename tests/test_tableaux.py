@@ -5,7 +5,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     box_of_entries,
@@ -18,6 +18,7 @@ from helpers import (
     filtered_set,
     grown_descent_masks,
     hook_length,
+    order_key_of_rows,
     positional_descent_composition,
     positional_swap,
 )
@@ -214,10 +215,37 @@ def test_grown_lists_the_row_words_of_the_filter():
         for alpha in compositions_of(n):
             words = _srit_words(alpha)
             kept = [w for w in words if _is_column_strict(alpha, w)]
-            grown = _grown(alpha)
+            grown, keys = _grown(alpha)
             assert all(type(w) is tuple and len(w) == n for w in grown), alpha
+            assert len(keys) == len(grown), alpha
             assert sorted(grown) == sorted(kept), alpha
             assert _set_words(alpha) == kept, alpha
+
+
+def check_set_words(alpha) -> None:
+    """Each order key of the growth is the one read off the tableau's
+    rows, and ``_set_words`` is the grown words sorted by the reading word
+    read off the rows: the rows concatenated."""
+    words, keys = _grown(alpha)
+    rows = [_from_row_word(w).rows for w in words]
+    assert keys == list(map(order_key_of_rows, rows)), alpha
+    by_reading = sorted(zip(words, rows), key=lambda pair: sum(pair[1], ()))
+    assert _set_words(alpha) == [w for w, _ in by_reading], alpha
+
+
+def test_set_words_match_the_sort_by_the_rows():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            check_set_words(alpha)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([alpha for n in range(9, 12) for alpha in compositions_of(n)]))
+# the smallest shape whose growth order breaks a row-sum tie unlike the
+# reading words
+@example(Composition((4, 3, 2)))
+def test_set_words_match_the_sort_by_the_rows_at_weights_9_to_11(alpha):
+    check_set_words(alpha)
 
 
 def test_set_count_is_the_total_of_the_descent_masks():
