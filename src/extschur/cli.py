@@ -70,17 +70,16 @@ ALL_CHECKS = (
 
 FORMATS = ("text", "json", "csv")
 
-# expand --basis M printed the 524,288 terms of --alpha 20 in 8.7-10.3 s
-# and 158 MB with --format json, term by term, and in 4.3-5.9 s and 159 MB
-# as text, 4,096 terms at a time (2-core host, Python 3.11.7): about 16-20
-# us per JSON term; a larger expansion is refused before any refining
+# expand --basis M printed the 524,288 terms of --alpha 20 in 6.0-6.3 s and
+# 159 MB with --format json, about 12 us per term, and in 4.1-5.4 s as text
+# (2-core host, Python 3.11.7); a larger expansion is refused before any refining
 M_TERM_SECONDS = 18e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents --format json, the costliest listing of SETs,
-# took 3.2-3.8 s for the 64,064 SETs of 5,3,3,2,1 and 1.2-1.4 s for the
-# 20,592 of 5,3,2,1,1,1, about 50-65 us per SET, where analyze and the
-# text listing took 20-28 us, on the same host; analyze, char and tableaux
-# refuse a shape with more SETs (SRITs for --kind srit) before making any
+# took 2.2-2.4 s for the 64,064 SETs of 5,3,3,2,1 and 0.8-1.0 s for the
+# 20,592 of 5,3,2,1,1,1, 34-50 us per SET (analyze 13-20 us, the text
+# listing 15-22 us, same host); analyze, char and tableaux refuse more SETs
+# (SRITs for --kind srit) before making any
 SET_SECONDS = 50e-6
 SET_BUDGET = 300_000
 
@@ -311,16 +310,23 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)  # None, bools, floats and other scalars
 
 
+def _qsym_json(element: QSymElement, indent: str = ""):
+    """The text of ``json.dumps(element.to_json(), indent=2)``, lines after
+    the first starting from ``indent``, one term at a time, one template."""
+    inner = indent + "    "
+    yield (f'{{\n{indent}  "degree": {element.degree},\n'
+           f'{indent}  "basis": {_json_text(element.basis)},\n{indent}  "terms": [')
+    terms = element.terms()
+    for k, (alpha, c) in enumerate(terms):
+        yield (f'{"," if k else ""}\n{inner}{{\n{inner}  "composition": '
+               f'{_json_text(alpha, inner + "  ")},\n{inner}  "coefficient": {c}\n{inner}}}')
+    yield f"\n{indent}  ]\n{indent}}}" if terms else f"]\n{indent}}}"
+
+
 def _emit_qsym(element: QSymElement, fmt: str) -> None:
     if fmt == "json":
-        # the text of json.dumps(element.to_json(), indent=2), printed term by term
-        print(f'{{\n  "degree": {element.degree},\n  "basis": {_json_text(element.basis)},\n'
-              '  "terms": [', end="")
-        terms = element.terms()
-        for k, (alpha, c) in enumerate(terms):
-            term = {"composition": list(alpha), "coefficient": c}
-            print(",\n    " if k else "\n    ", _json_text(term, "    "), sep="", end="")
-        print("\n  ]\n}" if terms else "]\n}")
+        sys.stdout.writelines(_qsym_json(element))
+        sys.stdout.write("\n")
     else:
         # the text of format_qsym, written some thousands of terms at a time
         pieces = _qsym_pieces(element)
@@ -397,12 +403,25 @@ def _cmd_analyze(args) -> int:
     except (KeyError, ValueError) as exc:  # an image outside the basis, or a refusal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    masks = shape.column_pass[0]  # each distinct factor is formatted once
     if args.format == "json":
-        print(_json_text(shape.report()))
+        # json.dumps(analysis_report(alpha), indent=2), 4,096 factors at a time
+        text = {mask: _json_text(beta, "    ") for mask, beta in shape.factor_of.items()}
+        factors = map(text.__getitem__, masks)
+        write = sys.stdout.write
+        write(f'{{\n  "alpha": {_json_text(alpha, "  ")},\n  "dim": {len(masks)},\n'
+              '  "factors": [\n    ')
+        write(",\n    ".join(islice(factors, 4096)))
+        while chunk := ",\n    ".join(islice(factors, 4096)):
+            write(",\n    " + chunk)
+        write('\n  ],\n  "characteristic": ')
+        sys.stdout.writelines(_qsym_json(shape.characteristic, "  "))
+        write(',\n  "commutant_dimension": 1,\n  "indecomposable": true\n}\n')
     else:
+        text = {mask: format_composition(beta) for mask, beta in shape.factor_of.items()}
         print(f"alpha: {format_composition(alpha)}")
-        print(f"dimension: {len(shape.factors)}")
-        print(f"factors: {'; '.join(map(format_composition, shape.factors))}")
+        print(f"dimension: {len(masks)}")
+        print(f"factors: {'; '.join(map(text.__getitem__, masks))}")
         print(f"characteristic: {format_qsym(shape.characteristic)}")
         print("commutant dimension: 1")
         print("indecomposable: true")

@@ -174,8 +174,15 @@ def _compositions_of(n: int) -> tuple[Composition, ...]:
     return tuple(result)
 
 
+def _check_int(value, name: str) -> None:
+    # bool subclasses int, but True is not the integer 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def compositions_of(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n, in lexicographic order on parts."""
+    _check_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return list(_compositions_of(n))

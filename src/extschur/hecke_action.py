@@ -26,8 +26,8 @@ relation sweep reads the quotient basis in reading-word order; the module
 reads it in filtration order, :func:`_filtration_words`.  Both orders
 come from one sort of the integer keys that ``tableaux._grown`` sums as
 it places the entries.  The relation sweep composes the table's rows with
-``operator.itemgetter``, and the submodule closure check and every module
-invariant read the table instead of applying operators.
+``operator.itemgetter``, and the submodule closure check and the module
+matrices read the table (``module_analysis._Shape.column_pass`` needs none).
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .compositions import Composition, _Record
+from .compositions import Composition, _Record, _check_int
 from .tableaux import (
     RowWord,
     Tableau,
@@ -77,9 +77,7 @@ ActionResult = Fixed | Zero | Swapped
 
 
 def _check_index(i: int, n: int) -> None:
-    # bool subclasses int, but True is not operator 1
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValueError(f"operator index must be an integer, got {i!r}")
+    _check_int(i, "operator index")
     if not 1 <= i <= n - 1:
         raise ValueError(f"operator index {i} outside 1..{n - 1}")
 
@@ -271,7 +269,8 @@ def _relation_failures(table: ActionTable, n: int) -> list[tuple[int, int]]:
     as whole table rows composed letter by letter."""
     m = len(table[0]) if table else 0
     # an annihilated image becomes the extra index m, which every row fixes
-    rows = [tuple(m if k is None else k for k in row) + (m,) for row in table]
+    rows = [(tuple(m if k is None else k for k in row) if None in row else row) + (m,)
+            for row in table]
 
     def act(word) -> tuple[int, ...]:
         """Images of every basis index under the word, first letter first:

@@ -1,19 +1,17 @@
 """Matrix realization of the quotient modules and their invariants.
 
 Every invariant of one shape is read off one private ``_Shape``: the
-standard extended tableaux are grown once as row words, each with the
-integer key that ``tableaux._grown`` sums as it places the entries, and
-one sort of those keys puts them in filtration order
-(``hecke_action._filtration_words``).  Every per-shape result is read
-from one action table on that order, built by
-``hecke_action._word_table`` with one call of the quotient rule per word:
-entry ``[i-1][j]`` is the filtration index of the i-th operator's image
-of the j-th basis tableau, ``j`` when fixed and ``None`` when
-annihilated.  The operators that move the j-th tableau make the descent
-mask of its composition factor.  In the filtration basis every operator matrix
-therefore has at most one 1 per column and never maps a basis vector to a
-later one, so the chain of leading subspaces is a composition series with
-one-dimensional subquotients.  Beyond ``tableaux.super_standard``, whose
+standard extended tableaux are grown once as row words, in filtration
+order (``hecke_action._filtration_words``).  One column pass over them
+(``_Shape.column_pass``) calls the quotient rule once per word and keeps
+the mask of the operators that move the word: the descent mask of its
+composition factor.  Each operator fixes, kills or swaps a basis tableau,
+and a swap sends it to an earlier one, so in the filtration basis every
+operator matrix has at most one 1 per column and never maps a basis
+vector to a later one: the chain of leading subspaces is a composition
+series with one-dimensional subquotients.  The action table of
+``hecke_action._word_table`` is built only for :func:`matrices`, the
+relation check and a refusal.  Beyond ``tableaux.super_standard``, whose
 word is the generator's, a ``Tableau`` is built only for output: the
 ``Filtration`` of :func:`matrices` and the tableaux a refusal names.
 
@@ -30,13 +28,14 @@ one-dimensional commutant, spanned by the identity.  On a module ``pi_i``
 fixes a tableau exactly when ``i`` is not one of its descents, and the
 descents of ``g`` are the partial sums of ``alpha``, so the count is the
 coefficient of ``M_alpha`` in the extended Schur function, which is 1 on
-every shape checked (every weight up to 14).  The certificate is one pass
-over the table, made once per shape (``_Shape.refusal``): a search from
-``g`` over its swaps must reach every basis tableau, each operator fixing
-``g`` must be idempotent, and the count must be 1.  It is the only route:
-a module that fails any of the three is refused with ``ValueError``, never
-reported as a verdict.  The identity matrix is built only for
-:func:`commutant_basis`.
+every shape checked (every weight up to 14).  The column pass checks
+generation, idempotence and the count once per shape: ``g`` is last and
+every other index is the swap image of a later one, so ``g`` reaches it; a
+swap's image comes first, so idempotence is checked on the way; and the
+masks give the count.  When it declines, as on a swap onto a later index,
+``_Shape.refusal`` searches the table from ``g`` and decides.  A module
+that fails is refused with ``ValueError``, never reported as a verdict;
+the identity matrix is built only for :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and counts a word as extended when it is in the
@@ -51,6 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 
+from . import hecke_action
 from .compositions import Composition, _composition_of_mask, _Record
 from .hecke_action import (
     ActionTable,
@@ -100,14 +100,14 @@ class EndomorphismSpace(_Record):
 
 
 class _Shape:
-    """Every table and invariant of one composition, each built on first
-    use and kept: the row words of its standard row-increasing tableaux
-    with their ``"full"`` action table, its standard extended tableaux as
-    row words in filtration order with their quotient table and the module
-    invariants read off it, and the count of each descent mask with the
-    extended Schur function.  The counts come from
-    ``tableaux._descent_masks``, which grows no tableau, so the
-    characteristic and the extended Schur function share no enumeration."""
+    """Every table and invariant of one composition, each built on first use
+    and kept: the row words of its standard row-increasing tableaux with their
+    ``"full"`` action table, its standard extended tableaux as row words in
+    filtration order with the column pass that reads the module invariants and
+    their quotient table, and the count of each descent mask with the extended
+    Schur function.  The counts come from ``tableaux._descent_masks``, which
+    grows no tableau, so the characteristic and the extended Schur function
+    share no enumeration."""
 
     def __init__(self, alpha):
         self.alpha = Composition(alpha)
@@ -137,27 +137,66 @@ class _Shape:
         return _fundamental_of_masks(self.alpha.weight, self.descent_masks)
 
     @cached_property
+    def column_pass(self) -> tuple[list[int], Counter[int], bool]:
+        """The mask of the operators moving each index, the count of each mask
+        and whether the certificate holds, from one call of the quotient rule
+        per word (looked up here, so a substituted rule is seen) or from the
+        quotient table once built.  It raises ``_word_table``'s ``KeyError``."""
+        words, rule = self.words, hecke_action._quotient_images
+        if "quotient_table" in self.__dict__:  # read as a rule on indices
+            columns = list(zip(*self.quotient_table)) or [()] * len(words)
+            words, rule = range(len(words)), columns.__getitem__
+        get = {w: j for j, w in enumerate(words)}.get
+        masks: list[int] = []
+        preceded = bytearray(len(words))  # 1 once a later index swaps onto it
+        # the operators that move an image they made; a swap onto a later index
+        moved_images = later = 0
+        for j, w in enumerate(words):
+            mask = 0
+            for b, image in enumerate(rule(w)):
+                if image is w:
+                    continue
+                k = -1 if image is None else get(image)  # -1 when killed
+                if k is None:
+                    raise KeyError(_from_row_word(image))
+                if k != j:
+                    mask |= 1 << b
+                if k > j:
+                    later = True
+                elif 0 <= k < j:
+                    preceded[k] = 1
+                    moved_images |= masks[k] & 1 << b
+            masks.append(mask)
+        counts, g = Counter(masks), self.generator
+        fixing = ~masks[g]  # the operators fixing the generator
+        certified = not later and g == len(masks) - 1 and 0 not in preceded[:g] and (
+            not moved_images & fixing
+            and sum(count for mask, count in counts.items() if not mask & fixing) == 1
+        )
+        return masks, counts, certified
+
+    @cached_property
+    def factor_of(self) -> dict[int, Composition]:
+        """The composition of each distinct factor mask, at most 2^(n-1) of them."""
+        n = self.alpha.weight
+        return {mask: _composition_of_mask(mask, n) for mask in self.column_pass[1]}
+
+    @cached_property
     def factors(self) -> CompositionFactorList:
         """The composition factors in filtration order: the operators
         that move the j-th basis tableau make the descent mask of the j-th
         factor."""
-        masks = [0] * len(self.words)
-        for bit, images in enumerate(self.quotient_table):
-            for j, k in enumerate(images):
-                if k != j:
-                    masks[j] |= 1 << bit
-        factor = {mask: _composition_of_mask(mask, self.alpha.weight) for mask in set(masks)}
-        return tuple(factor[mask] for mask in masks)
+        return tuple(map(self.factor_of.__getitem__, self.column_pass[0]))
 
     @cached_property
     def characteristic(self) -> QSymElement:
-        return _element(self.alpha.weight, "F", dict(Counter(self.factors)))
+        counts = self.column_pass[1]
+        return _element(self.alpha.weight, "F", {f: counts[m] for m, f in self.factor_of.items()})
 
     @cached_property
     def generator(self) -> int:
-        """Index of the row word of ``tableaux.super_standard``: the last,
-        where the filtration order puts it, unless a substituted order
-        moved it."""
+        """Index of the super-standard row word: the last, where the
+        filtration order puts it, unless a substituted order moved it."""
         words, g = self.words, _row_word(super_standard(self.alpha))
         return len(words) - 1 if words[-1] == g else words.index(g)
 
@@ -168,11 +207,12 @@ class _Shape:
     @cached_property
     def refusal(self) -> str | None:
         """Why the commutant is not certified one-dimensional, or ``None``
-        when it is: one pass over the quotient table searches from the
-        generator, which must reach every index, keeps the operators
-        fixing it, checks that each is idempotent on the table (every
-        image it does not kill is an index it fixes) and counts the
-        indices they all fix, which must be the generator alone."""
+        when it is.  Unless the column pass certifies, one pass over the
+        quotient table searches from the generator, which must reach every
+        index, checks that each operator fixing it is idempotent (sends no
+        index to one it moves) and counts the indices they all fix: one."""
+        if self.column_pass[2]:
+            return None
         table, g = self.quotient_table, self.generator
         reached = [False] * len(self.words)
         reached[g] = True
@@ -247,19 +287,6 @@ class _Shape:
             for j, k in enumerate(images)
         )
 
-    def report(self) -> dict:
-        """The summary of :func:`analysis_report`, once :meth:`certify`
-        returns."""
-        self.certify()
-        return {
-            "alpha": list(self.alpha),
-            "dim": len(self.factors),
-            "factors": [list(beta) for beta in self.factors],
-            "characteristic": self.characteristic.to_json(),
-            "commutant_dimension": 1,
-            "indecomposable": True,
-        }
-
 
 def matrices(alpha) -> ModuleMatrices:
     """Realize the quotient operators as matrices, column by column."""
@@ -293,17 +320,11 @@ def characteristic(alpha) -> QSymElement:
 
 
 def commutant_basis(alpha) -> EndomorphismSpace:
-    """The commutant of the operator matrices: the identity alone.
-
-    The module is generated by the super-standard tableau g, so E is fixed
-    by v = E(g).  First a search checks that the operators reach every
-    basis tableau from g; then v must satisfy pi_i v = v for each operator
-    fixing g.  When each of those operators is idempotent on the basis, v
-    lies in the span of the basis tableaux they all fix, and when that
-    count is 1 the commutant is spanned by the identity.  Raises
-    ValueError otherwise: naming the first basis tableau the search
-    misses, the operator fixing g that is not idempotent, or the count
-    and a second fixed tableau.
+    """The commutant of the operator matrices: the identity alone, once
+    the certificate of the module docstring holds.  Raises ValueError
+    otherwise: naming the first basis tableau the operators do not reach
+    from g, the operator fixing g that is not idempotent, or the count and
+    a second fixed tableau.
     """
     return _Shape(alpha).commutant_basis()
 
@@ -340,4 +361,13 @@ def analysis_report(alpha) -> dict:
     characteristic, and the certified commutant: dimension 1, so the
     module is indecomposable.  Raises ValueError as :func:`commutant_basis`
     does when the certificate does not apply."""
-    return _Shape(alpha).report()
+    shape = _Shape(alpha)
+    shape.certify()
+    return {
+        "alpha": list(shape.alpha),
+        "dim": len(shape.factors),
+        "factors": [list(beta) for beta in shape.factors],
+        "characteristic": shape.characteristic.to_json(),
+        "commutant_dimension": 1,
+        "indecomposable": True,
+    }

@@ -38,6 +38,7 @@ from .compositions import (
     Composition,
     DescentSubset,
     _Record,
+    _check_int,
     _composition_of_mask,
     _mask,
     composition_of_subset,
@@ -208,6 +209,7 @@ def specialize(x: QSymElement, k: int) -> dict[tuple[int, ...], int]:
     """
     if x.basis != "M":
         raise ValueError("expected a monomial-basis element")
+    _check_int(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     poly: dict[tuple[int, ...], int] = {}
@@ -273,6 +275,7 @@ class KMatrix(_Record):
 def k_matrix(n: int) -> KMatrix:
     """The full descent-count matrix in degree n, each row the count of
     each descent mask of one shape."""
+    _check_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     comps = compositions_of(n)

@@ -53,8 +53,11 @@ tests pit the two routes against each other.  The matrix helpers
 (:func:`rank`, the plain echelon rank that :func:`pinned_rank` must match,
 :func:`mat_mul`, :func:`identity_matrix`) serve only the tests, and
 :func:`shape_with_table` hands the module invariants a hand-built action
-table.  :func:`action_table` (the action table of a basis of validated
-tableaux) and :func:`filtration_words` have no caller in the package.
+table.  The factors read off the whole table (:func:`table_factors`) and
+the refusal its search alone decides (:func:`table_refusal`) are the
+oracles of the module's column pass.  :func:`action_table` (the action
+table of a basis of validated tableaux) and :func:`filtration_words` have
+no caller in the package.
 """
 
 from collections import Counter
@@ -67,6 +70,7 @@ from math import factorial, gcd
 from extschur.compositions import (
     Composition,
     DescentSubset,
+    _composition_of_mask,
     _mask,
     _refinement_masks,
     composition_of_subset,
@@ -413,10 +417,35 @@ def table_of(mod: ModuleMatrices) -> tuple[tuple[int | None, ...], ...]:
 def shape_with_table(alpha, table, cls=_Shape) -> _Shape:
     """A ``_Shape`` of alpha (or of its subclass ``cls``) whose invariants
     read the given action table, indexed by the filtration order of alpha,
-    in place of the one the operators make."""
+    in place of the one the operators make: its column pass reads a table
+    it finds built instead of calling the quotient rule."""
     shape = cls(alpha)
     shape.quotient_table = tuple(table)
     return shape
+
+
+def table_factors(table, m: int, n: int) -> tuple[Composition, ...]:
+    """The composition factors of weight n read off a quotient table on
+    m indices, row by row: the operators that move the j-th index make the
+    descent mask of the j-th factor.  The route the package took before
+    its column pass."""
+    masks = [0] * m
+    for bit, images in enumerate(table):
+        for j, k in enumerate(images):
+            if k != j:
+                masks[j] |= 1 << bit
+    factor = {mask: _composition_of_mask(mask, n) for mask in set(masks)}
+    return tuple(factor[mask] for mask in masks)
+
+
+def table_refusal(alpha, table) -> str | None:
+    """The refusal of alpha decided by the search over ``table`` alone:
+    the column pass of a :func:`shape_with_table` is made to decline, so
+    ``_Shape.refusal`` searches the table."""
+    shape = shape_with_table(alpha, table)
+    masks, counts, _ = shape.column_pass
+    shape.column_pass = (masks, counts, False)
+    return shape.refusal
 
 
 def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:

@@ -24,10 +24,11 @@ import extschur
 import extschur.cli as cli
 from extschur import hecke_action, module_analysis, tableaux
 from extschur.cli import ALL_CHECKS, main
-from extschur.compositions import _mask, compositions_of, format_composition
+from extschur.compositions import _mask, compositions_of, format_composition, parse_composition
 from extschur.module_analysis import _Shape
 from extschur.hecke_action import verify_relations
 from extschur.module_analysis import (
+    analysis_report,
     characteristic,
     commutant_basis,
     verify_submodule_closure,
@@ -712,6 +713,37 @@ def test_expand_and_char_json_are_what_json_dumps_prints(capsys):
             ):
                 expected = json.dumps(element.to_json(), indent=2) + "\n"
                 assert run(capsys, *argv, "--format", "json") == (0, expected, ""), argv
+
+
+def test_analyze_json_is_what_json_dumps_prints(capsys):
+    # 5,3,3,1 has 4,158 factors, so they are written in two chunks
+    shapes = [alpha for n in range(0, 8) for alpha in compositions_of(n)] + [(5, 3, 3, 1)]
+    for alpha in shapes:
+        expected = json.dumps(analysis_report(alpha), indent=2) + "\n"
+        argv = ("analyze", "--alpha", format_composition(alpha), "--format", "json", "--max-n", "12")
+        assert run(capsys, *argv) == (0, expected, ""), alpha
+
+
+def test_analyze_calls_the_quotient_rule_once_per_set_and_builds_no_table(capsys, monkeypatch):
+    calls = Counter()
+    rule, word_table = hecke_action._quotient_images, hecke_action._word_table
+
+    def counted_rule(w):
+        calls["rule"] += 1
+        return rule(w)
+
+    def counted_word_table(*args):
+        calls["table"] += 1
+        return word_table(*args)
+
+    monkeypatch.setattr(hecke_action, "_quotient_images", counted_rule)
+    for module in (hecke_action, module_analysis):
+        monkeypatch.setattr(module, "_word_table", counted_word_table)
+    for alpha in ("", "2,1,3", "3,1,2,2", "2,2,1,1"):
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert run(capsys, "analyze", "--alpha", alpha, "--format", fmt)[0] == 0
+            assert calls == {"rule": tableaux._set_count(parse_composition(alpha))}, alpha
 
 
 def test_verify_json_prints_a_failure_as_json_dumps_does(capsys, monkeypatch):

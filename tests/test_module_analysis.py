@@ -17,9 +17,16 @@ from helpers import (
     identity_matrix,
     mat_mul,
     rank,
+    annihilating_quotient_step,
+    column_swapping_quotient_step,
+    per_word,
+    quotient_step,
     row_swapping_full_step,
     shape_with_table,
+    swapping_quotient_step,
+    table_factors,
     table_of,
+    table_refusal,
     tableau_submodule_closure,
     weight_dimension as _weight_dimension,
     weight_space as _weight_space,
@@ -522,6 +529,85 @@ def test_certified_analysis_searches_each_shape_once(monkeypatch):
         assert report["indecomposable"] is True
         assert shapes[-1].refusal is None
     assert [shape.searches for shape in shapes] == [[tuple(a)] for a in compositions_of(5)]
+
+
+def check_column_pass(alpha) -> None:
+    # the pass calls the rule and builds no table; a second shape builds
+    # the table, whose factors and search must agree, and whose pass, fed
+    # the table, must find what the rule gave
+    shape, table = _Shape(alpha), _Shape(alpha).quotient_table
+    assert shape.factors == table_factors(table, len(shape.words), shape.alpha.weight), alpha
+    assert shape.refusal is None, alpha
+    assert "quotient_table" not in shape.__dict__, alpha
+    assert table_refusal(alpha, table) is None, alpha
+    assert shape_with_table(alpha, table).column_pass == shape.column_pass, alpha
+
+
+def test_column_pass_matches_the_table_route():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            check_column_pass(alpha)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([alpha for n in range(9, 12) for alpha in compositions_of(n)]))
+def test_column_pass_matches_the_table_route_at_weights_9_to_11(alpha):
+    check_column_pass(alpha)
+
+
+def copying_quotient_step(i, w):
+    """The true operator with every image a fresh tuple: a fixed image is
+    equal to ``w`` but not ``w`` itself, which the table reads as fixed."""
+    image = quotient_step(i, w)
+    return image and tuple(list(image))
+
+
+@pytest.mark.parametrize("mutant", [
+    swapping_quotient_step, annihilating_quotient_step, column_swapping_quotient_step,
+    copying_quotient_step,
+])
+def test_column_pass_gives_the_table_route_verdict_under_a_broken_operator(monkeypatch, mutant):
+    # the same refusal text, or the same error, and the same factors,
+    # shape by shape
+    monkeypatch.setattr(hecke_action, "_quotient_images", per_word(mutant))
+
+    def outcome(read):
+        try:
+            return read()
+        except KeyError as exc:
+            return repr(exc)
+
+    def table_route(alpha):
+        table = _Shape(alpha).quotient_table
+        m = len(_Shape(alpha).words)
+        return table_refusal(alpha, table), table_factors(table, m, alpha.weight)
+
+    for n in range(0, 6):
+        for alpha in compositions_of(n):
+            shape = _Shape(alpha)
+            pass_route = outcome(lambda: (shape.refusal, shape.factors))
+            assert pass_route == outcome(lambda: table_route(alpha)), alpha
+
+
+def test_a_swap_onto_a_later_index_is_left_to_the_table_search():
+    # on (3,1) operator 3 sends g (index 2) to index 0 and index 0 to the
+    # later index 1, so g generates; operators 1 and 2 fix g, are
+    # idempotent and fix no other index in common.  The pass declines the
+    # swap onto a later index and the table search certifies
+    table = [(0, None, 2), (None, 1, 2), (1, 1, 0)]
+    dense = dense_commutant_basis(module_of((3, 1), table))
+    assert dense.dimension == 1
+    shape = shape_with_table((3, 1), table)
+    assert shape.column_pass[2] is False
+    assert shape.refusal is None
+    assert shape.commutant_basis() == dense
+    # operator 1 fixes g and swaps index 0 onto the later index 1, which it
+    # kills, so it is not idempotent, while generation and the count hold:
+    # the pass cannot check that swap, so it declines and the search refuses
+    table = [(1, None, 2), (None, 0, 1), (None, None, 2)]
+    shape = shape_with_table((3, 1), table)
+    assert shape.column_pass[2] is False
+    assert "operator 1 fixes it but is not idempotent" in shape.refusal
 
 
 def test_commutant_refuses_a_module_not_generated_by_super_standard():

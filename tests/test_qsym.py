@@ -349,6 +349,14 @@ def test_specialize_rejects_bad_input():
         specialize(monomial((2,)), -1)
 
 
+@pytest.mark.parametrize("degree", [True, False, 2.0])
+def test_a_bool_or_a_float_degree_is_refused(degree):
+    # bool subclasses int, but True is not the degree 1
+    for call in (compositions_of, k_matrix, lambda k: specialize(monomial((1,)), k)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(degree)
+
+
 def test_specialized_fundamentals_are_quasisymmetric():
     # coefficients of x_{i_1}^{a_1}...x_{i_r}^{a_r} agree for every
     # increasing choice of indices
