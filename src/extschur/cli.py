@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import islice
-from json.encoder import encode_basestring_ascii
+from itertools import islice, repeat
 from math import factorial, prod
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .compositions import (
@@ -32,11 +32,10 @@ from .compositions import (
     is_partition,
     parse_composition,
 )
-from .module_analysis import _Shape, characteristic
+from .module_analysis import _Shape
 from .qsym import (
     QSymElement,
-    _refine_masks,
-    extended_schur_in_F,
+    _superset_sums,
     fundamental,
     fundamental_to_monomial,
     hook_length_count,
@@ -70,10 +69,10 @@ ALL_CHECKS = (
 
 FORMATS = ("text", "json", "csv")
 
-# expand --basis M printed the 524,288 terms of --alpha 20 in 6.0-6.3 s and
-# 159 MB with --format json, about 12 us per term, and in 4.1-5.4 s as text
+# expand --basis M printed the 524,288 terms of --alpha 20 in 1.7-2.4 s and
+# 120 MB as text and in 1.7 s and 122 MB with --format json, 3-5 us per term
 # (2-core host, Python 3.11.7); a larger expansion is refused before any refining
-M_TERM_SECONDS = 18e-6
+M_TERM_SECONDS = 5e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents --format json, the costliest listing of SETs,
 # took 2.2-2.4 s for the 64,064 SETs of 5,3,3,2,1 and 0.8-1.0 s for the
@@ -263,97 +262,101 @@ def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
 
 def format_qsym(x: QSymElement) -> str:
     """Render as e.g. 'F[2,1,3] + 2*F[1,2,3] - F[6]'; zero is '0'."""
-    return "".join(_qsym_pieces(x)) or "0"
+    return "".join(_qsym_chunks(x.basis, x.degree, {_mask(a): c for a, c in x.coeffs.items()}))
 
 
-def _qsym_pieces(x: QSymElement):
-    """The text of :func:`format_qsym`, one term at a time, each after
-    the first with its ' + ' or ' - '; none for zero."""
-    for k, (alpha, c) in enumerate(x.terms()):
-        term = f"{x.basis}[{','.join(map(str, alpha))}]"
-        body = term if abs(c) == 1 else f"{abs(c)}*{term}"
-        yield ((" + " if c > 0 else " - ") if k else ("-" if c < 0 else "")) + body
+def _json_list(ints, indent: str) -> str:
+    """The text of ``json.dumps(list(ints), indent=2)`` for a sequence of
+    ints, lines after the first starting from ``indent``."""
+    sep = ",\n  " + indent
+    return f"[\n  {indent}{sep.join(map(str, ints))}\n{indent}]" if ints else "[]"
 
 
-_INT_ONLY = {int}
+def _joined(sep: str, items):
+    """The text of ``sep.join(items)``, 4,096 items at a time; the first
+    piece is '' when there are none."""
+    yield sep.join(islice(items, 4096))
+    while batch := list(islice(items, 4096)):
+        yield sep + sep.join(batch)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """The text of ``json.dumps(value, indent=2)`` for a value whose dicts
-    have str keys, with every line after the first starting from
-    ``indent``.  ``json.dumps`` serves ``indent`` from the pure-Python
-    encoder; this joins the same pieces with ``str.join``, one call per
-    list of plain ints."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join([
-            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-            for key, item in value.items()
-        ])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == _INT_ONLY:  # never bools: they print true/false
-            body = sep.join(map(int.__repr__, value))
-        else:
-            body = sep.join([_json_text(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(value)  # None, bools, floats and other scalars
+def _bits(n: int, masks):
+    """Each descent mask of weight n as its n-1 bits, lowest first: its
+    binary with a stop bit at n-1, read backwards without '0b1'.  Of two
+    compositions the smaller has the lowest bit where their masks differ,
+    its part ending first: lexicographic order is descending order here."""
+    if not n:
+        return [""] * len(masks)
+    return map(itemgetter(slice(None, 2, -1)), map(bin, map((1 << n - 1).__or__, masks)))
 
 
-def _qsym_json(element: QSymElement, indent: str = ""):
-    """The text of ``json.dumps(element.to_json(), indent=2)``, lines after
-    the first starting from ``indent``, one term at a time, one template."""
+class _Parts(dict):
+    """The part string of each run of 0s, made on its first lookup."""
+
+    def __missing__(self, run: str) -> str:
+        part = self[run] = str(len(run) + 1)
+        return part
+
+
+def _labels(n: int, bits, sep: str = ","):
+    """The parts of the composition of n with each of :func:`_bits`, joined
+    by ``sep``: each part is one more than a run of 0s ended by a 1 or by
+    the end, read from a table of part strings with no Python call per
+    composition."""
+    part = _Parts() if n else {"": ""}
+    return map(sep.join, map(map, repeat(part.__getitem__), map(str.split, bits, repeat("1"))))
+
+
+def _qsym_chunks(basis: str, n: int, counts, fmt: str = "text", indent: str = ""):
+    """The text of :func:`format_qsym`, or in json that of
+    ``json.dumps(x.to_json(), indent=2)`` with lines after the first starting
+    from ``indent``, for the element ``x`` of degree n with the nonzero
+    coefficient ``counts[m]`` on the composition of descent mask m, some
+    thousands of terms at a time.  Each term is filled into one template,
+    its composition from :func:`_labels`; no ``Composition`` is built."""
+    coefficient = dict(zip(_bits(n, counts), counts.values()))
+    order = sorted(coefficient, reverse=True)
+    coefficients = map(coefficient.__getitem__, order)
+    if fmt != "json":
+        # 'c*' for c other than 1 and -1: a negative term follows ' + -'
+        stars = map("{}*".format, map(coefficient.__getitem__, order))
+        text = map(f"{{}}{basis}[{{}}]".format,
+                   map({1: "", -1: "-"}.get, coefficients, stars), _labels(n, order))
+        for chunk in _joined(" + ", text):
+            yield chunk.replace(" + -", " - ") or "0"
+        return
     inner = indent + "    "
-    yield (f'{{\n{indent}  "degree": {element.degree},\n'
-           f'{indent}  "basis": {_json_text(element.basis)},\n{indent}  "terms": [')
-    terms = element.terms()
-    for k, (alpha, c) in enumerate(terms):
-        yield (f'{"," if k else ""}\n{inner}{{\n{inner}  "composition": '
-               f'{_json_text(alpha, inner + "  ")},\n{inner}  "coefficient": {c}\n{inner}}}')
-    yield f"\n{indent}  ]\n{indent}}}" if terms else f"]\n{indent}}}"
-
-
-def _emit_qsym(element: QSymElement, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.writelines(_qsym_json(element))
-        sys.stdout.write("\n")
-    else:
-        # the text of format_qsym, written some thousands of terms at a time
-        pieces = _qsym_pieces(element)
-        sys.stdout.write("".join(islice(pieces, 4096)) or "0")
-        while chunk := "".join(islice(pieces, 4096)):
-            sys.stdout.write(chunk)
-        sys.stdout.write("\n")
+    yield (f'{{\n{indent}  "degree": {n},\n{indent}  "basis": "{basis}",\n'
+           f'{indent}  "terms": [')
+    if not order:
+        yield f"]\n{indent}}}"
+        return
+    composition = f"[\n{inner}    {{0}}\n{inner}  ]" if n else "[]"
+    template = (f'{{{{\n{inner}  "composition": {composition},\n'
+                f'{inner}  "coefficient": {{1}}\n{inner}}}}}')
+    yield "\n" + inner
+    yield from _joined(",\n" + inner, map(template.format,
+                                          _labels(n, order, ",\n    " + inner), coefficients))
+    yield f"\n{indent}  ]\n{indent}}}"
 
 
 def _cmd_expand(args) -> int:
     alpha = _require_alpha(args)
-    if args.basis == "F":
-        element = extended_schur_in_F(alpha)
-    else:
-        n = alpha.weight
-        masks = _descent_masks(alpha)
+    n = alpha.weight
+    counts = _descent_masks(alpha)
+    if args.basis == "M":
         # the coarsest descent mask alone refines into 2^free M terms, and
         # F to M cancels nothing, so the result has at least as many
-        free = max(n - 1 - min(mask.bit_count() for mask in masks), 0)
+        free = max(n - 1 - min(mask.bit_count() for mask in counts), 0)
         if 1 << free > M_TERM_BUDGET:
             raise UsageError(
                 f"the M expansion of {format_composition(alpha)} has at least "
                 f"2^{free} terms, over the budget of {M_TERM_BUDGET} "
                 f"at about {M_TERM_SECONDS * 1e6:.0f} us per term"
             )
-        element = _refine_masks(n, masks, "M")
-    _emit_qsym(element, args.format)
+        counts = _superset_sums(n, counts, "M")
+    sys.stdout.writelines(_qsym_chunks(args.basis, n, counts, args.format))
+    print()
     return EXIT_OK
 
 
@@ -361,11 +364,12 @@ def _cmd_char(args) -> int:
     alpha = _require_alpha(args)
     _require_set_budget(alpha)
     try:
-        char = characteristic(alpha)
+        counts = _Shape(alpha).column_pass[1]
     except (KeyError, ValueError) as exc:  # an image outside the basis
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    _emit_qsym(char, args.format)
+    sys.stdout.writelines(_qsym_chunks("F", alpha.weight, counts, args.format))
+    print()
     return EXIT_OK
 
 
@@ -374,23 +378,28 @@ def _cmd_tableaux(args) -> int:
     _require_set_budget(alpha, args.kind)
     # the tableaux of enumerate_set or enumerate_srit, each made when printed
     words = _set_words(alpha) if args.kind == "set" else _srit_words(alpha)
-    listing = map(_from_row_word, words)
-    if args.format == "json":
-        # the text of json.dumps(items, indent=2), printed item by item
-        for k, t in enumerate(listing):
-            item = t.to_json()
-            if args.show_descents:
-                item["descent_composition"] = list(descent_composition(t))
-            print(",\n  " if k else "[\n  ", _json_text(item, "  "), sep="", end="")
-        print("\n]")  # never empty: every shape has its super-standard tableau
-    else:
-        blocks = []
-        for t in listing:
-            block = str(t) if t.rows else "(empty)"
-            if args.show_descents:
-                block += f"\nDes: {format_composition(descent_composition(t))}"
-            blocks.append(block)
-        print("\n\n".join(blocks))
+    as_json = args.format == "json"
+    # in json the text of json.dumps([t.to_json() for t in ...], indent=2),
+    # each item with its "descent_composition" for --show-descents
+    head = f'{{\n    "shape": {_json_list(alpha, "    ")},\n    "rows": '
+
+    def block(t) -> str:
+        if as_json:
+            rows = ",\n      ".join([_json_list(row, "      ") for row in t.rows])
+            text = head + (f"[\n      {rows}\n    ]" if rows else "[]")
+        else:
+            text = str(t) if t.rows else "(empty)"
+        if args.show_descents:
+            des = descent_composition(t)
+            text += (f',\n    "descent_composition": {_json_list(des, "    ")}' if as_json
+                     else f"\nDes: {format_composition(des)}")
+        return text + "\n  }" if as_json else text
+
+    # never empty: every shape has its super-standard tableau
+    sys.stdout.write("[\n  " if as_json else "")
+    blocks = map(block, map(_from_row_word, words))
+    sys.stdout.writelines(_joined(",\n  " if as_json else "\n\n", blocks))
+    sys.stdout.write("\n]\n" if as_json else "\n")
     return EXIT_OK
 
 
@@ -403,28 +412,29 @@ def _cmd_analyze(args) -> int:
     except (KeyError, ValueError) as exc:  # an image outside the basis, or a refusal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    masks = shape.column_pass[0]  # each distinct factor is formatted once
-    if args.format == "json":
-        # json.dumps(analysis_report(alpha), indent=2), 4,096 factors at a time
-        text = {mask: _json_text(beta, "    ") for mask, beta in shape.factor_of.items()}
-        factors = map(text.__getitem__, masks)
-        write = sys.stdout.write
-        write(f'{{\n  "alpha": {_json_text(alpha, "  ")},\n  "dim": {len(masks)},\n'
+    n = alpha.weight
+    masks, counts, _ = shape.column_pass
+    as_json = args.format == "json"
+    # each distinct factor is formatted once, as a JSON list or as text
+    labels = _labels(n, _bits(n, counts), ",\n      " if as_json else ",")
+    if as_json:  # at weight 0 the one factor is the empty list
+        labels = map(("[\n      {}\n    ]" if n else "[]").format, labels)
+    factors = map(dict(zip(counts, labels)).__getitem__, masks)
+    write = sys.stdout.write
+    if as_json:
+        # json.dumps(analysis_report(alpha), indent=2), written in pieces
+        write(f'{{\n  "alpha": {_json_list(alpha, "  ")},\n  "dim": {len(masks)},\n'
               '  "factors": [\n    ')
-        write(",\n    ".join(islice(factors, 4096)))
-        while chunk := ",\n    ".join(islice(factors, 4096)):
-            write(",\n    " + chunk)
+        sys.stdout.writelines(_joined(",\n    ", factors))
         write('\n  ],\n  "characteristic": ')
-        sys.stdout.writelines(_qsym_json(shape.characteristic, "  "))
+        sys.stdout.writelines(_qsym_chunks("F", n, counts, "json", "  "))
         write(',\n  "commutant_dimension": 1,\n  "indecomposable": true\n}\n')
     else:
-        text = {mask: format_composition(beta) for mask, beta in shape.factor_of.items()}
-        print(f"alpha: {format_composition(alpha)}")
-        print(f"dimension: {len(masks)}")
-        print(f"factors: {'; '.join(map(text.__getitem__, masks))}")
-        print(f"characteristic: {format_qsym(shape.characteristic)}")
-        print("commutant dimension: 1")
-        print("indecomposable: true")
+        write(f"alpha: {format_composition(alpha)}\ndimension: {len(masks)}\nfactors: ")
+        sys.stdout.writelines(_joined("; ", factors))
+        write("\ncharacteristic: ")
+        sys.stdout.writelines(_qsym_chunks("F", n, counts))
+        write("\ncommutant dimension: 1\nindecomposable: true\n")
     return EXIT_OK
 
 
@@ -438,11 +448,12 @@ def _cmd_kmatrix(args) -> int:
     if args.format == "csv":
         print(km.to_csv(), end="")
     elif args.format == "json":
-        print(_json_text({
-            "n": km.n,
-            "compositions": [list(alpha) for alpha in km.compositions],
-            "entries": [list(row) for row in km.entries],
-        }))
+        # the text of json.dumps of the n, the compositions and the rows, indent=2
+        sys.stdout.write(f'{{\n  "n": {km.n},\n  "compositions": [\n    ')
+        for lists, end in ((km.compositions, '\n  ],\n  "entries": [\n    '),
+                           (km.entries, "\n  ]\n}\n")):
+            sys.stdout.writelines(_joined(",\n    ", map(_json_list, lists, repeat("    "))))
+            sys.stdout.write(end)
     else:
         labels = [format_composition(alpha) for alpha in km.compositions]
         width = max(max(len(label) for label in labels), 1)
@@ -456,14 +467,6 @@ def _cmd_kmatrix(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verification sweeps
-
-
-def _check_characteristic(shape: _Shape) -> bool:
-    return shape.characteristic == shape.extended_schur
-
-
-def _check_endomorphism(shape: _Shape) -> bool:
-    return shape.refusal is None
 
 
 def _check_schur(shape: _Shape) -> bool:
@@ -497,8 +500,9 @@ def _check_kmatrix(shape: _Shape) -> bool:
 _PER_ALPHA_CHECKS = {
     "relations": _Shape.relations_hold,
     "submodule": _Shape.submodule_closed,
-    "characteristic": _check_characteristic,
-    "endomorphism": _check_endomorphism,
+    # the masks of one weight are its compositions: equal counts, equal F expansions
+    "characteristic": lambda shape: shape.column_pass[1] == shape.descent_masks,
+    "endomorphism": lambda shape: shape.refusal is None,
     "schur": _check_schur,
     "roundtrip": _check_roundtrip,
 }
@@ -555,7 +559,7 @@ def _cmd_verify(args) -> int:
     results = _run_checks(selected, args.n)
     ok = all(result["failed"] == 0 for result in results)
     if args.format == "json":
-        print(_json_text({"n": args.n, "ok": ok, "checks": results}))
+        print(json.dumps({"n": args.n, "ok": ok, "checks": results}, indent=2))
     else:
         for result in results:
             print(f"{result['name']}: {result['passed']} pass, {result['failed']} fail")

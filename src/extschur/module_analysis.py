@@ -59,7 +59,7 @@ from .hecke_action import (
     _relation_failures,
     _word_table,
 )
-from .qsym import QSymElement, _element, _fundamental_of_masks
+from .qsym import QSymElement, _element
 from .tableaux import (
     RowWord,
     _descent_masks,
@@ -134,7 +134,7 @@ class _Shape:
 
     @cached_property
     def extended_schur(self) -> QSymElement:
-        return _fundamental_of_masks(self.alpha.weight, self.descent_masks)
+        return _element(self.alpha.weight, "F", self.descent_masks)
 
     @cached_property
     def column_pass(self) -> tuple[list[int], Counter[int], bool]:
@@ -176,22 +176,17 @@ class _Shape:
         return masks, counts, certified
 
     @cached_property
-    def factor_of(self) -> dict[int, Composition]:
-        """The composition of each distinct factor mask, at most 2^(n-1) of them."""
-        n = self.alpha.weight
-        return {mask: _composition_of_mask(mask, n) for mask in self.column_pass[1]}
-
-    @cached_property
     def factors(self) -> CompositionFactorList:
         """The composition factors in filtration order: the operators
         that move the j-th basis tableau make the descent mask of the j-th
-        factor."""
-        return tuple(map(self.factor_of.__getitem__, self.column_pass[0]))
+        factor, each distinct mask turned into a composition once."""
+        n, (masks, counts, _) = self.alpha.weight, self.column_pass
+        factor_of = {mask: _composition_of_mask(mask, n) for mask in counts}
+        return tuple(map(factor_of.__getitem__, masks))
 
     @cached_property
     def characteristic(self) -> QSymElement:
-        counts = self.column_pass[1]
-        return _element(self.alpha.weight, "F", {f: counts[m] for m, f in self.factor_of.items()})
+        return _element(self.alpha.weight, "F", self.column_pass[1])
 
     @cached_property
     def generator(self) -> int:

@@ -7,7 +7,7 @@ standard-Young-tableau route for partition shapes used as a cross-check.
 
 Internally a composition of n is its descent mask (see ``compositions``).
 Refinement adds bits to a mask, so the basis changes are sums over
-supersets: :func:`_refine_masks` makes one pass per bit that some term
+supersets: :func:`_superset_sums` makes one pass per bit that some term
 leaves free, moving every coefficient whose mask lacks the bit onto the
 mask with it, negated towards F, so each added bit carries a factor -1.
 That costs the free bits times the terms kept, where walking the
@@ -15,8 +15,9 @@ submasks of each term's free bits cost 2^free per term.  The expansions,
 ``K`` and the ribbon columns read the counts of descent masks that
 ``tableaux._descent_masks`` takes from its recursion over sub-shapes, so
 none of them grows or builds a ``Tableau``; the monomial expansion
-refines those counts directly.  Masks turn back into compositions only
-for the nonzero terms of a result.
+refines those counts directly (:func:`_superset_sums`).  The command line
+writes its results straight from those counts; masks turn back into
+compositions only for the public functions, in :func:`_element`.
 
 ``QSymElement(...)`` checks every key and coefficient it is given.  The
 results built here from masks are clean by construction (``Composition``
@@ -150,6 +151,13 @@ def _refine(x: QSymElement, basis: str) -> QSymElement:
 def _refine_masks(n: int, masks: Mapping[int, int], basis: str) -> QSymElement:
     """The element of the given basis that :func:`_refine` makes from the
     coefficient of each descent mask of weight n, read in the other
+    basis: :func:`_superset_sums` as an element."""
+    return _element(n, basis, _superset_sums(n, masks, basis))
+
+
+def _superset_sums(n: int, masks: Mapping[int, int], basis: str) -> dict[int, int]:
+    """The nonzero coefficient of each descent mask of weight n in the
+    given basis, from the coefficient of each mask read in the other
     basis: the sum over supersets of the module docstring, one pass per
     bit that some mask leaves free, zeros dropped at the end."""
     full = (1 << max(n - 1, 0)) - 1
@@ -162,16 +170,17 @@ def _refine_masks(n: int, masks: Mapping[int, int], basis: str) -> QSymElement:
         free ^= bit
         for mask, c in [(m | bit, c) for m, c in out.items() if not m & bit]:
             out[mask] = get(mask, 0) + sign * c
-    return _element(n, basis, {_composition_of_mask(m, n): c for m, c in out.items() if c})
+    return {m: c for m, c in out.items() if c}
 
 
-def _element(degree: int, basis: str, coeffs: dict[Composition, int]) -> QSymElement:
-    """The element with these coefficients, taken as they are: the keys
-    must be ``Composition`` objects of weight ``degree`` and the values
-    nonzero ``int`` objects, as everything built from masks here is.
+def _element(n: int, basis: str, masks: Mapping[int, int]) -> QSymElement:
+    """The element with coefficient ``masks[m]`` on the composition of each
+    descent mask m of weight n, nothing checked: the values must be
+    nonzero ``int`` objects, as every count and superset sum here is.
     ``QSymElement(...)`` is the checking constructor."""
+    coeffs = {_composition_of_mask(m, n): c for m, c in masks.items()}
     x = object.__new__(QSymElement)
-    x.__dict__.update(degree=degree, basis=basis, coeffs=MappingProxyType(coeffs))
+    x.__dict__.update(degree=n, basis=basis, coeffs=MappingProxyType(coeffs))
     return x
 
 
@@ -180,15 +189,7 @@ def extended_schur_in_F(alpha) -> QSymElement:
     one term per standard extended tableau, indexed by its descent
     composition."""
     alpha = Composition(alpha)
-    return _fundamental_of_masks(alpha.weight, _descent_masks(alpha))
-
-
-def _fundamental_of_masks(n: int, masks: Mapping[int, int]) -> QSymElement:
-    """The fundamental expansion with the given count on the composition
-    of each descent mask of weight n."""
-    return _element(
-        n, "F", {_composition_of_mask(mask, n): count for mask, count in masks.items() if count}
-    )
+    return _element(alpha.weight, "F", _descent_masks(alpha))
 
 
 def extended_schur_in_M(alpha) -> QSymElement:

@@ -26,7 +26,9 @@ the submodule closure over validated tableaux
 which row words are extended (:func:`column_rule_submodule_closure`),
 ``K`` assembled for a whole weight before its determinant is read
 (:func:`assembled_k_is_unitriangular`), the ``analyze`` text printed from
-the ``analysis_report`` dict (:func:`report_analyze_text`), the filtration order sorted over
+the ``analysis_report`` dict (:func:`report_analyze_text`), the text and
+JSON of a ``QSymElement`` written from its sorted ``Composition`` terms
+(:func:`qsym_text`, :func:`qsym_json`), the filtration order sorted over
 validated tableaux by keys read off their rows (:func:`tableau_filtration_order`), the primitive
 basis of the generator's weight space (:func:`weight_space`) and its
 dimension as a rank (:func:`weight_dimension`, with the rank that drops
@@ -60,6 +62,7 @@ table of a basis of validated tableaux) and :func:`filtration_words` have
 no caller in the package.
 """
 
+import json
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import field, make_dataclass
@@ -739,6 +742,35 @@ def report_analyze_text(alpha) -> str:
         f"commutant dimension: {report['commutant_dimension']}\n"
         "indecomposable: true\n"
     )
+
+
+def qsym_pieces(x: QSymElement):
+    """The text of ``cli.format_qsym``, one term at a time from the sorted
+    ``Composition`` terms, each after the first with its ' + ' or ' - ';
+    none for zero: the writer the mask writer replaced."""
+    for k, (alpha, c) in enumerate(x.terms()):
+        term = f"{x.basis}[{','.join(map(str, alpha))}]"
+        body = term if abs(c) == 1 else f"{abs(c)}*{term}"
+        yield ((" + " if c > 0 else " - ") if k else ("-" if c < 0 else "")) + body
+
+
+def qsym_text(x: QSymElement) -> str:
+    return "".join(qsym_pieces(x)) or "0"
+
+
+def qsym_json(element: QSymElement, indent: str = ""):
+    """The text of ``json.dumps(element.to_json(), indent=2)``, lines after
+    the first starting from ``indent``, one ``Composition`` term at a time:
+    the JSON writer the mask writer replaced."""
+    inner = indent + "    "
+    yield (f'{{\n{indent}  "degree": {element.degree},\n'
+           f'{indent}  "basis": {json.dumps(element.basis)},\n{indent}  "terms": [')
+    terms = element.terms()
+    for k, (alpha, c) in enumerate(terms):
+        composition = json.dumps(list(alpha), indent=2).replace("\n", "\n" + inner + "  ")
+        yield (f'{"," if k else ""}\n{inner}{{\n{inner}  "composition": '
+               f'{composition},\n{inner}  "coefficient": {c}\n{inner}}}')
+    yield f"\n{indent}  ]\n{indent}}}" if terms else f"]\n{indent}}}"
 
 
 def row_swapping_full_step(i: int, w):

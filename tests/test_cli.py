@@ -9,13 +9,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     annihilating_quotient_step,
     assembled_k_is_unitriangular,
     column_swapping_quotient_step,
     per_word,
+    qsym_json,
+    qsym_text,
     report_analyze_text,
     row_swapping_full_step,
     swapping_quotient_step,
@@ -24,7 +26,13 @@ import extschur
 import extschur.cli as cli
 from extschur import hecke_action, module_analysis, tableaux
 from extschur.cli import ALL_CHECKS, main
-from extschur.compositions import _mask, compositions_of, format_composition, parse_composition
+from extschur.compositions import (
+    _composition_of_mask,
+    _mask,
+    compositions_of,
+    format_composition,
+    parse_composition,
+)
 from extschur.module_analysis import _Shape
 from extschur.hecke_action import verify_relations
 from extschur.module_analysis import (
@@ -635,33 +643,23 @@ def test_tableaux_json_streams_what_json_dumps_prints(capsys):
                     assert run(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
 
 
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([-(10 ** 40), -1, 0, 2 ** 63, 10 ** 100])
-    | st.floats()
-    | st.text()
-    | st.sampled_from(["", "\"", "\\", "\n\t\x00", "\u00e9t\u00e9", "\u2028", "\U0001f600"])
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: (
-        st.lists(inner)
-        | st.lists(inner).map(tuple)
-        | st.lists(st.integers())
-        | st.dictionaries(st.text(), inner)
-    ),
-    max_leaves=30,
-)
+def test_tableaux_text_written_in_chunks_is_one_join(capsys):
+    # the 10,080 row-increasing tableaux of 2,2,1,1,1,1 span three chunks of blocks
+    listing = enumerate_srit((2, 2, 1, 1, 1, 1))
+    for descents in (False, True):
+        blocks = [str(t) + f"\nDes: {format_composition(descent_composition(t))}" * descents
+                  for t in listing]
+        argv = ["tableaux", "--alpha", "2,2,1,1,1,1", "--kind", "srit"]
+        argv += ["--show-descents"] * descents
+        assert run(capsys, *argv) == (0, "\n\n".join(blocks) + "\n", "")
 
 
-@given(json_values)
-def test_json_text_is_what_json_dumps_prints(value):
-    expected = json.dumps(value, indent=2)
-    assert cli._json_text(value) == expected
-    # strings are escaped, so every newline of the text starts a line
-    assert cli._json_text(value, "  ") == expected.replace("\n", "\n  ")
+@given(st.lists(st.integers() | st.sampled_from([-(10 ** 40), 2 ** 63])),
+       st.sampled_from(["", "  ", "      "]))
+def test_json_list_is_what_json_dumps_prints(ints, indent):
+    expected = json.dumps(ints, indent=2).replace("\n", "\n" + indent)
+    assert cli._json_list(ints, indent) == expected
+    assert cli._json_list(tuple(ints), indent) == expected
 
 
 def assert_json_dumps_form(out: str) -> None:
@@ -694,12 +692,65 @@ qsym_elements = st.integers(0, 7).flatmap(lambda n: st.builds(
 ))
 
 
+def written(x: QSymElement, fmt: str = "text", indent: str = "") -> str:
+    """What the mask writer writes of x, from the count of each descent mask."""
+    masks = {_mask(alpha): c for alpha, c in x.coeffs.items()}
+    return "".join(cli._qsym_chunks(x.basis, x.degree, masks, fmt, indent))
+
+
 @given(qsym_elements)
 def test_streamed_qsym_json_is_what_json_dumps_prints(element):
     out = io.StringIO()
     with redirect_stdout(out):
-        cli._emit_qsym(element, "json")
+        print(written(element, "json"))
     assert out.getvalue() == json.dumps(element.to_json(), indent=2) + "\n"
+
+
+@given(qsym_elements)
+@example(QSymElement(6, "F", {(2, 1, 3): 1, (1, 2, 3): 2, (6,): -1}))
+@example(QSymElement(3, "M", {(1, 1, 1): -1, (1, 2): -3, (3,): 1}))
+@example(QSymElement(0, "F", {(): -1}))
+def test_mask_writer_is_the_composition_writer(element):
+    assert cli.format_qsym(element) == written(element) == qsym_text(element)
+    for indent in ("", "  "):
+        assert written(element, "json", indent) == "".join(qsym_json(element, indent))
+
+
+def test_expand_writes_what_the_composition_writer_writes(capsys):
+    for n in range(0, 10):
+        for alpha in compositions_of(n):
+            for basis, element in (("F", extended_schur_in_F(alpha)),
+                                   ("M", extended_schur_in_M(alpha))):
+                argv = ("expand", "--alpha", format_composition(alpha), "--basis", basis,
+                        "--max-n", "9")
+                assert run(capsys, *argv) == (0, qsym_text(element) + "\n", ""), argv
+                expected = "".join(qsym_json(element)) + "\n"
+                assert run(capsys, *argv, "--format", "json") == (0, expected, ""), argv
+
+
+def test_char_and_analyze_write_what_the_composition_writer_writes(capsys):
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            label, char = format_composition(alpha), characteristic(alpha)
+            assert run(capsys, "char", "--alpha", label) == (0, qsym_text(char) + "\n", "")
+            expected = "".join(qsym_json(char)) + "\n"
+            assert run(capsys, "char", "--alpha", label, "--format", "json") == (0, expected, "")
+            if n > 7:
+                continue
+            out = run(capsys, "analyze", "--alpha", label)[1]
+            assert f"\ncharacteristic: {qsym_text(char)}\n" in out
+            out = run(capsys, "analyze", "--alpha", label, "--format", "json")[1]
+            assert f'\n  "characteristic": {"".join(qsym_json(char, "  "))},\n' in out
+
+
+def test_bit_strings_sort_and_label_masks_as_compositions():
+    for n in range(0, 13):
+        masks = range(1 << max(n - 1, 0))
+        order = sorted(zip(cli._bits(n, masks), masks), reverse=True)
+        compositions = sorted(_composition_of_mask(m, n) for m in masks)
+        assert [_composition_of_mask(m, n) for _, m in order] == compositions
+        labels = cli._labels(n, [bits for bits, _ in order])
+        assert list(labels) == list(map(format_composition, compositions))
 
 
 def test_expand_and_char_json_are_what_json_dumps_prints(capsys):
@@ -759,7 +810,7 @@ def test_verify_json_prints_a_failure_as_json_dumps_does(capsys, monkeypatch):
             if check["name"] == "characteristic"] == ["alpha=1,1"]
 
 
-def _refine_masks_must_not_run(*_):
+def _superset_sums_must_not_run(*_):
     raise AssertionError("the refused expansion was refined")
 
 
@@ -767,12 +818,13 @@ def _refine_masks_must_not_run(*_):
 def test_expand_refuses_an_m_expansion_over_budget_before_refining(
     capsys, monkeypatch, alpha, free
 ):
-    monkeypatch.setattr(cli, "_refine_masks", _refine_masks_must_not_run)
+    monkeypatch.setattr(cli, "_superset_sums", _superset_sums_must_not_run)
     code, out, err = run(capsys, "expand", "--alpha", alpha, "--max-n", "1200", "--basis", "M")
     assert code == 2
     assert out == ""
     assert f"has at least 2^{free} terms" in err
     assert str(cli.M_TERM_BUDGET) in err
+    assert f"at about {cli.M_TERM_SECONDS * 1e6:.0f} us per term" in err
     assert "Traceback" not in err
     # the F expansion is not refined, so it is not refused
     code, out, _ = run(capsys, "expand", "--alpha", alpha, "--max-n", "1200")
@@ -787,7 +839,7 @@ def test_expand_budget_counts_the_coarsest_mask(capsys, monkeypatch):
     assert code == 0
     assert out == cli.format_qsym(extended_schur_in_M((2, 2))) + "\n"
     monkeypatch.setattr(cli, "M_TERM_BUDGET", 3)
-    monkeypatch.setattr(cli, "_refine_masks", _refine_masks_must_not_run)
+    monkeypatch.setattr(cli, "_superset_sums", _superset_sums_must_not_run)
     code, out, err = run(capsys, "expand", "--alpha", "2,2", "--basis", "M")
     assert code == 2 and out == ""
     assert "has at least 2^2 terms, over the budget of 3" in err
