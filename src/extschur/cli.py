@@ -17,15 +17,15 @@ argparse's own.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from itertools import islice, repeat
 from math import factorial, prod
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .compositions import (
     Composition,
+    _bits,
+    _labels,
     _mask,
     compositions_of,
     format_composition,
@@ -34,7 +34,6 @@ from .compositions import (
 )
 from .module_analysis import _Shape
 from .qsym import (
-    QSymElement,
     _superset_sums,
     fundamental,
     fundamental_to_monomial,
@@ -74,12 +73,12 @@ FORMATS = ("text", "json", "csv")
 # (2-core host, Python 3.11.7); a larger expansion is refused before any refining
 M_TERM_SECONDS = 5e-6
 M_TERM_BUDGET = 1 << 19
-# tableaux --show-descents --format json, the costliest listing of SETs,
-# took 2.2-2.4 s for the 64,064 SETs of 5,3,3,2,1 and 0.8-1.0 s for the
-# 20,592 of 5,3,2,1,1,1, 34-50 us per SET (analyze 13-20 us, the text
-# listing 15-22 us, same host); analyze, char and tableaux refuse more SETs
-# (SRITs for --kind srit) before making any
-SET_SECONDS = 50e-6
+# tableaux --show-descents, the costliest listing of SETs, took 1.4-1.9 s
+# as text and as JSON for the 64,064 SETs of 5,3,3,2,1, 22-30 us per SET
+# (analyze and char 12-22 us, the plain listings 13-18 us; same host, each
+# run a fresh process); analyze, char and tableaux refuse more SETs (SRITs
+# for --kind srit) before making any
+SET_SECONDS = 30e-6
 SET_BUDGET = 300_000
 
 
@@ -210,6 +209,8 @@ def main(argv=None) -> int:
                 raise UsageError(f"unknown checks {', '.join(unknown)}; {expected}")
         if args.format == "csv" and args.command != "kmatrix":
             raise UsageError("csv output is only available for the kmatrix command")
+        if args.command in ("verify", "kmatrix") and args.n > args.max_n:
+            raise UsageError(f"--n {args.n} exceeds --max-n {args.max_n}")
         handler = {
             "expand": _cmd_expand,
             "tableaux": _cmd_tableaux,
@@ -260,11 +261,6 @@ def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
         )
 
 
-def format_qsym(x: QSymElement) -> str:
-    """Render as e.g. 'F[2,1,3] + 2*F[1,2,3] - F[6]'; zero is '0'."""
-    return "".join(_qsym_chunks(x.basis, x.degree, {_mask(a): c for a, c in x.coeffs.items()}))
-
-
 def _json_list(ints, indent: str) -> str:
     """The text of ``json.dumps(list(ints), indent=2)`` for a sequence of
     ints, lines after the first starting from ``indent``."""
@@ -280,40 +276,13 @@ def _joined(sep: str, items):
         yield sep + sep.join(batch)
 
 
-def _bits(n: int, masks):
-    """Each descent mask of weight n as its n-1 bits, lowest first: its
-    binary with a stop bit at n-1, read backwards without '0b1'.  Of two
-    compositions the smaller has the lowest bit where their masks differ,
-    its part ending first: lexicographic order is descending order here."""
-    if not n:
-        return [""] * len(masks)
-    return map(itemgetter(slice(None, 2, -1)), map(bin, map((1 << n - 1).__or__, masks)))
-
-
-class _Parts(dict):
-    """The part string of each run of 0s, made on its first lookup."""
-
-    def __missing__(self, run: str) -> str:
-        part = self[run] = str(len(run) + 1)
-        return part
-
-
-def _labels(n: int, bits, sep: str = ","):
-    """The parts of the composition of n with each of :func:`_bits`, joined
-    by ``sep``: each part is one more than a run of 0s ended by a 1 or by
-    the end, read from a table of part strings with no Python call per
-    composition."""
-    part = _Parts() if n else {"": ""}
-    return map(sep.join, map(map, repeat(part.__getitem__), map(str.split, bits, repeat("1"))))
-
-
 def _qsym_chunks(basis: str, n: int, counts, fmt: str = "text", indent: str = ""):
-    """The text of :func:`format_qsym`, or in json that of
-    ``json.dumps(x.to_json(), indent=2)`` with lines after the first starting
-    from ``indent``, for the element ``x`` of degree n with the nonzero
-    coefficient ``counts[m]`` on the composition of descent mask m, some
-    thousands of terms at a time.  Each term is filled into one template,
-    its composition from :func:`_labels`; no ``Composition`` is built."""
+    """The text, e.g. 'F[2,1,3] + 2*F[1,2,3] - F[6]' or '0', or in json that
+    of ``json.dumps(x.to_json(), indent=2)`` with lines after the first
+    starting from ``indent``, of the element ``x`` of degree n with the
+    nonzero coefficient ``counts[m]`` on the composition of descent mask m,
+    some thousands of terms at a time.  Each term is filled into one
+    template, its composition from ``_labels``; no ``Composition`` is built."""
     coefficient = dict(zip(_bits(n, counts), counts.values()))
     order = sorted(coefficient, reverse=True)
     coefficients = map(coefficient.__getitem__, order)
@@ -439,8 +408,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_kmatrix(args) -> int:
-    if args.n > args.max_n:
-        raise UsageError(f"--n {args.n} exceeds --max-n {args.max_n}")
     try:
         km = k_matrix(args.n)
     except ValueError as exc:
@@ -553,12 +520,12 @@ def _run_checks(names, n: int) -> list[dict]:
 def _cmd_verify(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    if args.n > args.max_n:
-        raise UsageError(f"--n {args.n} exceeds --max-n {args.max_n}")
     selected = [name for name in ALL_CHECKS if name in args.checks]
     results = _run_checks(selected, args.n)
     ok = all(result["failed"] == 0 for result in results)
     if args.format == "json":
+        import json
+
         print(json.dumps({"n": args.n, "ok": ok, "checks": results}, indent=2))
     else:
         for result in results:

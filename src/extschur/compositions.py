@@ -12,18 +12,21 @@ the mask of a composition has a bit for each proper partial sum
 one at a time from the set bits (:func:`_composition_of_mask`), so a
 result with few terms costs no table of all 2^(n-1) compositions; the
 parts read off a mask are positive, so that ``Composition`` skips the
-per-part check.  The refinements of a composition are the masks holding
-its own, that is its mask joined with each submask of the bits it leaves
-free (:func:`_refinement_masks`); only the public :func:`refinements`
-lists them, since the basis changes of ``qsym`` sum over supersets one
-bit at a time instead.  The public ``DescentSubset`` is the validated
-form of the same subset.
+per-part check.  It alone writes them as text too, for the CLI: as bit
+strings that sort them (:func:`_bits`), and the parts read off those
+(:func:`_labels`).  The refinements of a composition are the masks
+holding its own, that is its mask joined with each submask of the bits
+it leaves free (:func:`_refinement_masks`); only the public
+:func:`refinements` lists them, since the basis changes of ``qsym`` sum
+over supersets one bit at a time instead.  The public ``DescentSubset``
+is the validated form of the same subset.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 
 
 class _Record:
@@ -215,6 +218,33 @@ def _composition_of_mask(mask: int, n: int) -> Composition:
     if n:
         parts.append(n - last)
     return tuple.__new__(Composition, parts)
+
+
+def _bits(n: int, masks):
+    """Each descent mask of weight n as its n-1 bits, lowest first: its
+    binary with a stop bit at n-1, read backwards without '0b1'.  Of two
+    compositions the smaller has the lowest bit where their masks differ,
+    its part ending first: lexicographic order is descending order here."""
+    if not n:
+        return [""] * len(masks)
+    return map(itemgetter(slice(None, 2, -1)), map(bin, map((1 << n - 1).__or__, masks)))
+
+
+class _Parts(dict):
+    """The part string of each run of 0s, made on its first lookup."""
+
+    def __missing__(self, run: str) -> str:
+        part = self[run] = str(len(run) + 1)
+        return part
+
+
+def _labels(n: int, bits, sep: str = ","):
+    """The parts of the composition of n with each of :func:`_bits`, joined
+    by ``sep``: each part is one more than a run of 0s ended by a 1 or by
+    the end, read from a table of part strings with no Python call per
+    composition."""
+    part = _Parts() if n else {"": ""}
+    return map(sep.join, map(map, repeat(part.__getitem__), map(str.split, bits, repeat("1"))))
 
 
 def _refinement_masks(mask: int, n: int) -> list[int]:

@@ -33,9 +33,10 @@ generation, idempotence and the count once per shape: ``g`` is last and
 every other index is the swap image of a later one, so ``g`` reaches it; a
 swap's image comes first, so idempotence is checked on the way; and the
 masks give the count.  When it declines, as on a swap onto a later index,
-``_Shape.refusal`` searches the table from ``g`` and decides.  A module
-that fails is refused with ``ValueError``, never reported as a verdict;
-the identity matrix is built only for :func:`commutant_basis`.
+``_Shape.refusal`` searches the table from ``g`` and decides, reading
+idempotence and the count off the same masks.  A module that fails is
+refused with ``ValueError``, never reported as a verdict; the identity
+matrix is built only for :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and counts a word as extended when it is in the
@@ -202,11 +203,13 @@ class _Shape:
     @cached_property
     def refusal(self) -> str | None:
         """Why the commutant is not certified one-dimensional, or ``None``
-        when it is.  Unless the column pass certifies, one pass over the
-        quotient table searches from the generator, which must reach every
-        index, checks that each operator fixing it is idempotent (sends no
-        index to one it moves) and counts the indices they all fix: one."""
-        if self.column_pass[2]:
+        when it is.  Unless the column pass certifies, a search of the quotient
+        table from the generator must reach every index; then, read off the
+        pass's masks, each operator fixing it must send no index to one it
+        moves (be idempotent), and they must all fix one index: the table
+        names the image moved."""
+        masks, _, certified = self.column_pass
+        if certified:
             return None
         table, g = self.quotient_table, self.generator
         reached = [False] * len(self.words)
@@ -225,19 +228,16 @@ class _Shape:
                 f"from the super-standard tableau {self.tableau(g)}; the "
                 "module is not cyclic on it, so its commutant cannot be certified"
             )
-        rows = [(i, row) for i, row in enumerate(table, 1) if row[g] == g]
-        moved = next(
-            ((i, k) for i, row in rows for k in row if k is not None and row[k] != k), None
-        )
+        fixing = ~masks[g]  # operator i moves index k when bit i-1 of masks[k] is set
+        moved = next(((i, k) for i, row in enumerate(table, 1) if fixing >> i - 1 & 1
+                      for k in row if k is not None and masks[k] >> i - 1 & 1), None)
         if moved:
             reason = (
                 f"operator {moved[0]} fixes it but is not idempotent: it moves "
                 f"tableau {self.tableau(moved[1])}, one of its images"
             )
         else:
-            fixed = range(len(self.words))
-            for _, row in rows:
-                fixed = [u for u in fixed if row[u] == u]
+            fixed = [u for u, mask in enumerate(masks) if not mask & fixing]
             if len(fixed) == 1:
                 return None
             reason = (

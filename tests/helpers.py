@@ -745,9 +745,9 @@ def report_analyze_text(alpha) -> str:
 
 
 def qsym_pieces(x: QSymElement):
-    """The text of ``cli.format_qsym``, one term at a time from the sorted
-    ``Composition`` terms, each after the first with its ' + ' or ' - ';
-    none for zero: the writer the mask writer replaced."""
+    """The text of an element as the CLI writes it, one term at a time
+    from the sorted ``Composition`` terms, each after the first with its
+    ' + ' or ' - '; none for zero: the writer the mask writer replaced."""
     for k, (alpha, c) in enumerate(x.terms()):
         term = f"{x.basis}[{','.join(map(str, alpha))}]"
         body = term if abs(c) == 1 else f"{abs(c)}*{term}"
