@@ -408,10 +408,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_kmatrix(args) -> int:
-    try:
-        km = k_matrix(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    km = k_matrix(args.n)
     if args.format == "csv":
         print(km.to_csv(), end="")
     elif args.format == "json":
@@ -469,7 +468,7 @@ _PER_ALPHA_CHECKS = {
     "submodule": _Shape.submodule_closed,
     # the masks of one weight are its compositions: equal counts, equal F expansions
     "characteristic": lambda shape: shape.column_pass[1] == shape.descent_masks,
-    "endomorphism": lambda shape: shape.refusal is None,
+    "endomorphism": lambda shape: shape.column_pass[2] is None,
     "schur": _check_schur,
     "roundtrip": _check_roundtrip,
 }

@@ -27,7 +27,8 @@ reads it in filtration order, :func:`_filtration_words`.  Both orders
 come from one sort of the integer keys that ``tableaux._grown`` sums as
 it places the entries.  The relation sweep composes the table's rows with
 ``operator.itemgetter``, and the submodule closure check and the module
-matrices read the table (``module_analysis._Shape.column_pass`` needs none).
+matrices read the table.  The module's certificate reads none: its column
+pass calls :func:`_quotient_images` once per word.
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -306,10 +307,16 @@ def preceq(s: Tableau, t: Tableau) -> bool:
     """True when s is reachable from t by quotient operators (reflexive).
 
     The column words (:func:`_column_word`) of the standard extended
-    tableaux of one shape form an interval of the left weak order, and a
-    genuine swap exchanges the values i and i+1 there, adding one
-    inversion.  So s is reachable from t exactly when the inversion set
-    of t's column word is contained in that of s's.
+    tableaux of shape alpha are the interval ``[sigma_alpha, rho_alpha]``
+    of the left weak order: the permutations whose inversion set contains
+    that of ``sigma_alpha`` and lies in that of ``rho_alpha``.  Here
+    ``sigma_alpha`` is the column word of the super-standard tableau, whose
+    row r holds ``alpha_1 + ... + alpha_(r-1) + 1`` through ``alpha_1 +
+    ... + alpha_r``, and ``rho_alpha`` is that of the filling numbered
+    column by column, left to right, each column bottom to top (the first
+    tableau in filtration order).  A genuine swap exchanges the values i
+    and i+1 there, adding one inversion.  So s is reachable from t exactly
+    when the inversion set of t's column word is contained in that of s's.
     """
     if s.shape != t.shape:
         raise ValueError("tableaux have different shapes")

@@ -10,16 +10,16 @@ and a swap sends it to an earlier one, so in the filtration basis every
 operator matrix has at most one 1 per column and never maps a basis
 vector to a later one: the chain of leading subspaces is a composition
 series with one-dimensional subquotients.  The action table of
-``hecke_action._word_table`` is built only for :func:`matrices`, the
-relation check and a refusal.  Beyond ``tableaux.super_standard``, whose
-word is the generator's, a ``Tableau`` is built only for output: the
+``hecke_action._word_table`` is built only for :func:`matrices` and the
+relation check, never for a verdict.  Beyond ``tableaux.super_standard``,
+whose word is the generator's, a ``Tableau`` is built only for output: the
 ``Filtration`` of :func:`matrices` and the tableaux a refusal names.
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
 row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
 by the vector ``v = E(g)``.  Commuting with ``E`` carries the weight of
 ``g`` over to ``v``: ``pi_i v = v`` whenever ``pi_i g = g``.  When each
-such ``pi_i`` is idempotent on the table, sending every basis tableau it
+such ``pi_i`` is idempotent on the basis, sending every basis tableau it
 does not kill to one it fixes, ``pi_i v = v`` puts ``v`` in the span of
 the basis tableaux ``pi_i`` fixes.  So ``dim End`` is at most the number
 of basis tableaux fixed by every operator that fixes ``g``, and the
@@ -28,15 +28,16 @@ one-dimensional commutant, spanned by the identity.  On a module ``pi_i``
 fixes a tableau exactly when ``i`` is not one of its descents, and the
 descents of ``g`` are the partial sums of ``alpha``, so the count is the
 coefficient of ``M_alpha`` in the extended Schur function, which is 1 on
-every shape checked (every weight up to 14).  The column pass checks
-generation, idempotence and the count once per shape: ``g`` is last and
-every other index is the swap image of a later one, so ``g`` reaches it; a
-swap's image comes first, so idempotence is checked on the way; and the
-masks give the count.  When it declines, as on a swap onto a later index,
-``_Shape.refusal`` searches the table from ``g`` and decides, reading
-idempotence and the count off the same masks.  A module that fails is
-refused with ``ValueError``, never reported as a verdict; the identity
-matrix is built only for :func:`commutant_basis`.
+every shape checked (every weight up to 14).  The column pass is the only
+certificate, and it checks generation, idempotence and the count once per
+shape.  A swap onto a later index is refused, since the order is then no
+filtration.  With none, and ``g`` last, reachability from ``g`` only moves
+to earlier indices, so ``g`` reaches every index exactly when each index
+below it is the swap image of a later one.  A swap's image comes first, so
+the first image each operator moves is recorded on the way, and the masks
+give the count and a second fixed tableau.  A module that fails is refused
+with ``ValueError``, never reported as a verdict; the identity matrix is
+built only for :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and counts a word as extended when it is in the
@@ -105,7 +106,7 @@ class _Shape:
     and kept: the row words of its standard row-increasing tableaux with their
     ``"full"`` action table, its standard extended tableaux as row words in
     filtration order with the column pass that reads the module invariants and
-    their quotient table, and the count of each descent mask with the extended
+    the quotient table built only for output, and the count of each descent mask with the extended
     Schur function.  The counts come from ``tableaux._descent_masks``, which
     grows no tableau, so the characteristic and the extended Schur function
     share no enumeration."""
@@ -138,20 +139,17 @@ class _Shape:
         return _element(self.alpha.weight, "F", self.descent_masks)
 
     @cached_property
-    def column_pass(self) -> tuple[list[int], Counter[int], bool]:
+    def column_pass(self) -> tuple[list[int], Counter[int], str | None]:
         """The mask of the operators moving each index, the count of each mask
-        and whether the certificate holds, from one call of the quotient rule
-        per word (looked up here, so a substituted rule is seen) or from the
-        quotient table once built.  It raises ``_word_table``'s ``KeyError``."""
+        and the refusal (``None`` when the certificate holds), from one call of
+        the quotient rule per word, looked up here so that a substituted rule
+        is seen.  It raises ``_word_table``'s ``KeyError``."""
         words, rule = self.words, hecke_action._quotient_images
-        if "quotient_table" in self.__dict__:  # read as a rule on indices
-            columns = list(zip(*self.quotient_table)) or [()] * len(words)
-            words, rule = range(len(words)), columns.__getitem__
         get = {w: j for j, w in enumerate(words)}.get
         masks: list[int] = []
         preceded = bytearray(len(words))  # 1 once a later index swaps onto it
-        # the operators that move an image they made; a swap onto a later index
-        moved_images = later = 0
+        later = None  # the first swap onto a later index: (operator, index, image)
+        moved: dict[int, int] = {}  # operator bit: the first of its images it moves
         for j, w in enumerate(words):
             mask = 0
             for b, image in enumerate(rule(w)):
@@ -163,18 +161,48 @@ class _Shape:
                 if k != j:
                     mask |= 1 << b
                 if k > j:
-                    later = True
+                    later = later or (b + 1, j, k)
                 elif 0 <= k < j:
                     preceded[k] = 1
-                    moved_images |= masks[k] & 1 << b
+                    if masks[k] >> b & 1:
+                        moved.setdefault(b, k)
             masks.append(mask)
-        counts, g = Counter(masks), self.generator
-        fixing = ~masks[g]  # the operators fixing the generator
-        certified = not later and g == len(masks) - 1 and 0 not in preceded[:g] and (
-            not moved_images & fixing
-            and sum(count for mask, count in counts.items() if not mask & fixing) == 1
+        counts = Counter(masks)
+        return masks, counts, self._refusal(masks, counts, preceded, later, moved)
+
+    def _refusal(self, masks, counts, preceded, later, moved) -> str | None:
+        """The verdict of the column pass, in the order of the module
+        docstring: the generator last, no swap onto a later index, every
+        index below the generator preceded, each operator fixing it
+        idempotent, and a fixed-point count of 1."""
+        g, generator = len(masks) - 1, super_standard(self.alpha)
+        if self.words[g] != _row_word(generator):
+            reason = f"the order ends with tableau {self.tableau(g)} instead"
+        elif later:
+            i, j, k = later
+            reason = (f"operator {i} sends tableau {self.tableau(j)} to the later "
+                      f"tableau {self.tableau(k)}, so the order is not a filtration")
+        elif (u := preceded.find(0, 0, g)) >= 0:
+            return (
+                f"tableau {self.tableau(u)} is not reached from the super-standard "
+                f"tableau {generator.rows}; the module is not cyclic on it, so its "
+                "commutant cannot be certified"
+            )
+        else:
+            fixing = ~masks[g]  # the operators fixing the generator
+            if (b := min((b for b in moved if fixing >> b & 1), default=None)) is not None:
+                reason = (f"operator {b + 1} fixes it but is not idempotent: it moves "
+                          f"tableau {self.tableau(moved[b])}, one of its images")
+            elif (count := sum(c for mask, c in counts.items() if not mask & fixing)) == 1:
+                return None
+            else:
+                u = next(u for u, mask in enumerate(masks) if not mask & fixing and u != g)
+                reason = (f"the fixed-point count is {count}: every operator fixing it "
+                          f"also fixes tableau {self.tableau(u)}")
+        return (
+            f"the commutant of the module on the super-standard tableau "
+            f"{generator.rows} is not certified one-dimensional; {reason}"
         )
-        return masks, counts, certified
 
     @cached_property
     def factors(self) -> CompositionFactorList:
@@ -189,71 +217,15 @@ class _Shape:
     def characteristic(self) -> QSymElement:
         return _element(self.alpha.weight, "F", self.column_pass[1])
 
-    @cached_property
-    def generator(self) -> int:
-        """Index of the super-standard row word: the last, where the
-        filtration order puts it, unless a substituted order moved it."""
-        words, g = self.words, _row_word(super_standard(self.alpha))
-        return len(words) - 1 if words[-1] == g else words.index(g)
-
     def tableau(self, j: int):
         """The rows of the j-th basis tableau, for a message."""
         return _from_row_word(self.words[j]).rows
 
-    @cached_property
-    def refusal(self) -> str | None:
-        """Why the commutant is not certified one-dimensional, or ``None``
-        when it is.  Unless the column pass certifies, a search of the quotient
-        table from the generator must reach every index; then, read off the
-        pass's masks, each operator fixing it must send no index to one it
-        moves (be idempotent), and they must all fix one index: the table
-        names the image moved."""
-        masks, _, certified = self.column_pass
-        if certified:
-            return None
-        table, g = self.quotient_table, self.generator
-        reached = [False] * len(self.words)
-        reached[g] = True
-        stack = [g]
-        while stack:
-            s = stack.pop()
-            for row in table:
-                t = row[s]
-                if t is not None and not reached[t]:
-                    reached[t] = True
-                    stack.append(t)
-        if not all(reached):
-            return (
-                f"tableau {self.tableau(reached.index(False))} is not reached "
-                f"from the super-standard tableau {self.tableau(g)}; the "
-                "module is not cyclic on it, so its commutant cannot be certified"
-            )
-        fixing = ~masks[g]  # operator i moves index k when bit i-1 of masks[k] is set
-        moved = next(((i, k) for i, row in enumerate(table, 1) if fixing >> i - 1 & 1
-                      for k in row if k is not None and masks[k] >> i - 1 & 1), None)
-        if moved:
-            reason = (
-                f"operator {moved[0]} fixes it but is not idempotent: it moves "
-                f"tableau {self.tableau(moved[1])}, one of its images"
-            )
-        else:
-            fixed = [u for u, mask in enumerate(masks) if not mask & fixing]
-            if len(fixed) == 1:
-                return None
-            reason = (
-                f"the fixed-point count is {len(fixed)}: every operator fixing it "
-                f"also fixes tableau {self.tableau(next(u for u in fixed if u != g))}"
-            )
-        return (
-            f"the commutant of the module on the super-standard tableau "
-            f"{self.tableau(g)} is not certified one-dimensional; {reason}"
-        )
-
     def certify(self) -> None:
         """Return when the identity is certified to span the commutant;
-        otherwise raise ValueError with the :attr:`refusal`."""
-        if self.refusal:
-            raise ValueError(self.refusal)
+        otherwise raise ValueError with the column pass's refusal."""
+        if refusal := self.column_pass[2]:
+            raise ValueError(refusal)
 
     def commutant_basis(self) -> EndomorphismSpace:
         """The identity alone, once :meth:`certify` returns."""
@@ -317,9 +289,10 @@ def characteristic(alpha) -> QSymElement:
 def commutant_basis(alpha) -> EndomorphismSpace:
     """The commutant of the operator matrices: the identity alone, once
     the certificate of the module docstring holds.  Raises ValueError
-    otherwise: naming the first basis tableau the operators do not reach
-    from g, the operator fixing g that is not idempotent, or the count and
-    a second fixed tableau.
+    otherwise: naming the last tableau when it is not g, the swap onto a
+    later tableau, a basis tableau the operators do not reach from g, the
+    operator fixing g that is not idempotent, or the count and a second
+    fixed tableau.
     """
     return _Shape(alpha).commutant_basis()
 

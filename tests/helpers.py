@@ -55,9 +55,12 @@ tests pit the two routes against each other.  The matrix helpers
 (:func:`rank`, the plain echelon rank that :func:`pinned_rank` must match,
 :func:`mat_mul`, :func:`identity_matrix`) serve only the tests, and
 :func:`shape_with_table` hands the module invariants a hand-built action
-table.  The factors read off the whole table (:func:`table_factors`) and
-the refusal its search alone decides (:func:`table_refusal`) are the
-oracles of the module's column pass.  :func:`action_table` (the action
+table through a per-word rule that reads it (:func:`table_rule`).  The
+factors read off the whole table (:func:`table_factors`), the refusal
+decided by a search of the table from the generator
+(:func:`table_refusal`, with :func:`reached_from` and
+:func:`later_swaps`) and the interval module are the oracles of the
+module's column pass.  :func:`action_table` (the action
 table of a basis of validated tableaux) and :func:`filtration_words` have
 no caller in the package.
 """
@@ -70,6 +73,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations, permutations, product
 from math import factorial, gcd
 
+from extschur import hecke_action
 from extschur.compositions import (
     Composition,
     DescentSubset,
@@ -417,13 +421,29 @@ def table_of(mod: ModuleMatrices) -> tuple[tuple[int | None, ...], ...]:
     )
 
 
-def shape_with_table(alpha, table, cls=_Shape) -> _Shape:
-    """A ``_Shape`` of alpha (or of its subclass ``cls``) whose invariants
-    read the given action table, indexed by the filtration order of alpha,
-    in place of the one the operators make: its column pass reads a table
-    it finds built instead of calling the quotient rule."""
-    shape = cls(alpha)
-    shape.quotient_table = tuple(table)
+def table_rule(words, table):
+    """The per-word quotient rule that reads ``table`` (indexed by
+    ``words``): image ``i-1`` of ``words[j]`` is the word at entry
+    ``[i-1][j]``, ``None`` when annihilated.  Substituted for
+    ``hecke_action._quotient_images``, it makes a hand-built action table
+    what the column pass sees."""
+    index = {w: j for j, w in enumerate(words)}
+    return lambda w: [None if k is None else words[k] for k in (row[index[w]] for row in table)]
+
+
+def shape_with_table(alpha, table) -> _Shape:
+    """A ``_Shape`` of alpha whose invariants read the given action table,
+    indexed by the filtration order of alpha, in place of the one the
+    operators make: its column pass is made at once under
+    :func:`table_rule`, and the table is kept as its quotient table."""
+    shape = _Shape(alpha)
+    shape.quotient_table = table = tuple(table)
+    rule = hecke_action._quotient_images
+    hecke_action._quotient_images = table_rule(shape.words, table)
+    try:
+        shape.column_pass
+    finally:
+        hecke_action._quotient_images = rule
     return shape
 
 
@@ -441,14 +461,62 @@ def table_factors(table, m: int, n: int) -> tuple[Composition, ...]:
     return tuple(factor[mask] for mask in masks)
 
 
+def later_swaps(table) -> list[tuple[int, int, int]]:
+    """Every ``(i, j, k)`` with operator i sending index j of ``table`` to
+    a later index k, ordered by j, then i."""
+    swaps = [(i, j, k) for i, row in enumerate(table, 1)
+             for j, k in enumerate(row) if k is not None and k > j]
+    return sorted(swaps, key=lambda swap: (swap[1], swap[0]))
+
+
+def reached_from(table, g: int) -> set[int]:
+    """The indices a search over ``table`` reaches from ``g``."""
+    reached = {g}
+    stack = [g]
+    while stack:
+        s = stack.pop()
+        for row in table:
+            t = row[s]
+            if t is not None and t not in reached:
+                reached.add(t)
+                stack.append(t)
+    return reached
+
+
 def table_refusal(alpha, table) -> str | None:
-    """The refusal of alpha decided by the search over ``table`` alone:
-    the column pass of a :func:`shape_with_table` is made to decline, so
-    ``_Shape.refusal`` searches the table."""
-    shape = shape_with_table(alpha, table)
-    masks, counts, _ = shape.column_pass
-    shape.column_pass = (masks, counts, False)
-    return shape.refusal
+    """The refusal of alpha decided from its quotient table alone, indexed
+    by the filtration order, the super-standard tableau ``g`` last: a
+    search from ``g`` must reach every index, each operator fixing ``g``
+    must send no index to one it moves, and they must all fix ``g`` alone.
+    The route the package took whenever its column pass declined, now the
+    oracle of the pass's verdict; unlike the pass, it certifies a table
+    with a swap onto a later index."""
+    order = filtration(Composition(alpha)).order
+    g = len(order) - 1
+    reached = reached_from(table, g)
+    if len(reached) < len(order):
+        u = min(set(range(len(order))) - reached)
+        return (
+            f"tableau {order[u].rows} is not reached from the super-standard "
+            f"tableau {order[g].rows}; the module is not cyclic on it, so its "
+            "commutant cannot be certified"
+        )
+    fixing = [(i, row) for i, row in enumerate(table, 1) if row[g] == g]
+    moved = next(((i, k) for i, row in fixing for k in row
+                  if k is not None and row[k] != k), None)
+    fixed = [u for u in range(len(order)) if all(row[u] == u for _, row in fixing)]
+    if moved:
+        reason = (f"operator {moved[0]} fixes it but is not idempotent: it moves "
+                  f"tableau {order[moved[1]].rows}, one of its images")
+    elif len(fixed) == 1:
+        return None
+    else:
+        reason = (f"the fixed-point count is {len(fixed)}: every operator fixing it "
+                  f"also fixes tableau {order[next(u for u in fixed if u != g)].rows}")
+    return (
+        f"the commutant of the module on the super-standard tableau "
+        f"{order[g].rows} is not certified one-dimensional; {reason}"
+    )
 
 
 def dense_commutant_basis(mod: ModuleMatrices) -> EndomorphismSpace:
@@ -502,11 +570,12 @@ def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
     """
     table = shape.quotient_table
     m = len(shape.words)
+    g = m - 1  # the super-standard tableau, last in filtration order
     # images[t][u]: the entry of E(t) that holds the unknown v_u, or None
     # once an operator on the search's way from g annihilated it
     images: list = [None] * m
-    images[shape.generator] = tuple(range(m))
-    queue = [shape.generator]
+    images[g] = tuple(range(m))
+    queue = [g]
     for s in queue:
         for row in table:
             t = row[s]
@@ -516,7 +585,7 @@ def cyclic_commutant_basis(shape: _Shape) -> EndomorphismSpace:
     if None in images:
         raise ValueError(
             f"tableau {shape.tableau(images.index(None))} is not reached from "
-            f"the super-standard tableau {shape.tableau(shape.generator)}"
+            f"the super-standard tableau {shape.tableau(g)}"
         )
     rows = []
     for row in table:

@@ -384,7 +384,8 @@ def test_kmatrix_identity_degrees(capsys):
 
 
 def test_kmatrix_rejects_bad_n(capsys):
-    assert run(capsys, "kmatrix", "--n", "0")[0] == 2
+    for n in ("0", "-1"):
+        assert run(capsys, "kmatrix", "--n", n) == (2, "", "error: --n must be at least 1\n")
     assert run(capsys, "kmatrix", "--n", "9") == (2, "", "error: --n 9 exceeds --max-n 8\n")
     assert run(capsys, "kmatrix", "--n", "4", "--max-n", "3")[0] == 2
     assert run(capsys, "kmatrix", "--n", "4", "--max-n", "4")[0] == 0
@@ -907,7 +908,11 @@ def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, 
      "cannot be certified\n"),
     ("analyze", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
     ("char", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
-], ids=["unreached", "outside-basis", "char-outside-basis"])
+    ("analyze", swapping_quotient_step,
+     "error: the commutant of the module on the super-standard tableau ((1, 2), (3,)) "
+     "is not certified one-dimensional; operator 2 sends tableau ((1, 3), (2,)) to the "
+     "later tableau ((1, 2), (3,)), so the order is not a filtration\n"),
+], ids=["unreached", "outside-basis", "char-outside-basis", "later-swap"])
 def test_analyze_reports_a_broken_operator_with_exit_1(capsys, monkeypatch, command, mutant, error):
     monkeypatch.setattr(hecke_action, "_quotient_images", per_word(mutant))
     code, out, err = run(capsys, command, "--alpha", "2,1")

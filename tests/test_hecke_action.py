@@ -552,6 +552,16 @@ def test_filtration_words_match_tableau_sort_at_weights_9_to_11(alpha):
     assert filtration(alpha).order == tuple(order)
 
 
+def test_the_first_set_in_filtration_order_is_the_column_filling():
+    # rho_alpha numbers the boxes column by column, left to right, each
+    # column bottom to top (first row first), so letter v-1 of its row word
+    # is the row of the v-th box
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            boxes = sorted((c, r) for r, part in enumerate(alpha) for c in range(part))
+            assert _filtration_words(alpha)[0] == tuple(r for _, r in boxes), alpha
+
+
 def check_quotient_images(alpha) -> None:
     """The one-pass rule gives every operator's image of every basis word
     as the count-based oracle does, and returns a fixed word itself, which

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     action_table,
     column_rule_submodule_closure,
+    column_word,
     cyclic_commutant_basis,
     dense_commutant_basis,
     dense_matrices,
@@ -15,18 +16,22 @@ from helpers import (
     filtration_words,
     fixed_point_count,
     identity_matrix,
+    interval_module,
+    later_swaps,
     mat_mul,
     rank,
     annihilating_quotient_step,
     column_swapping_quotient_step,
     per_word,
     quotient_step,
+    reached_from,
     row_swapping_full_step,
     shape_with_table,
     swapping_quotient_step,
     table_factors,
     table_of,
     table_refusal,
+    table_rule,
     tableau_submodule_closure,
     weight_dimension as _weight_dimension,
     weight_space as _weight_space,
@@ -54,7 +59,7 @@ from extschur.module_analysis import (
     verify_submodule_closure,
 )
 from extschur.qsym import QSymElement, extended_schur_in_F, extended_schur_in_M
-from extschur.tableaux import descent_composition, enumerate_set, super_standard
+from extschur.tableaux import _row_word, descent_composition, enumerate_set, super_standard
 
 
 def test_matrices_one_dimensional_cases():
@@ -275,7 +280,7 @@ def test_shape_reads_the_filtration_words_with_the_generator_last():
             filt = filtration(alpha)
             assert shape.words == list(filtration_words(filt)), alpha
             assert shape.quotient_table == action_table(filt.order, "quotient"), alpha
-            assert shape.generator == len(shape.words) - 1, alpha
+            assert shape.words[-1] == _row_word(super_standard(alpha)), alpha
 
 
 def test_weight_rank_matches_weight_space_oracle():
@@ -283,8 +288,8 @@ def test_weight_rank_matches_weight_space_oracle():
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
             table = shape.quotient_table
-            g = shape.generator
             m = len(shape.words)
+            g = m - 1
             assert _weight_dimension(table, g, m) == len(_weight_space(table, g, m)), alpha
 
 
@@ -314,11 +319,11 @@ def test_fixed_point_count_is_the_monomial_coefficient_and_dim_w():
     for n in range(0, 9):
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
-            table = shape.quotient_table
-            count = fixed_point_count(table, shape.generator)
+            table, g = shape.quotient_table, len(shape.words) - 1
+            count = fixed_point_count(table, g)
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
-            assert count == _weight_dimension(table, shape.generator, len(shape.words)), alpha
-            assert shape.refusal is None, alpha
+            assert count == _weight_dimension(table, g, len(shape.words)), alpha
+            assert shape.column_pass[2] is None, alpha
 
 
 def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10():
@@ -326,9 +331,9 @@ def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10():
     for n in (9, 10):
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
-            count = fixed_point_count(shape.quotient_table, shape.generator)
+            count = fixed_point_count(shape.quotient_table, len(shape.words) - 1)
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
-            assert shape.refusal is None, alpha
+            assert shape.column_pass[2] is None, alpha
 
 
 def module_of(alpha, table) -> ModuleMatrices:
@@ -388,7 +393,8 @@ def test_weight_space_rows_hold_without_idempotence():
     # idempotent: dropping v_u for each u it does not fix would leave only
     # the line of g, but the commutant is a plane.  The rows of W still
     # hold for E(g), which the cyclic solve finds; the package refuses,
-    # naming the operator
+    # naming the swap of index 0 onto the later index 1 (no table on (3,1)
+    # without a later swap shows this)
     mod = module_of((3, 1), [(None, None, None), (None, None, 0), (1, 0, 2)])
     table = table_of(mod)
     dense = dense_commutant_basis(mod)
@@ -399,7 +405,8 @@ def test_weight_space_rows_hold_without_idempotence():
     w = _weight_space(table, 2, 3)
     images = [tuple(row[2] for row in e) for e in dense.basis]
     assert rank(w) == rank(w + images) == 2
-    with pytest.raises(ValueError, match="operator 3 fixes it but is not idempotent"):
+    assert "operator 3 fixes it but is not idempotent" in table_refusal((3, 1), table)
+    with pytest.raises(ValueError, match="operator 3 sends .* so the order is not a filtration"):
         shape_with_table((3, 1), table).commutant_basis()
 
 
@@ -410,21 +417,14 @@ def test_weight_space_rows_hold_without_idempotence():
 def test_commutant_matches_dense_oracle_on_arbitrary_tables(table):
     # any table on the three SETs of (3,1): the cyclic solve refuses exactly
     # when g (index 2) does not generate, and otherwise spans the dense
-    # commutant; the package refuses then too, or returns that commutant
+    # commutant; the package refuses then too (for a swap onto a later
+    # index first), or returns that commutant
     mod = module_of((3, 1), table)
-    reached = {2}
-    frontier = [2]
-    while frontier:
-        s = frontier.pop()
-        for images in table:
-            t = images[s]
-            if t is not None and t not in reached:
-                reached.add(t)
-                frontier.append(t)
-    if len(reached) < 3:
+    if len(reached_from(table, 2)) < 3:
         with pytest.raises(ValueError, match="not reached"):
             cyclic_commutant_basis(shape_with_table((3, 1), table))
-        with pytest.raises(ValueError, match="not reached"):
+        reason = "not a filtration" if later_swaps(table) else "not reached"
+        with pytest.raises(ValueError, match=reason):
             shape_with_table((3, 1), table).commutant_basis()
         return
     space = cyclic_commutant_basis(shape_with_table((3, 1), table))
@@ -457,16 +457,18 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     # dim W when the operators fixing g are idempotent and is skipped
     # otherwise; whenever the commutant is returned, the dense one is the
     # line of the identity, and otherwise the refusal names the count or
-    # the operator
+    # the operator, unless it names a swap onto a later index first
     table = tuple(table)
     mod = module_of((3, 1), table)
     shape = shape_with_table((3, 1), table)
+    refusal = shape.column_pass[2]
+    if later_swaps(table):
+        assert refusal.endswith("so the order is not a filtration")
     try:
         cyclic_commutant_basis(shape)
     except ValueError:
-        assert "not reached" in shape.refusal
-        with pytest.raises(ValueError, match="not reached"):
-            shape.commutant_basis()
+        if not later_swaps(table):
+            assert_refusal(shape, "not reached")
         return
     count = fixed_point_count(table, 2)
     fixing = [images for images in table if images[2] == 2]
@@ -477,67 +479,105 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
         assert count >= len(_weight_space(table, 2, 3)) >= dense.dimension
     if count == 1:
         assert dense.dimension == 1
-        assert shape.refusal is None
+    if later_swaps(table):
+        return
+    if count == 1:
+        assert refusal is None
         assert shape.commutant_basis() == dense
     else:
-        reason = f"fixed-point count is {count}" if idempotent else "is not idempotent"
-        assert reason in shape.refusal
-        with pytest.raises(ValueError, match=reason):
-            shape.commutant_basis()
+        assert_refusal(shape, f"fixed-point count is {count}" if idempotent else "is not idempotent")
 
 
-class SearchCountingShape(_Shape):
-    """A ``_Shape`` that records each pass of the certificate it makes,
-    the search from the generator included."""
-
-    def __init__(self, alpha):
-        super().__init__(alpha)
-        self.searches = []
-
-    @cached_property
-    def refusal(self):
-        self.searches.append(self.alpha)
-        return _Shape.refusal.func(self)
+def assert_refusal(shape, reason) -> None:
+    assert reason in shape.column_pass[2]
+    with pytest.raises(ValueError, match=reason):
+        shape.commutant_basis()
 
 
-def test_refusal_searches_the_table_once():
-    # operator 3 swaps indices 0 and 1 and fixes g (index 2), so it is not
-    # idempotent and the commutant is refused after the search; the refusal
-    # read twice and the cyclic solve, which searches on its own, make one
-    # pass of the certificate
-    table = [(None, None, None), (None, None, 0), (1, 0, 2)]
-    shape = shape_with_table((3, 1), table, SearchCountingShape)
-    assert fixed_point_count(table, 2) is None
+TABLES_3_1 = st.lists(st.tuples(*[st.sampled_from([None, 0, 1, 2])] * 3), min_size=3, max_size=3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(TABLES_3_1)
+def test_column_pass_never_certifies_what_the_search_or_the_dense_commutant_refuses(table):
+    # any table on the three SETs of (3,1), g the index 2
+    table = tuple(table)
+    if shape_with_table((3, 1), table).column_pass[2] is None:
+        assert table_refusal((3, 1), table) is None
+        assert dense_commutant_basis(module_of((3, 1), table)).dimension == 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(TABLES_3_1)
+def test_column_pass_gives_the_searched_verdict_and_reason_without_a_later_swap(table):
+    # a swap onto a later index is refused first, naming the first one;
+    # otherwise the refusal is the search's, except that an unreached
+    # tableau it names may be another unreached one
+    table = tuple(table)
+    shape = shape_with_table((3, 1), table)
+    refusal, searched = shape.column_pass[2], table_refusal((3, 1), table)
+    if swaps := later_swaps(table):
+        i, j, k = swaps[0]
+        assert refusal.endswith(
+            f"; operator {i} sends tableau {shape.tableau(j)} to the later tableau "
+            f"{shape.tableau(k)}, so the order is not a filtration"
+        )
+    elif searched and " is not reached " in searched:
+        named, reason = refusal.split(" is not reached ")
+        assert reason == searched.split(" is not reached ")[1]
+        unreached = set(range(3)) - reached_from(table, 2)
+        assert named in {f"tableau {shape.tableau(u)}" for u in unreached}
+    else:
+        assert refusal == searched
+
+
+def counted_rule(monkeypatch, rule):
+    """Substitute ``rule`` for the quotient rule, counting its calls, and
+    make building an action table fail."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return rule(w)
+
+    def no_table(*_):
+        raise AssertionError("an action table was built")
+
+    monkeypatch.setattr(hecke_action, "_quotient_images", counted)
+    monkeypatch.setattr(module_analysis, "_word_table", no_table)
+    return calls
+
+
+def test_refusal_is_decided_in_one_pass(monkeypatch):
+    # operator 3 fixes g (index 2) and sends index 1 to index 0, which it
+    # kills, so it is not idempotent; operator 2 sends g to index 1.  The
+    # refusal read three times calls the rule once per SET and builds no
+    # table
+    table = [(None, None, None), (None, None, 1), (None, 0, 2)]
+    calls = counted_rule(monkeypatch, table_rule(_Shape((3, 1)).words, table))
+    shape = _Shape((3, 1))
     for _ in range(2):
-        with pytest.raises(ValueError, match="operator 3"):
+        with pytest.raises(ValueError, match="operator 3 fixes it but is not idempotent"):
             shape.commutant_basis()
-    assert "operator 3 fixes it but is not idempotent" in shape.refusal
-    assert cyclic_commutant_basis(shape).dimension == 2
-    assert shape.searches == [(3, 1)]
+    assert shape.column_pass[2] == table_refusal((3, 1), table)
+    assert sorted(calls) == sorted(shape.words)
 
 
-def test_certified_analysis_searches_each_shape_once(monkeypatch):
-    shapes = []
-
-    def counted(alpha):
-        shapes.append(SearchCountingShape(alpha))
-        return shapes[-1]
-
-    monkeypatch.setattr(module_analysis, "_Shape", counted)
+def test_certified_analysis_makes_one_pass_per_shape(monkeypatch):
+    calls = counted_rule(monkeypatch, hecke_action._quotient_images)
     for alpha in compositions_of(5):
-        report = analysis_report(alpha)
-        assert report["indecomposable"] is True
-        assert shapes[-1].refusal is None
-    assert [shape.searches for shape in shapes] == [[tuple(a)] for a in compositions_of(5)]
+        calls.clear()
+        assert analysis_report(alpha)["indecomposable"] is True
+        assert sorted(calls) == sorted(_Shape(alpha).words), alpha
 
 
 def check_column_pass(alpha) -> None:
     # the pass calls the rule and builds no table; a second shape builds
-    # the table, whose factors and search must agree, and whose pass, fed
-    # the table, must find what the rule gave
+    # the table, whose factors and search must agree, and whose pass, under
+    # the rule reading that table, must find what the rule gave
     shape, table = _Shape(alpha), _Shape(alpha).quotient_table
     assert shape.factors == table_factors(table, len(shape.words), shape.alpha.weight), alpha
-    assert shape.refusal is None, alpha
+    assert shape.column_pass[2] is None, alpha
     assert "quotient_table" not in shape.__dict__, alpha
     assert table_refusal(alpha, table) is None, alpha
     assert shape_with_table(alpha, table).column_pass == shape.column_pass, alpha
@@ -555,6 +595,38 @@ def test_column_pass_matches_the_table_route_at_weights_9_to_11(alpha):
     check_column_pass(alpha)
 
 
+def check_column_pass_against_the_interval_module(alpha) -> None:
+    # the weak order interval model shares no code with the row-word rules:
+    # each SET, through its column word, has the interval's mask, and the
+    # pass certifies exactly when the interval's generator sigma (the
+    # column word of the last SET) reaches every word, each operator fixing
+    # it is idempotent and they fix sigma alone
+    shape = _Shape(alpha)
+    words, act = interval_module(alpha)
+    sigma, operators = words[0], range(1, shape.alpha.weight)
+    columns = [column_word(shape.tableau(j)) for j in range(len(shape.words))]
+    assert sorted(columns) == sorted(words) and columns[-1] == sigma, alpha
+    masks = [sum(1 << i - 1 for i in operators if act(i, c) != c) for c in columns]
+    assert shape.column_pass[0] == masks, alpha
+    fixing = [i for i in operators if act(i, sigma) == sigma]
+    images = [(i, act(i, c)) for i in fixing for c in words]
+    idempotent = all(act(i, image) == image for i, image in images if image is not None)
+    count = sum(all(act(i, c) == c for i in fixing) for c in words)
+    assert (shape.column_pass[2] is None) == (idempotent and count == 1), alpha
+
+
+def test_column_pass_matches_the_interval_module():
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            check_column_pass_against_the_interval_module(alpha)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(compositions_of(9) + compositions_of(10)))
+def test_column_pass_matches_the_interval_module_at_weights_9_and_10(alpha):
+    check_column_pass_against_the_interval_module(alpha)
+
+
 def copying_quotient_step(i, w):
     """The true operator with every image a fresh tuple: a fixed image is
     equal to ``w`` but not ``w`` itself, which the table reads as fixed."""
@@ -567,8 +639,9 @@ def copying_quotient_step(i, w):
     copying_quotient_step,
 ])
 def test_column_pass_gives_the_table_route_verdict_under_a_broken_operator(monkeypatch, mutant):
-    # the same refusal text, or the same error, and the same factors,
-    # shape by shape
+    # the same error, or the same factors and, shape by shape, the search's
+    # refusal text; where the table swaps onto a later index (only under
+    # the swapping mutant) the pass refuses, naming the swap
     monkeypatch.setattr(hecke_action, "_quotient_images", per_word(mutant))
 
     def outcome(read):
@@ -580,34 +653,63 @@ def test_column_pass_gives_the_table_route_verdict_under_a_broken_operator(monke
     def table_route(alpha):
         table = _Shape(alpha).quotient_table
         m = len(_Shape(alpha).words)
-        return table_refusal(alpha, table), table_factors(table, m, alpha.weight)
+        return table, table_refusal(alpha, table), table_factors(table, m, alpha.weight)
 
     for n in range(0, 6):
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
-            pass_route = outcome(lambda: (shape.refusal, shape.factors))
-            assert pass_route == outcome(lambda: table_route(alpha)), alpha
+            pass_route = outcome(lambda: (shape.column_pass[2], shape.factors))
+            searched = outcome(lambda: table_route(alpha))
+            if isinstance(searched, str):
+                assert pass_route == searched, alpha
+                continue
+            table, refusal, factors = searched
+            assert pass_route[1] == factors, alpha
+            if later_swaps(table):
+                assert mutant is swapping_quotient_step, alpha
+                assert pass_route[0].endswith("so the order is not a filtration"), alpha
+            else:
+                assert pass_route[0] == refusal, alpha
 
 
-def test_a_swap_onto_a_later_index_is_left_to_the_table_search():
+def test_a_swap_onto_a_later_index_is_refused():
     # on (3,1) operator 3 sends g (index 2) to index 0 and index 0 to the
     # later index 1, so g generates; operators 1 and 2 fix g, are
-    # idempotent and fix no other index in common.  The pass declines the
-    # swap onto a later index and the table search certifies
+    # idempotent and fix no other index in common.  The search certifies
+    # and the dense commutant is the line of the identity, but the leading
+    # subspaces are not submodules, so the pass refuses, naming the swap
+    order = filtration(Composition((3, 1))).order
     table = [(0, None, 2), (None, 1, 2), (1, 1, 0)]
-    dense = dense_commutant_basis(module_of((3, 1), table))
-    assert dense.dimension == 1
-    shape = shape_with_table((3, 1), table)
-    assert shape.column_pass[2] is False
-    assert shape.refusal is None
-    assert shape.commutant_basis() == dense
+    assert dense_commutant_basis(module_of((3, 1), table)).dimension == 1
+    assert table_refusal((3, 1), table) is None
+    with pytest.raises(ValueError) as caught:
+        shape_with_table((3, 1), table).commutant_basis()
+    assert str(caught.value) == (
+        f"the commutant of the module on the super-standard tableau {order[2].rows} "
+        f"is not certified one-dimensional; operator 3 sends tableau {order[0].rows} "
+        f"to the later tableau {order[1].rows}, so the order is not a filtration"
+    )
     # operator 1 fixes g and swaps index 0 onto the later index 1, which it
-    # kills, so it is not idempotent, while generation and the count hold:
-    # the pass cannot check that swap, so it declines and the search refuses
+    # kills, so it is not idempotent: the search says so, the pass names
+    # the swap
     table = [(1, None, 2), (None, 0, 1), (None, None, 2)]
-    shape = shape_with_table((3, 1), table)
-    assert shape.column_pass[2] is False
-    assert "operator 1 fixes it but is not idempotent" in shape.refusal
+    assert "operator 1 fixes it but is not idempotent" in table_refusal((3, 1), table)
+    assert shape_with_table((3, 1), table).column_pass[2].endswith(
+        f"; operator 1 sends tableau {order[0].rows} to the later tableau "
+        f"{order[1].rows}, so the order is not a filtration"
+    )
+
+
+def test_the_last_tableau_must_be_the_super_standard_one(monkeypatch):
+    # an order that puts g first is refused, naming the tableau it ends with
+    words = hecke_action._filtration_words(Composition((2, 1)))
+    monkeypatch.setattr(module_analysis, "_filtration_words", lambda alpha: words[::-1])
+    with pytest.raises(ValueError) as caught:
+        commutant_basis((2, 1))
+    assert str(caught.value) == (
+        "the commutant of the module on the super-standard tableau ((1, 2), (3,)) is not "
+        "certified one-dimensional; the order ends with tableau ((1, 3), (2,)) instead"
+    )
 
 
 def test_commutant_refuses_a_module_not_generated_by_super_standard():
