@@ -246,11 +246,16 @@ def _require_alpha(args) -> Composition:
     return alpha
 
 
+def _srit_count(alpha: Composition) -> int:
+    """The number n!/prod(alpha_i!) of row-increasing tableaux of alpha."""
+    return factorial(alpha.weight) // prod(map(factorial, alpha))
+
+
 def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
     """Refuse, before any is made, a shape with more tableaux of ``kind``
     than ``SET_BUDGET``: n!/prod(alpha_i!) row-increasing ones, and the
     extended ones counted only when that exceeds the budget."""
-    count = factorial(alpha.weight) // prod(map(factorial, alpha))
+    count = _srit_count(alpha)
     name = "row-increasing"
     if kind == "set" and count > SET_BUDGET:
         count, name = _set_count(alpha), "extended"
@@ -474,13 +479,148 @@ _PER_ALPHA_CHECKS = {
 }
 
 
+def _plan(alphas: list, cores: int) -> list[list]:
+    """Split ``alphas`` into min(cores, len(alphas)) parts, none empty, each
+    in the given order, balanced by the count of row-increasing tableaux,
+    which grows no tableau: the costliest shape first, each shape joins the
+    part with the least cost so far."""
+    loads = [0] * min(cores, len(alphas))
+    parts = [[] for _ in loads]
+    costs = list(map(_srit_count, alphas))
+    for i in sorted(range(len(alphas)), key=costs.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        loads[k] += costs[i]
+        parts[k].append(i)
+    return [[alphas[i] for i in sorted(part)] for part in parts]
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _verdicts(names, alphas):
+    """One byte per shape of ``alphas``, in order, with bit k set when check
+    ``names[k]`` passes on it (for ``kmatrix``: when its row of ``K`` is
+    triangular; a ``schur`` bit off a partition means nothing).  A check
+    that raises ``KeyError`` or ``ValueError`` fails."""
+    for alpha in alphas:
+        shape = _Shape(alpha)
+        bits = 0
+        for k, name in enumerate(names):
+            if name == "kmatrix" or (name == "schur" and not is_partition(alpha)):
+                continue
+            try:
+                ok = _PER_ALPHA_CHECKS[name](shape)
+            except (KeyError, ValueError):  # an image outside the basis, or a refusal
+                ok = False
+            if ok:
+                bits |= 1 << k
+        if "kmatrix" in names and _check_kmatrix(shape):
+            bits |= 1 << names.index("kmatrix")
+        yield bits
+
+
+def _check_part(names, alphas) -> tuple[bytes, Exception | None]:
+    """The ``_verdicts`` of ``alphas`` and the exception that stopped them,
+    if one did, on the shape after the last byte."""
+    verdicts = bytearray()
+    try:
+        for bits in _verdicts(names, alphas):
+            verdicts.append(bits)
+    except Exception as exc:  # raised by the caller once every part has run
+        return bytes(verdicts), exc
+    return bytes(verdicts), None
+
+
+def _check_parts(names, parts: list[list]) -> list[tuple[bytes, Exception | None]]:
+    """``_check_part`` of each part: the first in this process, each other
+    in a forked child that writes its verdicts to a pipe and exits 0 when
+    no check raised.  A part whose child exits otherwise or writes too few
+    bytes, or that no child could be forked for, is checked again here.
+    Every child is reaped, or killed and reaped, before this returns or
+    raises."""
+    import os
+
+    children = {}  # part index -> (pid, read end of its pipe), until reaped
+    try:
+        for k in range(1, len(parts)):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the parts left are checked here
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # the child: never returns
+                code = 1
+                try:
+                    os.close(read)
+                    for _, pipe in children.values():
+                        pipe.close()
+                    # each byte written as it is made: once the parent is
+                    # gone the next write fails, and the child stops
+                    for bits in _verdicts(names, parts[k]):
+                        os.write(write, bytes((bits,)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[k] = (pid, open(read, "rb"))
+        checked = []
+        for k, part in enumerate(parts):
+            if k in children:
+                pid, pipe = children[k]
+                verdicts = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                pipe.close()
+                if status == 0 and len(verdicts) == len(part):
+                    checked.append((verdicts, None))
+                    continue
+            checked.append(_check_part(names, part))
+        return checked
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _run_checks(names, n: int) -> list[dict]:
-    """Run the named checks over every weight up to n, in one pass over
-    the compositions: ``schur`` on the partitions, every other check on
-    each composition, all reading one ``module_analysis._Shape``, dropped
-    before the next composition, and ``kmatrix`` once per weight, passing
-    when the ``K`` row of each of that weight's shapes does.  One result
-    per name, in the given order."""
+    """Run the named checks over every weight up to n: ``schur`` on the
+    partitions, every other check on each composition, all reading one
+    ``module_analysis._Shape``, dropped before the next composition, and
+    ``kmatrix`` once per weight, passing when the ``K`` row of each of that
+    weight's shapes does.  ``_plan`` splits the compositions over the
+    cores this process may run on, one part each, where ``os.fork`` exists
+    and no other thread runs, and the verdicts are read in composition
+    order: the results, and the exception a check raises on the earliest
+    shape, are those of a single pass.  One result per name, in the given
+    order."""
+    import os
+
+    alphas = [alpha for m in range(1, n + 1) for alpha in compositions_of(m)]
+    # forking a process with threads may deadlock the child
+    threading = sys.modules.get("threading")
+    alone = hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+    parts = _plan(alphas, _cores() if alone else 1)
+    checked = _check_parts(names, parts)
+    failures = [(alphas.index(part[len(verdicts)]), error)
+                for part, (verdicts, error) in zip(parts, checked) if error is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    verdict = {alpha: bits for part, (verdicts, _) in zip(parts, checked)
+               for alpha, bits in zip(part, verdicts)}
+
     results = {
         name: {"name": name, "passed": 0, "failed": 0, "first_counterexample": None}
         for name in names
@@ -495,24 +635,18 @@ def _run_checks(names, n: int) -> list[dict]:
             if result["first_counterexample"] is None:
                 result["first_counterexample"] = label
 
-    for m in range(1, n + 1):
-        triangular = True
-        for alpha in compositions_of(m):
-            shape = _Shape(alpha)
-            label = format_composition(alpha)
-            for name in results:
-                if name == "kmatrix" or (name == "schur" and not is_partition(alpha)):
-                    continue
+    triangular = {}
+    for alpha in alphas:
+        bits = verdict[alpha]
+        label = format_composition(alpha)
+        for k, name in enumerate(names):
+            if name == "kmatrix":
+                triangular[alpha.weight] = triangular.get(alpha.weight, True) and bits >> k & 1
+            elif name != "schur" or is_partition(alpha):
                 prefix = "lambda" if name == "schur" else "alpha"
-                try:
-                    ok = _PER_ALPHA_CHECKS[name](shape)
-                except (KeyError, ValueError):  # an image outside the basis, or a refusal
-                    ok = False
-                record(name, f"{prefix}={label}", ok)
-            if "kmatrix" in results:
-                triangular = _check_kmatrix(shape) and triangular
-        if "kmatrix" in results:
-            record("kmatrix", f"n={m}", triangular)
+                record(name, f"{prefix}={label}", bits >> k & 1)
+    for m, ok in triangular.items():
+        record("kmatrix", f"n={m}", ok)
     return list(results.values())
 
 

@@ -1,8 +1,12 @@
 import io
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
@@ -484,16 +488,22 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
 
         patch_everywhere(monkeypatch, module, name, counted)
 
-    code, out, _ = run(capsys, "verify", "--n", "5")
-    assert code == 0
-    assert out == "".join(by_check) + "result: all checks passed\n"
     # each shape's row-increasing words and standard extended tableaux are
-    # grown once, the kmatrix check included, and no Filtration is built
-    shapes = [tuple(alpha) for m in range(1, 6) for alpha in compositions_of(m)]
-    assert calls == Counter(
-        {("_srit_words", alpha): 1 for alpha in shapes}
-        | {("_grown", alpha): 1 for alpha in shapes}
-    )
+    # grown once, the kmatrix check included, and no Filtration is built;
+    # calls made in a forked child are not counted here, so at two parts
+    # this process grows the shapes of its own part alone
+    shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
+    for cores, grown in ((1, shapes), (2, cli._plan(shapes, 2)[0])):
+        monkeypatch.setattr(cli, "_cores", lambda: cores)
+        calls.clear()
+        code, out, _ = run(capsys, "verify", "--n", "5")
+        assert code == 0
+        assert out == "".join(by_check) + "result: all checks passed\n"
+        assert calls == Counter(
+            {("_srit_words", tuple(alpha)): 1 for alpha in grown}
+            | {("_grown", tuple(alpha)): 1 for alpha in grown}
+        )
+    assert len(grown) < len(shapes)
 
 
 def test_expansions_and_kmatrix_never_grow_tableaux(capsys, monkeypatch):
@@ -890,15 +900,19 @@ def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, 
     shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
     broken = [alpha for alpha in shapes if fails(alpha)]
     assert broken
-    code, out, err = run(capsys, "verify", "--n", "5", "--checks", check, "--format", "json")
-    assert code == 1
-    assert "Traceback" not in out + err
-    assert json.loads(out)["checks"] == [{
-        "name": check,
-        "passed": len(shapes) - len(broken),
-        "failed": len(broken),
-        "first_counterexample": "alpha=" + format_composition(broken[0]),
-    }]
+    # at two parts broken shapes lie in both parts, in some cases the
+    # earliest one in the child's
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_cores", lambda: cores)
+        code, out, err = run(capsys, "verify", "--n", "5", "--checks", check, "--format", "json")
+        assert code == 1
+        assert "Traceback" not in out + err
+        assert json.loads(out)["checks"] == [{
+            "name": check,
+            "passed": len(shapes) - len(broken),
+            "failed": len(broken),
+            "first_counterexample": "alpha=" + format_composition(broken[0]),
+        }]
 
 
 @pytest.mark.parametrize("command, mutant, error", [
@@ -996,6 +1010,190 @@ def test_verify_reports_a_kmatrix_diagonal_of_2_with_exit_1(capsys, monkeypatch)
     assert "kmatrix: 1 pass, 2 fail" in out
     assert "first counterexample: n=2" in out
     assert "Traceback" not in out + err
+
+
+def no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forked_pids(monkeypatch) -> list:
+    """The pid of each child forked from now on, as the parent sees it."""
+    pids = []
+
+    def fork(real=os.fork):
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def test_verify_prints_the_same_at_any_number_of_parts(capsys, monkeypatch):
+    pids = forked_pids(monkeypatch)
+    for fmt in ("text", "json"):
+        outputs = set()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(cli, "_cores", lambda: cores)
+            pids.clear()
+            outputs.add(run(capsys, "verify", "--n", "6", "--format", fmt))
+            assert len(pids) == cores - 1
+            no_child_left()
+        [(code, out, err)] = outputs
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 10_000])
+def test_plan_puts_each_composition_in_one_nonempty_part(cores):
+    for n in range(0, 9):
+        shapes = [alpha for m in range(1, n + 1) for alpha in compositions_of(m)]
+        parts = cli._plan(shapes, cores)
+        assert len(parts) == min(cores, len(shapes))
+        assert all(parts)
+        assert Counter(alpha for part in parts for alpha in part) == Counter(shapes)
+        assert all(part == sorted(part, key=shapes.index) for part in parts)
+        # a shape joins the least loaded part, so no part exceeds the least
+        # loaded one by more than the costliest shape
+        loads = [sum(map(cli._srit_count, part)) for part in parts]
+        assert not shapes or max(loads) <= min(loads) + max(map(cli._srit_count, shapes))
+
+
+def test_a_check_that_fails_or_raises_in_a_child_acts_as_in_one_pass(capsys, monkeypatch):
+    shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
+    own, other = cli._plan(shapes, 2)
+    first = other[1]
+    later = next(alpha for alpha in own if shapes.index(alpha) > shapes.index(first))
+    pids = forked_pids(monkeypatch)
+    for broken, outcome in (({first}, False), ({first}, RuntimeError),
+                            ({first, later}, RuntimeError), ((), True)):
+        def check(shape):
+            if shape.alpha not in broken:
+                return True
+            if outcome is RuntimeError:
+                raise RuntimeError(f"no verdict on {format_composition(shape.alpha)}")
+            return outcome
+
+        monkeypatch.setitem(cli._PER_ALPHA_CHECKS, "characteristic", check)
+        seen = []
+        for cores in (1, 2):
+            monkeypatch.setattr(cli, "_cores", lambda: cores)
+            pids.clear()
+            try:
+                seen.append(run(capsys, "verify", "--n", "5", "--checks", "characteristic"))
+            except RuntimeError as exc:
+                seen.append((type(exc), str(exc)))
+            assert len(pids) == cores - 1
+            no_child_left()
+        assert seen[0] == seen[1]
+        if outcome is RuntimeError:
+            assert seen[0] == (RuntimeError, f"no verdict on {format_composition(first)}")
+        elif not outcome:
+            assert f"first counterexample: alpha={format_composition(first)}" in seen[0][1]
+
+
+def test_a_part_whose_child_dies_is_checked_again_here(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    expected = run(capsys, "verify", "--n", "5")
+    parent = os.getpid()
+    real = cli._PER_ALPHA_CHECKS["submodule"]
+    # a child killed, or leaving with 0 before it writes its verdicts
+    for die in (lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: os._exit(0)):
+        def check(shape):
+            if os.getpid() != parent:
+                die()
+            return real(shape)
+
+        monkeypatch.setitem(cli._PER_ALPHA_CHECKS, "submodule", check)
+        monkeypatch.setattr(cli, "_cores", lambda: 3)
+        assert run(capsys, "verify", "--n", "5") == expected
+        no_child_left()
+
+
+def test_an_interrupted_verify_leaves_no_child(monkeypatch):
+    shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
+    own = cli._plan(shapes, 2)[0]
+    parent = os.getpid()
+
+    def check(shape):
+        if os.getpid() != parent:
+            time.sleep(60)  # the child is still checking
+        elif shape.alpha == own[-1]:
+            raise KeyboardInterrupt
+        return True
+
+    monkeypatch.setitem(cli._PER_ALPHA_CHECKS, "characteristic", check)
+    monkeypatch.setattr(cli, "_cores", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--n", "5", "--checks", "characteristic"])
+    assert time.monotonic() - start < 30
+    no_child_left()
+
+
+def test_a_child_stops_at_its_next_shape_once_its_parent_is_killed():
+    # the child says when it starts, and holds the copy of stdout it
+    # inherited until it exits; 15 shapes of 1 s each would take 15 s
+    code = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+import extschur.cli as cli
+parent = os.getpid()
+def check(shape):
+    if os.getpid() == parent:
+        time.sleep(60)
+    elif shape.alpha == (2,):
+        os.write(1, b"started\\n")
+    time.sleep(1)
+    return True
+cli._PER_ALPHA_CHECKS["characteristic"] = check
+cli._cores = lambda: 2
+cli.main(["verify", "--n", "5", "--checks", "characteristic"])
+"""
+    assert cli._plan([alpha for m in range(1, 6) for alpha in compositions_of(m)], 2)[1][0] == (2,)
+    src = str(Path(extschur.__file__).resolve().parents[1])
+    parent = subprocess.Popen([sys.executable, "-c", code, src], stdout=subprocess.PIPE)
+    try:
+        assert select.select([parent.stdout], [], [], 30)[0]
+        assert parent.stdout.readline() == b"started\n"
+    finally:
+        parent.kill()
+        parent.wait()
+    start = time.monotonic()
+    # end of file once the child has exited too
+    assert select.select([parent.stdout], [], [], 10)[0]
+    assert parent.stdout.read() == b""
+    assert time.monotonic() - start < 5
+    parent.stdout.close()
+
+
+@pytest.mark.parametrize("why", ["no-fork", "fork-fails", "another-thread"])
+def test_verify_checks_every_part_here_where_it_cannot_fork(capsys, monkeypatch, why):
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    expected = run(capsys, "verify", "--n", "4")
+    monkeypatch.setattr(cli, "_cores", lambda: 2)
+    if why == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def fork():
+            if why == "fork-fails":
+                raise BlockingIOError("no process left")
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait)
+    if why == "another-thread":
+        waiting.start()
+    try:
+        assert run(capsys, "verify", "--n", "4") == expected
+    finally:
+        stop.set()
+        if why == "another-thread":
+            waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    no_child_left()
 
 
 def test_kmatrix_check_matches_the_assembled_determinant():
