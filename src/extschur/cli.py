@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -56,16 +56,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-ALL_CHECKS = (
-    "relations",
-    "submodule",
-    "characteristic",
-    "endomorphism",
-    "schur",
-    "kmatrix",
-    "roundtrip",
-)
-
 FORMATS = ("text", "json", "csv")
 
 # expand --basis M printed the 524,288 terms of --alpha 20 in 1.7-2.4 s and
@@ -84,6 +74,49 @@ SET_BUDGET = 300_000
 
 class UsageError(Exception):
     pass
+
+
+def _check_schur(shape: _Shape) -> bool:
+    alpha = shape.alpha
+    return (
+        shape.extended_schur == schur_in_F(alpha)
+        and len(shape.words) == hook_length_count(alpha)
+    )
+
+
+def _check_roundtrip(shape: _Shape) -> bool:
+    alpha = shape.alpha
+    f = fundamental(alpha)
+    m = monomial(alpha)
+    if monomial_to_fundamental(fundamental_to_monomial(f)) != f:
+        return False
+    if fundamental_to_monomial(monomial_to_fundamental(m)) != m:
+        return False
+    # monomial positivity of the extended Schur expansion
+    return all(c >= 0 for c in fundamental_to_monomial(shape.extended_schur).coeffs.values())
+
+
+def _check_kmatrix(shape: _Shape) -> bool:
+    """Row alpha of ``K`` is 1 on the diagonal and 0 right of it."""
+    own = _mask(shape.alpha)
+    masks = shape.descent_masks
+    # beta < alpha iff the lowest bit where the masks differ is beta's: its part ends first
+    return masks[own] == 1 and all(m == own or m & (m ^ own) & -(m ^ own) for m in masks)
+
+
+# verify's checks, in the order it reports them, each a verdict on one
+# shape; a schur verdict off a partition means nothing
+_PER_ALPHA_CHECKS = {
+    "relations": _Shape.relations_hold,
+    "submodule": _Shape.submodule_closed,
+    # the masks of one weight are its compositions: equal counts, equal F expansions
+    "characteristic": lambda shape: shape.column_pass[1] == shape.descent_masks,
+    "endomorphism": lambda shape: shape.column_pass[2] is None,
+    "schur": _check_schur,
+    "kmatrix": _check_kmatrix,
+    "roundtrip": _check_roundtrip,
+}
+ALL_CHECKS = tuple(_PER_ALPHA_CHECKS)
 
 
 # The CLI grammar, read by the strict parser and by the argparse builder:
@@ -440,45 +473,6 @@ def _cmd_kmatrix(args) -> int:
 # verification sweeps
 
 
-def _check_schur(shape: _Shape) -> bool:
-    alpha = shape.alpha
-    return (
-        shape.extended_schur == schur_in_F(alpha)
-        and len(shape.words) == hook_length_count(alpha)
-    )
-
-
-def _check_roundtrip(shape: _Shape) -> bool:
-    alpha = shape.alpha
-    f = fundamental(alpha)
-    m = monomial(alpha)
-    if monomial_to_fundamental(fundamental_to_monomial(f)) != f:
-        return False
-    if fundamental_to_monomial(monomial_to_fundamental(m)) != m:
-        return False
-    # monomial positivity of the extended Schur expansion
-    return all(c >= 0 for c in fundamental_to_monomial(shape.extended_schur).coeffs.values())
-
-
-def _check_kmatrix(shape: _Shape) -> bool:
-    """Row alpha of ``K`` is 1 on the diagonal and 0 right of it."""
-    own = _mask(shape.alpha)
-    masks = shape.descent_masks
-    # beta < alpha iff the lowest bit where the masks differ is beta's: its part ends first
-    return masks[own] == 1 and all(m == own or m & (m ^ own) & -(m ^ own) for m in masks)
-
-
-_PER_ALPHA_CHECKS = {
-    "relations": _Shape.relations_hold,
-    "submodule": _Shape.submodule_closed,
-    # the masks of one weight are its compositions: equal counts, equal F expansions
-    "characteristic": lambda shape: shape.column_pass[1] == shape.descent_masks,
-    "endomorphism": lambda shape: shape.column_pass[2] is None,
-    "schur": _check_schur,
-    "roundtrip": _check_roundtrip,
-}
-
-
 def _plan(alphas: list, cores: int) -> list[list]:
     """Split ``alphas`` into min(cores, len(alphas)) parts, none empty, each
     in the given order, balanced by the count of row-increasing tableaux,
@@ -506,14 +500,13 @@ def _cores() -> int:
 
 def _verdicts(names, alphas):
     """One byte per shape of ``alphas``, in order, with bit k set when check
-    ``names[k]`` passes on it (for ``kmatrix``: when its row of ``K`` is
-    triangular; a ``schur`` bit off a partition means nothing).  A check
-    that raises ``KeyError`` or ``ValueError`` fails."""
+    ``names[k]`` passes on it.  A check that raises ``KeyError`` or
+    ``ValueError`` fails."""
     for alpha in alphas:
         shape = _Shape(alpha)
         bits = 0
         for k, name in enumerate(names):
-            if name == "kmatrix" or (name == "schur" and not is_partition(alpha)):
+            if name == "schur" and not is_partition(alpha):
                 continue
             try:
                 ok = _PER_ALPHA_CHECKS[name](shape)
@@ -521,75 +514,60 @@ def _verdicts(names, alphas):
                 ok = False
             if ok:
                 bits |= 1 << k
-        if "kmatrix" in names and _check_kmatrix(shape):
-            bits |= 1 << names.index("kmatrix")
         yield bits
 
 
-def _check_part(names, alphas) -> tuple[bytes, Exception | None]:
-    """The ``_verdicts`` of ``alphas`` and the exception that stopped them,
-    if one did, on the shape after the last byte."""
-    verdicts = bytearray()
-    try:
-        for bits in _verdicts(names, alphas):
-            verdicts.append(bits)
-    except Exception as exc:  # raised by the caller once every part has run
-        return bytes(verdicts), exc
-    return bytes(verdicts), None
-
-
-def _check_parts(names, parts: list[list]) -> list[tuple[bytes, Exception | None]]:
-    """``_check_part`` of each part: the first in this process, each other
+def _check_parts(names, parts: list[list]) -> list[bytes] | None:
+    """The ``_verdicts`` of each part: the first in this process, each other
     in a forked child that writes its verdicts to a pipe and exits 0 when
-    no check raised.  A part whose child exits otherwise or writes too few
-    bytes, or that no child could be forked for, is checked again here.
-    Every child is reaped, or killed and reaped, before this returns or
-    raises."""
+    no check raised.  None when a fork fails, a child exits otherwise or
+    writes too few bytes, or a check raises here.  Every child is reaped,
+    or killed and reaped, before this returns or raises."""
     import os
 
-    children = {}  # part index -> (pid, read end of its pipe), until reaped
+    children = {}  # pid -> read end of its pipe, until reaped
     try:
-        for k in range(1, len(parts)):
+        for part in parts[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # out of processes: the parts left are checked here
+            except OSError:  # out of processes
                 os.close(read)
                 os.close(write)
-                break
+                return None
             if pid == 0:  # the child: never returns
                 code = 1
                 try:
                     os.close(read)
-                    for _, pipe in children.values():
+                    for pipe in children.values():
                         pipe.close()
                     # each byte written as it is made: once the parent is
                     # gone the next write fails, and the child stops
-                    for bits in _verdicts(names, parts[k]):
+                    for bits in _verdicts(names, part):
                         os.write(write, bytes((bits,)))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
-            children[k] = (pid, open(read, "rb"))
-        checked = []
-        for k, part in enumerate(parts):
-            if k in children:
-                pid, pipe = children[k]
-                verdicts = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[k]
-                pipe.close()
-                if status == 0 and len(verdicts) == len(part):
-                    checked.append((verdicts, None))
-                    continue
-            checked.append(_check_part(names, part))
+            children[pid] = open(read, "rb")
+        try:
+            checked = [bytes(_verdicts(names, parts[0]))]
+        except Exception:  # raised again by the single pass
+            return None
+        for part, (pid, pipe) in zip(parts[1:], list(children.items())):
+            verdicts = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            pipe.close()
+            if status or len(verdicts) != len(part):
+                return None
+            checked.append(verdicts)
         return checked
     finally:
         if children:
             import signal
 
-            for pid, pipe in children.values():
+            for pid, pipe in children.items():
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -603,7 +581,9 @@ def _run_checks(names, n: int) -> list[dict]:
     weight's shapes does.  ``_plan`` splits the compositions over the
     cores this process may run on, one part each, where ``os.fork`` exists
     and no other thread runs, and the verdicts are read in composition
-    order: the results, and the exception a check raises on the earliest
+    order.  On one core, or when ``_check_parts`` gives None, every shape
+    is checked in one pass here, so a fault in a part runs the whole sweep
+    again: the results, and the exception a check raises on the earliest
     shape, are those of a single pass.  One result per name, in the given
     order."""
     import os
@@ -613,41 +593,26 @@ def _run_checks(names, n: int) -> list[dict]:
     threading = sys.modules.get("threading")
     alone = hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
     parts = _plan(alphas, _cores() if alone else 1)
-    checked = _check_parts(names, parts)
-    failures = [(alphas.index(part[len(verdicts)]), error)
-                for part, (verdicts, error) in zip(parts, checked) if error is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    verdict = {alpha: bits for part, (verdicts, _) in zip(parts, checked)
-               for alpha, bits in zip(part, verdicts)}
+    checked = _check_parts(names, parts) if len(parts) > 1 else None
+    if checked is None:
+        parts, checked = [alphas], [bytes(_verdicts(names, alphas))]
+    verdict = dict(zip(chain(*parts), chain(*checked)))
+    labels = list(map(format_composition, alphas))
 
-    results = {
-        name: {"name": name, "passed": 0, "failed": 0, "first_counterexample": None}
-        for name in names
-    }
-
-    def record(name: str, label: str, ok: bool) -> None:
-        result = results[name]
-        if ok:
-            result["passed"] += 1
+    results = []
+    for k, name in enumerate(names):
+        if name == "kmatrix":
+            pairs = [(f"n={m}", all(verdict[alpha] >> k & 1 for alpha in alphas
+                                    if alpha.weight == m)) for m in range(1, n + 1)]
         else:
-            result["failed"] += 1
-            if result["first_counterexample"] is None:
-                result["first_counterexample"] = label
-
-    triangular = {}
-    for alpha in alphas:
-        bits = verdict[alpha]
-        label = format_composition(alpha)
-        for k, name in enumerate(names):
-            if name == "kmatrix":
-                triangular[alpha.weight] = triangular.get(alpha.weight, True) and bits >> k & 1
-            elif name != "schur" or is_partition(alpha):
-                prefix = "lambda" if name == "schur" else "alpha"
-                record(name, f"{prefix}={label}", bits >> k & 1)
-    for m, ok in triangular.items():
-        record("kmatrix", f"n={m}", ok)
-    return list(results.values())
+            prefix = "lambda" if name == "schur" else "alpha"
+            pairs = [(f"{prefix}={label}", verdict[alpha] >> k & 1)
+                     for alpha, label in zip(alphas, labels)
+                     if name != "schur" or is_partition(alpha)]
+        failed = [label for label, ok in pairs if not ok]
+        results.append({"name": name, "passed": len(pairs) - len(failed),
+                        "failed": len(failed), "first_counterexample": failed[0] if failed else None})
+    return results
 
 
 def _cmd_verify(args) -> int:

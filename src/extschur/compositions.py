@@ -117,10 +117,12 @@ class DescentSubset(_Record):
 
     def __init__(self, n, members=()):
         members = tuple(members)
+        _check_int(n, "n")
         if n < 0:
             raise ValueError("n must be nonnegative")
         previous = 0
         for member in members:
+            _check_int(member, "member")
             if not 1 <= member <= n - 1:
                 raise ValueError(f"member {member} outside 1..{n - 1}")
             if member <= previous:

@@ -68,6 +68,7 @@ class QSymElement(_Record):
     def __init__(self, degree, basis, coeffs):
         if basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+        _check_int(degree, "degree")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         clean: dict[Composition, int] = {}

@@ -52,7 +52,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 
-from .compositions import Composition, _composition_of_mask, _Record
+from .compositions import Composition, _check_int, _composition_of_mask, _Record
 
 Box = tuple[int, int]  # (row, col), both 1-based, row 1 at the bottom
 RowSumVector = tuple[int, ...]
@@ -75,6 +75,8 @@ class Tableau(_Record):
         for row in rows:
             if not row:
                 raise ValueError("tableau rows must be nonempty")
+            for v in row:
+                _check_int(v, "tableau entry")
             for a, b in zip(row, row[1:]):
                 if a >= b:
                     raise ValueError(f"row {row} is not strictly increasing")

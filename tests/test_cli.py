@@ -1012,6 +1012,24 @@ def test_verify_reports_a_kmatrix_diagonal_of_2_with_exit_1(capsys, monkeypatch)
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_kmatrix_check_that_raises_value_error_fails_its_weight(capsys, monkeypatch, cores):
+    real = cli._PER_ALPHA_CHECKS["kmatrix"]
+
+    def check(shape):
+        if shape.alpha == (2, 1):
+            raise ValueError("no K row")
+        return real(shape)
+
+    monkeypatch.setitem(cli._PER_ALPHA_CHECKS, "kmatrix", check)
+    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    code, out, err = run(capsys, "verify", "--n", "3", "--checks", "kmatrix")
+    assert code == 1
+    assert "kmatrix: 2 pass, 1 fail" in out
+    assert "first counterexample: n=3" in out
+    assert "Traceback" not in out + err
+
+
 def no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1166,6 +1184,25 @@ cli.main(["verify", "--n", "5", "--checks", "characteristic"])
     assert parent.stdout.read() == b""
     assert time.monotonic() - start < 5
     parent.stdout.close()
+
+
+def test_a_fork_that_fails_after_the_first_child_checks_every_shape_here(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    expected = run(capsys, "verify", "--n", "5")
+    forks = []
+
+    def fork(real=os.fork):
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("no process left")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_cores", lambda: 3)
+    assert run(capsys, "verify", "--n", "5") == expected
+    assert len(forks) == 2
+    # the first child was killed and reaped
+    no_child_left()
 
 
 @pytest.mark.parametrize("why", ["no-fork", "fork-fails", "another-thread"])

@@ -80,6 +80,11 @@ def test_descent_subset_validation():
         DescentSubset(5, (2, 2))
     with pytest.raises(ValueError):
         DescentSubset(-1, ())
+    # 1.0 and True equal 1, but neither is the integer 1
+    for n, members, name in ((3, (1.0,), "member"), (3, (True,), "member"),
+                             (3.0, (1,), "n"), (True, (), "n")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            DescentSubset(n, members)
 
 
 def test_composition_of_subset_examples():

@@ -352,7 +352,8 @@ def test_specialize_rejects_bad_input():
 @pytest.mark.parametrize("degree", [True, False, 2.0])
 def test_a_bool_or_a_float_degree_is_refused(degree):
     # bool subclasses int, but True is not the degree 1
-    for call in (compositions_of, k_matrix, lambda k: specialize(monomial((1,)), k)):
+    for call in (compositions_of, k_matrix, lambda k: specialize(monomial((1,)), k),
+                 lambda d: QSymElement(d, "F", {(1,) * int(d): 1})):
         with pytest.raises(ValueError, match="must be an integer"):
             call(degree)
 

@@ -65,6 +65,10 @@ def test_tableau_validation():
         Tableau(((1, 3),))  # skips 2
     with pytest.raises(ValueError):
         Tableau(((1,), ()))  # empty row
+    # 1.0 and True equal 1, but neither is the entry 1
+    for rows, entry in (([[1.0, 2]], "1.0"), ([[True, 2]], "True"), ([[1, "2"]], "'2'")):
+        with pytest.raises(ValueError, match=f"^tableau entry must be an integer, got {entry}$"):
+            Tableau(rows)
 
 
 def test_tableau_basics():
