@@ -65,11 +65,16 @@ M_TERM_SECONDS = 5e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents, the costliest listing of SETs, took 1.4-1.9 s
 # as text and as JSON for the 64,064 SETs of 5,3,3,2,1, 22-30 us per SET
-# (analyze and char 12-22 us, the plain listings 13-18 us; same host, each
-# run a fresh process); analyze, char and tableaux refuse more SETs (SRITs
-# for --kind srit) before making any
+# (the plain listings 13-18 us; same host, each run a fresh process);
+# tableaux refuses more SETs (SRITs for --kind srit) before making any
 SET_SECONDS = 30e-6
 SET_BUDGET = 300_000
+# analyze and char read the SETs off one growth that keeps no word:
+# analyze --alpha 6,4,3,2,1, 1,153,152 SETs, took 3.2-3.5 s and 98-101 MB
+# as text and as JSON, char 3.0 s and 96 MB, about 3 us per SET (same
+# host); they refuse more SETs before growing any
+ANALYZE_SET_SECONDS = 3e-6
+ANALYZE_SET_BUDGET = 1_200_000
 
 
 class UsageError(Exception):
@@ -284,18 +289,21 @@ def _srit_count(alpha: Composition) -> int:
     return factorial(alpha.weight) // prod(map(factorial, alpha))
 
 
-def _require_set_budget(alpha: Composition, kind: str = "set") -> None:
+def _require_set_budget(alpha: Composition, kind: str = "set", analyze: bool = False) -> None:
     """Refuse, before any is made, a shape with more tableaux of ``kind``
-    than ``SET_BUDGET``: n!/prod(alpha_i!) row-increasing ones, and the
-    extended ones counted only when that exceeds the budget."""
+    than ``SET_BUDGET``, or ``ANALYZE_SET_BUDGET`` for ``analyze`` and
+    ``char``: n!/prod(alpha_i!) row-increasing ones, and the extended ones
+    counted only when that exceeds the budget."""
+    budget, seconds = (ANALYZE_SET_BUDGET, ANALYZE_SET_SECONDS) if analyze else (
+        SET_BUDGET, SET_SECONDS)
     count = _srit_count(alpha)
     name = "row-increasing"
-    if kind == "set" and count > SET_BUDGET:
+    if kind == "set" and count > budget:
         count, name = _set_count(alpha), "extended"
-    if count > SET_BUDGET:
+    if count > budget:
         raise UsageError(
             f"{format_composition(alpha)} has {count} standard {name} tableaux, "
-            f"over the budget of {SET_BUDGET} at about {SET_SECONDS * 1e6:.0f} us each"
+            f"over the budget of {budget} at about {seconds * 1e6:g} us each"
         )
 
 
@@ -369,7 +377,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_char(args) -> int:
     alpha = _require_alpha(args)
-    _require_set_budget(alpha)
+    _require_set_budget(alpha, analyze=True)
     try:
         counts = _Shape(alpha).column_pass[1]
     except (KeyError, ValueError) as exc:  # an image outside the basis
@@ -412,7 +420,7 @@ def _cmd_tableaux(args) -> int:
 
 def _cmd_analyze(args) -> int:
     alpha = _require_alpha(args)
-    _require_set_budget(alpha)
+    _require_set_budget(alpha, analyze=True)
     shape = _Shape(alpha)
     try:
         shape.certify()
@@ -502,8 +510,12 @@ def _verdicts(names, alphas):
     """One byte per shape of ``alphas``, in order, with bit k set when check
     ``names[k]`` passes on it.  A check that raises ``KeyError`` or
     ``ValueError`` fails."""
+    # when checks read both the row words and the column pass, one growth
+    # gives both
+    keep_words = bool({"relations", "submodule", "schur"} & set(names)
+                      and {"characteristic", "endomorphism"} & set(names))
     for alpha in alphas:
-        shape = _Shape(alpha)
+        shape = _Shape(alpha, keep_words)
         bits = 0
         for k, name in enumerate(names):
             if name == "schur" and not is_partition(alpha):

@@ -27,8 +27,10 @@ reads it in filtration order, :func:`_filtration_words`.  Both orders
 come from one sort of the integer keys that ``tableaux._grown`` sums as
 it places the entries.  The relation sweep composes the table's rows with
 ``operator.itemgetter``, and the submodule closure check and the module
-matrices read the table.  The module's certificate reads none: its column
-pass calls :func:`_quotient_images` once per word.
+matrices read the table.  The module's certificate reads none, and no
+word: :func:`_placement` is the quotient rule at the placement of one
+entry, from its column and the column of the entry before, and the
+column pass reads it as one table per shape while the SETs are grown.
 
 Reachability needs no operator at all: read column by column, right to
 left, the standard extended tableaux of one shape are an interval of the
@@ -113,6 +115,16 @@ def _quotient_images(w: RowWord) -> list[RowWord | None]:
             images.append(w[:i - 1] + (r, w[i - 1]) + w[i + 1:])
         previous = column
     return images
+
+
+def _placement(q: int, c: int) -> str:
+    """The quotient operator v at the placement of v+1, from the two
+    0-based columns alone, ``q`` of entry v and ``c`` of entry v+1:
+    ``"fix"`` when q < c, ``"kill"`` when they share a column, ``"swap"``
+    when q > c.  The rule of :func:`_quotient_images` without the word;
+    ``module_analysis`` reads it once per shape, as a table over the
+    columns, so that a substituted rule is seen there."""
+    return "fix" if q < c else "kill" if q == c else "swap"
 
 
 def pi_full(i: int, t: Tableau) -> Tableau:

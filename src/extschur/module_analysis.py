@@ -1,19 +1,51 @@
 """Matrix realization of the quotient modules and their invariants.
 
 Every invariant of one shape is read off one private ``_Shape``: the
-standard extended tableaux are grown once as row words, in filtration
-order (``hecke_action._filtration_words``).  One column pass over them
-(``_Shape.column_pass``) calls the quotient rule once per word and keeps
-the mask of the operators that move the word: the descent mask of its
-composition factor.  Each operator fixes, kills or swaps a basis tableau,
-and a swap sends it to an earlier one, so in the filtration basis every
-operator matrix has at most one 1 per column and never maps a basis
-vector to a later one: the chain of leading subspaces is a composition
-series with one-dimensional subquotients.  The action table of
+standard extended tableaux (SETs) are grown once, by ``tableaux._grown``,
+and sorted into filtration order by their integer order keys.  The
+column pass (``_Shape.column_pass``) keeps, per SET, the mask of the
+operators that move it: the descent mask of its composition factor.
+Each operator fixes, kills or swaps a basis tableau, and a swap sends it
+to an earlier one, so in the filtration basis every operator matrix has
+at most one 1 per column and never maps a basis vector to a later one:
+the chain of leading subspaces is a composition series with
+one-dimensional subquotients.  The action table of
 ``hecke_action._word_table`` is built only for :func:`matrices` and the
-relation check, never for a verdict.  Beyond ``tableaux.super_standard``,
-whose word is the generator's, a ``Tableau`` is built only for output: the
-``Filtration`` of :func:`matrices` and the tableaux a refusal names.
+relation check, never for a verdict.  A ``Tableau`` is built only for
+output: the ``Filtration`` of :func:`matrices` and the tableaux a refusal
+names.
+
+The pass is decided as the SETs are grown.  Operator v reads only the
+boxes of v and v+1, and the growth places v+1 right after v: say v sits
+in row p, column q, and v+1 goes into row r, column c.  These are the
+lemmas of the certificate, each a fact of that one placement:
+
+1. operator v fixes the SET when q < c, kills it when q == c and swaps v
+   and v+1 when q > c, so bit ``v-1`` of the factor mask is set exactly
+   when q >= c;
+2. a swap with p > r puts v+1 in the higher row p and v in the lower
+   row r, which lowers the row sums from row r up to row p, so its image
+   comes later in filtration order: a swap onto a later SET, which the
+   certificate refuses (on a SET every swap has p < r);
+3. swapping v and v+1 in different rows and columns keeps a SET a SET,
+   so q < c with p != r makes the SET the swap image of a later one: it
+   is preceded;
+4. the image of a swap has v left of v+1, so the same operator fixes it:
+   it is idempotent there.
+
+So ``tableaux._grown`` adds to each order key, shifted left, one mark per
+placement from a table that :func:`_marks` reads off the placement rule
+``hecke_action._placement`` once per shape: the mask bit and a count for
+each of four fields, preceded, moved again (not idempotent), onto a later
+SET and out of the basis (a swap of v and v+1 in one column, which only a
+broken rule makes).  For any placement rule the lemmas read the reversed
+pair ``(c, q)`` as that rule does.  Sorting the keys gives the masks in
+filtration order; no word is kept, no rule is called per SET and no index
+is looked up.  A refusal names its tableaux by index, each rebuilt from
+the residue of its key modulo ``n^n``.  The per-word pass this replaced,
+which called ``hecke_action._quotient_images`` on each word and found
+each image in a dict, is the oracle ``word_column_pass`` of
+``tests/helpers.py``.
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
 row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
@@ -30,27 +62,30 @@ descents of ``g`` are the partial sums of ``alpha``, so the count is the
 coefficient of ``M_alpha`` in the extended Schur function, which is 1 on
 every shape checked (every weight up to 14).  The column pass is the only
 certificate, and it checks generation, idempotence and the count once per
-shape.  A swap onto a later index is refused, since the order is then no
-filtration.  With none, and ``g`` last, reachability from ``g`` only moves
-to earlier indices, so ``g`` reaches every index exactly when each index
-below it is the swap image of a later one.  A swap's image comes first, so
-the first image each operator moves is recorded on the way, and the masks
-give the count and a second fixed tableau.  A module that fails is refused
-with ``ValueError``, never reported as a verdict; the identity matrix is
+shape.  An image out of the basis raises ``KeyError``, as the action
+table does.  The order must end with ``g``, and a swap onto a later index
+is refused, since the order is then no filtration; so is a ``g`` marked
+as preceded, since nothing comes after it.  With neither, reachability
+from ``g`` only moves to earlier indices, so ``g`` reaches every index
+exactly when each index below it is preceded.  Then each operator fixing
+``g`` must fix the images of its swaps, and the masks give the count and
+a second fixed tableau.  A module that fails is refused with
+``ValueError``, never reported as a verdict; the identity matrix is
 built only for :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and counts a word as extended when it is in the
-shape's SET basis, the row words grown once above.  The
-public functions here are each one read of a fresh ``_Shape``; a caller
-that checks one shape several ways, such as ``verify``, keeps one to grow
-the tableaux, build each table and certify the commutant once.
+shape's SET basis, the row words of the same growth when the shape keeps
+them.  The public functions here are each one read of a fresh
+``_Shape``; a caller that checks one shape several ways, such as
+``verify``, keeps one to grow the tableaux, build each table and certify
+the commutant once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import hecke_action
 from .compositions import Composition, _composition_of_mask, _Record
@@ -66,8 +101,10 @@ from .tableaux import (
     RowWord,
     _descent_masks,
     _from_row_word,
-    _row_word,
+    _grown,
+    _sorted_by,
     _srit_words,
+    _word_of_key,
     super_standard,
 )
 
@@ -101,18 +138,95 @@ class EndomorphismSpace(_Record):
         return len(self.basis)
 
 
+@lru_cache(maxsize=64)
+def _layout(n: int) -> tuple[int, int, tuple[int, int, int, int]]:
+    """The marks of weight n: the shift of the order key, the bits of the
+    factor mask, the lowest ``n - 1``, and the bits of the four fields
+    above it, each a count of operators, at most ``n - 1``: preceded (a
+    later SET swaps onto this one), not idempotent (a swap whose image the
+    operator moves), later (a swap onto a later SET) and outside (a swap
+    out of the basis)."""
+    low, width = max(n - 1, 0), n.bit_length()
+    fields = tuple((1 << width) - 1 << low + k * width for k in range(4))
+    return low + 4 * width, (1 << low) - 1, fields
+
+
+@lru_cache(maxsize=4096)
+def _row_pair_marks(rule, n: int, a: int, b: int, sign: int) -> tuple[tuple[int, ...], ...]:
+    """Entry ``[q][c]``: the mark of placing v+1 in column c of a row of b
+    boxes after v in column q of a row of a boxes, of weight n, where
+    ``sign`` is that of ``p - r``, the row of v less the row of v+1, under
+    the placement rule ``rule``.  Within one row (sign 0) v+1 follows v, so
+    only ``[q][q + 1]`` is read, and every row of the table is one of two.
+    Kept across shapes, since the tables depend on the parts alone."""
+    if not sign:
+        zeros, ones = (0,) * a, (1,) * a
+        return tuple(ones if rule(q, q + 1) == "kill" else zeros for q in range(a - 1))
+    # the lowest bit of each field
+    preceded, idempotence, later, outside = (bits & -bits for bits in _layout(n)[2])
+    table = []
+    for q in range(a):
+        row = []
+        for c in range(b):
+            act = rule(q, c)
+            mark = int(act != "fix")
+            # the image swaps v and v+1: outside the basis when they share a
+            # column, later when v+1 sinks, and moved again unless fixed
+            if act == "swap":
+                if q == c:
+                    mark += outside
+                elif sign > 0:
+                    mark += later
+                elif rule(c, q) != "fix":
+                    mark += idempotence
+            if sign > 0 and q != c and rule(c, q) == "swap":
+                mark += preceded  # the image of the later SET with v and v+1 swapped
+            row.append(mark)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _marks(alpha: Composition) -> tuple[int, list]:
+    """The ``marks`` of ``tableaux._grown`` that decide the column pass as
+    the SETs are grown, by the lemmas of the module docstring: the shift
+    that leaves room for the mask and the four fields, and the mark of each
+    placement by the rows ``p``, ``r`` and columns ``q``, ``c`` of v and
+    v+1.  The rule ``hecke_action._placement`` is looked up here, once per
+    shape, and read once per pair of columns in :func:`_row_pair_marks`, so
+    a substituted rule is seen.  Operator v moves the SET unless it fixes
+    it, or swaps v and v+1 within one row, which leaves the row word as it
+    is; bit 0 of the mark becomes bit v-1 of the mask."""
+    rule, n = hecke_action._placement, alpha.weight
+    rows = range(len(alpha))
+    return _layout(n)[0], [
+        [_row_pair_marks(rule, n, alpha[p], alpha[r], (p > r) - (p < r)) for r in rows]
+        for p in rows
+    ]
+
+
+@lru_cache(maxsize=64)
+def _generator_reading(n: int) -> int:
+    """The reading key of the super-standard tableau of weight n, whose
+    reading word is 1..n: the residue of its order key modulo ``n^n``."""
+    return sum(v * n ** (n - 1 - v) for v in range(n))
+
+
 class _Shape:
     """Every table and invariant of one composition, each built on first use
     and kept: the row words of its standard row-increasing tableaux with their
-    ``"full"`` action table, its standard extended tableaux as row words in
-    filtration order with the column pass that reads the module invariants and
-    the quotient table built only for output, and the count of each descent mask with the extended
-    Schur function.  The counts come from ``tableaux._descent_masks``, which
-    grows no tableau, so the characteristic and the extended Schur function
-    share no enumeration."""
+    ``"full"`` action table, its standard extended tableaux grown once in
+    filtration order as marked keys, with their row words when
+    ``keep_words`` asks for them, the column pass that reads the module
+    invariants off the keys and the quotient table built only for output,
+    and the count of each descent mask with the extended Schur function.
+    The counts come from ``tableaux._descent_masks``, which grows no
+    tableau, so the characteristic and the extended Schur function share no
+    enumeration.  A shape that does not keep words grows them again, without
+    marks, when they are read."""
 
-    def __init__(self, alpha):
+    def __init__(self, alpha, keep_words: bool = False):
         self.alpha = Composition(alpha)
+        self.keep_words = keep_words
 
     @cached_property
     def srit_words(self) -> list[RowWord]:
@@ -123,8 +237,20 @@ class _Shape:
         return _word_table(self.srit_words, "full")
 
     @cached_property
+    def growth(self) -> tuple[list[RowWord] | None, list[int], tuple[int, list]]:
+        """One growth of the SETs under the marks of :func:`_marks`, in
+        filtration order: their row words, or None unless kept, their
+        marked keys, ``order_key << shift | fields | mask``, and the marks."""
+        marks = _marks(self.alpha)
+        words, keys = _grown(self.alpha, marks, self.keep_words)
+        if words is not None:
+            words = _sorted_by(words, keys)
+        keys.sort()
+        return words, keys, marks
+
+    @cached_property
     def words(self) -> list[RowWord]:
-        return _filtration_words(self.alpha)
+        return self.growth[0] if self.keep_words else _filtration_words(self.alpha)
 
     @cached_property
     def quotient_table(self) -> ActionTable:
@@ -141,68 +267,104 @@ class _Shape:
     @cached_property
     def column_pass(self) -> tuple[list[int], Counter[int], str | None]:
         """The mask of the operators moving each index, the count of each mask
-        and the refusal (``None`` when the certificate holds), from one call of
-        the quotient rule per word, looked up here so that a substituted rule
-        is seen.  It raises ``_word_table``'s ``KeyError``."""
-        words, rule = self.words, hecke_action._quotient_images
-        get = {w: j for j, w in enumerate(words)}.get
-        masks: list[int] = []
-        preceded = bytearray(len(words))  # 1 once a later index swaps onto it
-        later = None  # the first swap onto a later index: (operator, index, image)
-        moved: dict[int, int] = {}  # operator bit: the first of its images it moves
-        for j, w in enumerate(words):
-            mask = 0
-            for b, image in enumerate(rule(w)):
-                if image is w:
-                    continue
-                k = -1 if image is None else get(image)  # -1 when killed
-                if k is None:
-                    raise KeyError(_from_row_word(image))
-                if k != j:
-                    mask |= 1 << b
-                if k > j:
-                    later = later or (b + 1, j, k)
-                elif 0 <= k < j:
-                    preceded[k] = 1
-                    if masks[k] >> b & 1:
-                        moved.setdefault(b, k)
-            masks.append(mask)
-        counts = Counter(masks)
-        return masks, counts, self._refusal(masks, counts, preceded, later, moved)
+        and the refusal (``None`` when the certificate holds), read off the
+        marked keys: no word, no rule call and no index lookup, unless a
+        refusal names a tableau.  It raises ``KeyError`` naming the first
+        image out of the basis, as ``hecke_action._word_table`` does."""
+        keys = self.growth[1]
+        shift, mask_bits, (preceded, _, _, _) = _layout(self.alpha.weight)
+        fixing = ~keys[-1] & mask_bits  # the operators fixing the last SET
+        counts: Counter[int] = Counter()
+        seen = unpreceded = fixed = 0  # every field some SET marks, two counts
+        # each distinct mask with its fields once, with its count
+        for kind, count in Counter(map(((1 << shift) - 1).__and__, keys)).items():
+            mask = kind & mask_bits
+            counts[mask] += count
+            seen |= kind
+            if not kind & preceded:
+                unpreceded += count
+            if not mask & fixing:
+                fixed += count
+        # one int object per distinct mask
+        masks = list(map({mask: mask for mask in counts}.__getitem__, map(mask_bits.__and__, keys)))
+        return masks, counts, self._verdict(seen, unpreceded, fixed, masks)
 
-    def _refusal(self, masks, counts, preceded, later, moved) -> str | None:
+    def _placements(self, j: int):
+        """``(v, mark, image)`` for each operator v on the j-th SET, its word
+        rebuilt from its key: the mark of the placement of v+1 and the word
+        with v and v+1 swapped."""
+        _, keys, (shift, table) = self.growth
+        w = _word_of_key(self.alpha, keys[j] >> shift)
+        filled = [0] * len(self.alpha)
+        for v, r in enumerate(w):
+            c = filled[r]
+            filled[r] = c + 1
+            if v:
+                yield v, table[p][r][q][c], w[:v - 1] + (r, p) + w[v + 1:]
+            p, q = r, c
+
+    def _first(self, bits: int) -> tuple[int, int, RowWord]:
+        """The first index with a placement marked in the field ``bits``,
+        that placement's operator and its image."""
+        j = next(j for j, key in enumerate(self.growth[1]) if key & bits)
+        return (j, *next((v, image) for v, mark, image in self._placements(j) if mark & bits))
+
+    def _verdict(self, seen: int, unpreceded: int, fixed: int, masks) -> str | None:
         """The verdict of the column pass, in the order of the module
-        docstring: the generator last, no swap onto a later index, every
-        index below the generator preceded, each operator fixing it
-        idempotent, and a fixed-point count of 1."""
-        g, generator = len(masks) - 1, super_standard(self.alpha)
-        if self.words[g] != _row_word(generator):
+        docstring: no image out of the basis, the generator last, no swap
+        onto a later index, every index but the generator preceded, each
+        operator fixing it idempotent, and a fixed-point count of 1.
+        ``seen`` has every field that some SET marks, ``unpreceded`` counts
+        the SETs no later one swaps onto and ``fixed`` those that every
+        operator fixing the last SET fixes."""
+        _, keys, (shift, _) = self.growth
+        g, n = len(masks) - 1, self.alpha.weight
+        preceded, idempotence, later, outside = _layout(n)[2]
+        if seen & outside:
+            raise KeyError(_from_row_word(self._first(outside)[2]))
+        if (keys[g] >> shift) % n**n != _generator_reading(n):
             reason = f"the order ends with tableau {self.tableau(g)} instead"
-        elif later:
-            i, j, k = later
+        elif seen & later:
+            j, i, image = self._first(later)
             reason = (f"operator {i} sends tableau {self.tableau(j)} to the later "
-                      f"tableau {self.tableau(k)}, so the order is not a filtration")
-        elif (u := preceded.find(0, 0, g)) >= 0:
+                      f"tableau {_from_row_word(image).rows}, so the order is not a filtration")
+        elif keys[g] & preceded:
+            reason = "it is marked as the image of a later tableau, so the order is not a filtration"
+        elif unpreceded > 1:
+            u = next(u for u, key in enumerate(keys) if not key & preceded)
             return (
                 f"tableau {self.tableau(u)} is not reached from the super-standard "
-                f"tableau {generator.rows}; the module is not cyclic on it, so its "
-                "commutant cannot be certified"
+                f"tableau {super_standard(self.alpha).rows}; the module is not cyclic on "
+                "it, so its commutant cannot be certified"
             )
         else:
             fixing = ~masks[g]  # the operators fixing the generator
+            moved: dict[int, RowWord] = {}  # operator bit: the first of its images it moves
+            if seen & idempotence:
+                for j, key in enumerate(keys):
+                    if key & idempotence:
+                        for v, mark, image in self._placements(j):
+                            if mark & idempotence:
+                                moved.setdefault(v - 1, image)
             if (b := min((b for b in moved if fixing >> b & 1), default=None)) is not None:
                 reason = (f"operator {b + 1} fixes it but is not idempotent: it moves "
-                          f"tableau {self.tableau(moved[b])}, one of its images")
-            elif (count := sum(c for mask, c in counts.items() if not mask & fixing)) == 1:
+                          f"tableau {_from_row_word(moved[b]).rows}, one of its images")
+            elif fixed == 1:
                 return None
             else:
                 u = next(u for u, mask in enumerate(masks) if not mask & fixing and u != g)
-                reason = (f"the fixed-point count is {count}: every operator fixing it "
+                reason = (f"the fixed-point count is {fixed}: every operator fixing it "
                           f"also fixes tableau {self.tableau(u)}")
         return (
             f"the commutant of the module on the super-standard tableau "
-            f"{generator.rows} is not certified one-dimensional; {reason}"
+            f"{super_standard(self.alpha).rows} is not certified one-dimensional; {reason}"
         )
+
+    def tableau(self, j: int):
+        """The rows of the j-th basis tableau, for a message, rebuilt from
+        its key."""
+        _, keys, (shift, _) = self.growth
+        return _from_row_word(_word_of_key(self.alpha, keys[j] >> shift)).rows
 
     @cached_property
     def factors(self) -> CompositionFactorList:
@@ -217,10 +379,6 @@ class _Shape:
     def characteristic(self) -> QSymElement:
         return _element(self.alpha.weight, "F", self.column_pass[1])
 
-    def tableau(self, j: int):
-        """The rows of the j-th basis tableau, for a message."""
-        return _from_row_word(self.words[j]).rows
-
     def certify(self) -> None:
         """Return when the identity is certified to span the commutant;
         otherwise raise ValueError with the column pass's refusal."""
@@ -230,7 +388,7 @@ class _Shape:
     def commutant_basis(self) -> EndomorphismSpace:
         """The identity alone, once :meth:`certify` returns."""
         self.certify()
-        m = range(len(self.words))
+        m = range(len(self.column_pass[0]))
         identity = tuple(tuple(int(j == k) for j in m) for k in m)
         return EndomorphismSpace(self.alpha, (identity,))
 

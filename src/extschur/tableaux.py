@@ -26,6 +26,10 @@ Python recursion.  The growth also sums, placement by placement, one
 integer order key per word that holds both the reading word and the row
 sums, so :func:`_set_words` puts the words in reading-word order, and
 ``hecke_action`` in filtration order, with one sort of plain integers.
+Given a table of marks, the growth also adds each placement's mark below
+the shifted key, which is how ``module_analysis`` decides its column pass
+without keeping a word, and :func:`_word_of_key` rebuilds a word from its
+key.
 
 The extended Schur expansions need only how many standard extended
 tableaux have each descent mask (bit ``i-1`` set when ``i`` is a descent;
@@ -349,7 +353,9 @@ def _removals(alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return removals
 
 
-def _grown(alpha: Composition) -> tuple[list[RowWord], list[int]]:
+def _grown(
+    alpha: Composition, marks=None, keep_words: bool = True
+) -> tuple[list[RowWord] | None, list[int]]:
     """The row words of every standard extended tableau of shape alpha, in
     growth order: entry v goes in each box open to it, lowest row first,
     and everything v+1 onwards can grow from there is listed before v
@@ -369,29 +375,37 @@ def _grown(alpha: Composition) -> tuple[list[RowWord], list[int]]:
       exceeds every row sum, so it orders them as their row sums.
 
     So the keys ascend in filtration order: row sums descending, then
-    reading words ascending."""
+    reading words ascending.
+
+    ``marks``, when given, is a pair ``(shift, table)`` that makes each key
+    ``order_key << shift`` plus the marks of its placements: placing
+    ``v+1`` in row ``r``, column ``c`` (0-based) after ``v`` in row ``p``,
+    column ``q`` adds ``table[p][r][q][c]``, whose bit 0 is moved up to bit
+    ``v-1``.  The table is read once per placement and nothing else is
+    called, so the marks cost a lookup, not a pass over each word.  With
+    ``keep_words`` false no word is kept and None stands for the words."""
     n = alpha.weight
+    if not n:
+        return [()] if keep_words else None, [0]
     below = _below(alpha)
     height = len(alpha)
     base = n * (n + 1) // 2 + 1
-    row_term = [base ** (height - 1 - r) * n**n for r in range(height)]
+    shift, table = marks or (0, None)
+    row_term = [base ** (height - 1 - r) * n**n << shift for r in range(height)]
     # entry v+1 in box (r, c) adds v * box_term[r][c] - row_term[r]
     box_term: list[list[int]] = []
     p = 0
     for r, part in enumerate(alpha):
-        box_term.append([n ** (n - 1 - q) - row_term[r] for q in range(p, p + part)])
+        box_term.append([(n ** (n - 1 - q) << shift) - row_term[r] for q in range(p, p + part)])
         p += part
+    lift = [0] + [(1 << v - 1) - 1 for v in range(1, n)]  # mark bit 0 to bit v-1
     filled = [0] * height
-    placed: list[int] = []  # the row of each entry placed so far
-    prefix_keys = [0]  # the key of each prefix of ``placed``
-    words: list[RowWord] = []
+    placed = [0] * n  # the row of each entry: the first v are placed
+    prefix_keys = [0] * (n + 1)  # the key of each prefix of ``placed``
+    words: list[RowWord] | None = [] if keep_words else None
     keys: list[int] = []
-    r = 0  # the lowest row still to try for the next entry
+    v = r = 0  # the entries placed, the lowest row still to try for the next
     while True:
-        if len(placed) == n:
-            words.append(tuple(placed))
-            keys.append(prefix_keys[-1])
-            r = height
         while r < height:
             c = filled[r]
             if c < alpha[r]:
@@ -400,17 +414,46 @@ def _grown(alpha: Composition) -> tuple[list[RowWord], list[int]]:
                     break
             r += 1
         if r < height:
+            key = prefix_keys[v] + v * box_term[r][c] - row_term[r]
+            if table is not None and v:
+                p = placed[v - 1]
+                mark = table[p][r][filled[p] - 1][c]
+                key += mark + (mark & 1) * lift[v]
+            placed[v] = r
+            if v == n - 1:
+                # the last entry has one box open to it: the tableau is
+                # done, and the entry before it moves on
+                if keep_words:
+                    words.append(tuple(placed))
+                keys.append(key)
+                r = height
+                continue
             filled[r] = c + 1
-            prefix_keys.append(prefix_keys[-1] + len(placed) * box_term[r][c] - row_term[r])
-            placed.append(r)
+            v += 1
+            prefix_keys[v] = key
             r = 0
-        elif placed:
-            r = placed.pop()
-            prefix_keys.pop()
+        elif v:
+            v -= 1
+            r = placed[v]
             filled[r] -= 1
             r += 1
         else:
             return words, keys
+
+
+def _word_of_key(alpha: Composition, key: int) -> RowWord:
+    """The row word of the standard extended tableau of shape alpha whose
+    order key (see :func:`_grown`) is ``key``, read off its residue modulo
+    ``n^n``: digit ``p`` in base n of that reading key is the entry, less
+    one, at reading position ``p``, and position ``p`` lies in a known row."""
+    n = alpha.weight
+    reading = key % n**n
+    row_of = [r for r, part in enumerate(alpha) for _ in range(part)]
+    word = [0] * n
+    for p in reversed(range(n)):
+        reading, v = divmod(reading, n)
+        word[v] = row_of[p]
+    return tuple(word)
 
 
 def is_standard_extended(t: Tableau) -> bool:

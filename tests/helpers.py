@@ -56,13 +56,20 @@ tests pit the two routes against each other.  The matrix helpers
 :func:`mat_mul`, :func:`identity_matrix`) serve only the tests, and
 :func:`shape_with_table` hands the module invariants a hand-built action
 table through a per-word rule that reads it (:func:`table_rule`).  The
-factors read off the whole table (:func:`table_factors`), the refusal
-decided by a search of the table from the generator
-(:func:`table_refusal`, with :func:`reached_from` and
+per-word column pass that calls the quotient rule on each row word and
+finds each image in a dict (:func:`word_column_pass`, with its verdict
+:func:`word_refusal`), the factors read off the whole table
+(:func:`table_factors`), the refusal decided by a search of the table
+from the generator (:func:`table_refusal`, with :func:`reached_from` and
 :func:`later_swaps`) and the interval module are the oracles of the
-module's column pass.  :func:`action_table` (the action
-table of a basis of validated tableaux) and :func:`filtration_words` have
-no caller in the package.
+module's column pass, which is decided as the SETs are grown.
+:func:`per_placement` lifts a placement rule to the per-word rule, so the
+two passes can read the same operators; each word-level quotient mutant
+has a placement twin (``PLACEMENT_TWINS``), and two broken growths
+(:func:`preceding_all_but_the_generator`,
+:func:`witnessing_shared_columns`) show what the comparison catches.
+:func:`action_table` (the action table of a basis of validated tableaux)
+and :func:`filtration_words` have no caller in the package.
 """
 
 import json
@@ -102,6 +109,7 @@ from extschur.module_analysis import (
     EndomorphismSpace,
     Indecomposable,
     ModuleMatrices,
+    _layout,
     _Shape,
     analysis_report,
 )
@@ -110,6 +118,7 @@ from extschur.tableaux import (
     RowWord,
     Tableau,
     _descent_masks,
+    _from_row_word,
     _is_column_strict,
     _row_word,
     _srit_words,
@@ -434,17 +443,89 @@ def table_rule(words, table):
 def shape_with_table(alpha, table) -> _Shape:
     """A ``_Shape`` of alpha whose invariants read the given action table,
     indexed by the filtration order of alpha, in place of the one the
-    operators make: its column pass is made at once under
-    :func:`table_rule`, and the table is kept as its quotient table."""
+    operators make: its column pass is the per-word pass
+    :func:`word_column_pass` under :func:`table_rule`, and the table is kept
+    as its quotient table."""
     shape = _Shape(alpha)
     shape.quotient_table = table = tuple(table)
-    rule = hecke_action._quotient_images
-    hecke_action._quotient_images = table_rule(shape.words, table)
-    try:
-        shape.column_pass
-    finally:
-        hecke_action._quotient_images = rule
+    shape.column_pass = word_column_pass(shape, table_rule(shape.words, table))[:3]
     return shape
+
+
+def word_column_pass(shape: _Shape, rule=None):
+    """The column pass of ``shape`` read word by word, the route the package
+    took before it decided the pass as the SETs are grown: ``rule`` (by
+    default ``hecke_action._quotient_images``, looked up at the call) gives
+    every image of each row word in filtration order, and an index dict
+    finds the image.  Returns the mask of the operators moving each index,
+    the count of each mask, the refusal (``None`` when the certificate
+    holds) and, per index, whether a later index swaps onto it.  It raises
+    ``KeyError`` naming the first image out of the basis."""
+    words, rule = shape.words, rule or hecke_action._quotient_images
+    get = {w: j for j, w in enumerate(words)}.get
+    masks: list[int] = []
+    preceded = bytearray(len(words))  # 1 once a later index swaps onto it
+    later = None  # the first swap onto a later index: (operator, index, image)
+    moved: dict[int, int] = {}  # operator bit: the first of its images it moves
+    for j, w in enumerate(words):
+        mask = 0
+        for b, image in enumerate(rule(w)):
+            if image is w:
+                continue
+            k = -1 if image is None else get(image)  # -1 when killed
+            if k is None:
+                raise KeyError(_from_row_word(image))
+            if k != j:
+                mask |= 1 << b
+            if k > j:
+                later = later or (b + 1, j, k)
+            elif 0 <= k < j:
+                preceded[k] = 1
+                if masks[k] >> b & 1:
+                    moved.setdefault(b, k)
+        masks.append(mask)
+    counts = Counter(masks)
+    refusal = word_refusal(shape, masks, counts, preceded, later, moved)
+    return masks, counts, refusal, list(preceded)
+
+
+def word_refusal(shape: _Shape, masks, counts, preceded, later, moved) -> str | None:
+    """The verdict of :func:`word_column_pass`, in the order of the
+    ``module_analysis`` docstring: the generator last, no swap onto a later
+    index, every index below the generator preceded, each operator fixing
+    it idempotent, and a fixed-point count of 1."""
+    g, generator = len(masks) - 1, super_standard(shape.alpha)
+
+    def tableau(j):
+        return _from_row_word(shape.words[j]).rows
+
+    if shape.words[g] != _row_word(generator):
+        reason = f"the order ends with tableau {tableau(g)} instead"
+    elif later:
+        i, j, k = later
+        reason = (f"operator {i} sends tableau {tableau(j)} to the later "
+                  f"tableau {tableau(k)}, so the order is not a filtration")
+    elif (u := preceded.find(0, 0, g)) >= 0:
+        return (
+            f"tableau {tableau(u)} is not reached from the super-standard "
+            f"tableau {generator.rows}; the module is not cyclic on it, so its "
+            "commutant cannot be certified"
+        )
+    else:
+        fixing = ~masks[g]  # the operators fixing the generator
+        if (b := min((b for b in moved if fixing >> b & 1), default=None)) is not None:
+            reason = (f"operator {b + 1} fixes it but is not idempotent: it moves "
+                      f"tableau {tableau(moved[b])}, one of its images")
+        elif (count := sum(c for mask, c in counts.items() if not mask & fixing)) == 1:
+            return None
+        else:
+            u = next(u for u, mask in enumerate(masks) if not mask & fixing and u != g)
+            reason = (f"the fixed-point count is {count}: every operator fixing it "
+                      f"also fixes tableau {tableau(u)}")
+    return (
+        f"the commutant of the module on the super-standard tableau "
+        f"{generator.rows} is not certified one-dimensional; {reason}"
+    )
 
 
 def table_factors(table, m: int, n: int) -> tuple[Composition, ...]:
@@ -885,6 +966,83 @@ def per_word(step):
     return lambda w: [step(i, w) for i in range(1, len(w))]
 
 
+def per_placement(rule):
+    """The per-word quotient rule of the placement rule ``rule`` (see
+    ``hecke_action._placement``): operator i reads the columns of i and
+    i+1 afresh, counted as in :func:`quotient_step`, and fixes ``w``, kills
+    it (``None``) or swaps their letters as ``rule`` says.  It lifts a
+    placement rule to the rule :func:`word_column_pass` reads, so the
+    growth pass and its oracle can see the same operators."""
+    def images(w):
+        out = []
+        for i in range(1, len(w)):
+            a, b = w[i - 1], w[i]
+            act = rule(w[:i].count(a) - 1, w[:i + 1].count(b) - 1)
+            out.append(w if act == "fix" else None if act == "kill"
+                       else w[:i - 1] + (b, a) + w[i + 1:])
+        return out
+
+    return images
+
+
+def swapping_placement(q: int, c: int) -> str:
+    """The placement twin of :func:`swapping_quotient_step`: never kills,
+    fixes when i and i+1 share a column, otherwise swaps, which within one
+    row leaves the word as it is."""
+    return "fix" if q == c else "swap"
+
+
+def annihilating_placement(q: int, c: int) -> str:
+    """The placement twin of :func:`annihilating_quotient_step`: kills
+    wherever the true rule does not fix."""
+    return "fix" if q < c else "kill"
+
+
+def column_swapping_placement(q: int, c: int) -> str:
+    """The placement twin of :func:`column_swapping_quotient_step`: swaps
+    where the true rule kills, out of the basis."""
+    return "fix" if q < c else "swap"
+
+
+def growth_preceded(shape: _Shape) -> list[int]:
+    """Per index of the growth pass, whether its marked key counts a
+    later index swapping onto it: the vector :func:`word_column_pass`
+    returns last."""
+    bits = _layout(shape.alpha.weight)[2][0]  # the preceded field
+    return [int(bool(key & bits)) for key in shape.growth[1]]
+
+
+def preceding_all_but_the_generator(grown):
+    """A broken growth: ``grown`` with every marked key but the generator's,
+    the largest, counting one later index swapping onto it.  On a module
+    this changes nothing, since every other SET is preceded; only a
+    comparison with :func:`word_column_pass` under a broken rule shows it."""
+    def mutant(alpha, marks=None, keep_words=True):
+        words, keys = grown(alpha, marks, keep_words)
+        if marks is not None and keys:
+            bits = _layout(alpha.weight)[2][0]  # the preceded field
+            top = max(keys)
+            keys = [key if key == top or key & bits else key + (bits & -bits) for key in keys]
+        return words, keys
+
+    return mutant
+
+
+def witnessing_shared_columns(pair_marks):
+    """Broken marks: ``module_analysis._row_pair_marks`` with v and v+1 in
+    one column of two rows also counted as a witness that a later SET
+    swaps onto this one."""
+    def mutant(rule, n, a, b, sign):
+        table = pair_marks(rule, n, a, b, sign)
+        if not sign:
+            return table
+        unit = (bits := _layout(n)[2][0]) & -bits  # one in the preceded field
+        return tuple(tuple(m + unit * (q == c) for c, m in enumerate(row))
+                     for q, row in enumerate(table))
+
+    return mutant
+
+
 def swapping_quotient_step(i: int, w):
     """A broken quotient operator that never annihilates: fixes when i and
     i+1 share a row or a column, otherwise swaps their letters.  The swap
@@ -911,6 +1069,15 @@ def column_swapping_quotient_step(i: int, w):
     if w[:i].count(a) == w[:i + 1].count(b):
         return w[:i - 1] + (b, a) + w[i + 1:]
     return quotient_step(i, w)
+
+
+# each word-level quotient mutant and its placement twin, which
+# ``per_placement`` lifts to the same images on every SET
+PLACEMENT_TWINS = {
+    swapping_quotient_step: swapping_placement,
+    annihilating_quotient_step: annihilating_placement,
+    column_swapping_quotient_step: column_swapping_placement,
+}
 
 
 def grown_descent_masks(alpha) -> Counter:

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
-    annihilating_quotient_step,
+    annihilating_placement,
     assembled_k_is_unitriangular,
-    column_swapping_quotient_step,
+    column_swapping_placement,
     per_word,
     qsym_json,
     qsym_text,
     report_analyze_text,
     row_swapping_full_step,
+    swapping_placement,
     swapping_quotient_step,
 )
 import extschur
@@ -478,21 +479,25 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
         assert code == 0
         by_check.append(out.removesuffix("result: all checks passed\n"))
 
+    shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
+    set_words = {alpha: tableaux._set_words(alpha) for alpha in shapes}
     calls = Counter()
     for module, name in (
-        (tableaux, "_srit_words"), (tableaux, "_grown"), (hecke_action, "filtration")
+        (tableaux, "_srit_words"), (tableaux, "_grown"), (hecke_action, "filtration"),
+        (hecke_action, "_quotient_images"),
     ):
-        def counted(alpha, real=getattr(module, name), name=name):
+        def counted(alpha, *args, real=getattr(module, name), name=name):
             calls[name, tuple(alpha)] += 1
-            return real(alpha)
+            return real(alpha, *args)
 
         patch_everywhere(monkeypatch, module, name, counted)
 
     # each shape's row-increasing words and standard extended tableaux are
-    # grown once, the kmatrix check included, and no Filtration is built;
-    # calls made in a forked child are not counted here, so at two parts
-    # this process grows the shapes of its own part alone
-    shapes = [alpha for m in range(1, 6) for alpha in compositions_of(m)]
+    # grown once, for the row words and the column pass alike, the kmatrix
+    # check included, no Filtration is built, and the word-level quotient
+    # rule runs once per SET, for the relations table alone; calls made in
+    # a forked child are not counted here, so at two parts this process
+    # grows the shapes of its own part alone
     for cores, grown in ((1, shapes), (2, cli._plan(shapes, 2)[0])):
         monkeypatch.setattr(cli, "_cores", lambda: cores)
         calls.clear()
@@ -502,8 +507,14 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
         assert calls == Counter(
             {("_srit_words", tuple(alpha)): 1 for alpha in grown}
             | {("_grown", tuple(alpha)): 1 for alpha in grown}
+            | {("_quotient_images", w): 1 for alpha in grown for w in set_words[alpha]}
         )
     assert len(grown) < len(shapes)
+    calls.clear()
+    others = ",".join(name for name in ALL_CHECKS if name != "relations")
+    assert run(capsys, "verify", "--n", "5", "--checks", others)[0] == 0
+    assert not any(name == "_quotient_images" for name, _ in calls)
+    assert all(calls["_grown", tuple(alpha)] == 1 for alpha in grown)
 
 
 def test_expansions_and_kmatrix_never_grow_tableaux(capsys, monkeypatch):
@@ -594,10 +605,37 @@ def test_set_budget_refuses_before_growing(capsys, monkeypatch, argv, rows):
     code, out, err = run(capsys, *argv, "--alpha", alpha, "--max-n", str(2 * rows))
     assert code == 2
     assert out == ""
+    budget, seconds = ((cli.ANALYZE_SET_BUDGET, cli.ANALYZE_SET_SECONDS)
+                       if argv[0] in ("analyze", "char") else (cli.SET_BUDGET, cli.SET_SECONDS))
     assert err == (
         f"error: {alpha} has {comb(2 * rows, rows) // (rows + 1)} standard extended "
-        f"tableaux, over the budget of {cli.SET_BUDGET} at about "
-        f"{cli.SET_SECONDS * 1e6:.0f} us each\n"
+        f"tableaux, over the budget of {budget} at about {seconds * 1e6:g} us each\n"
+    )
+
+
+def test_analyze_and_char_have_their_own_set_budget(capsys, monkeypatch):
+    # 6,4,3,2,1 has 1,153,152 SETs: within the budget of analyze and char,
+    # which read them off one growth that keeps no word, and over the
+    # budget of tableaux, which prints each one
+    assert cli.SET_BUDGET < 1_153_152 <= cli.ANALYZE_SET_BUDGET
+    assert (cli.SET_BUDGET, cli.SET_SECONDS) == (300_000, 30e-6)
+    patch_everywhere(monkeypatch, tableaux, "_grown", _grown_must_not_run)
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(alpha):
+        raise Admitted(alpha)
+
+    monkeypatch.setattr(cli, "_Shape", admitted)
+    for command in ("analyze", "char"):
+        with pytest.raises(Admitted):
+            main([command, "--alpha", "6,4,3,2,1", "--max-n", "16"])
+    code, out, err = run(capsys, "tableaux", "--alpha", "6,4,3,2,1", "--max-n", "16")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 6,4,3,2,1 has 1153152 standard extended tableaux, over the budget of "
+        "300000 at about 30 us each\n"
     )
 
 
@@ -610,6 +648,7 @@ def test_set_budget_boundary(capsys, monkeypatch):
         assert code == 0
     for budget in (60, 59, 3, 2):
         monkeypatch.setattr(cli, "SET_BUDGET", budget)
+        monkeypatch.setattr(cli, "ANALYZE_SET_BUDGET", budget)
         for argv, out in expected.items():
             code, got, err = run(capsys, *argv, "--alpha", "2,1,3")
             count, name = (60, "row-increasing") if argv[-1] == "srit" else (3, "extended")
@@ -789,26 +828,46 @@ def test_analyze_json_is_what_json_dumps_prints(capsys):
         assert run(capsys, *argv) == (0, expected, ""), alpha
 
 
-def test_analyze_calls_the_quotient_rule_once_per_set_and_builds_no_table(capsys, monkeypatch):
+def test_analyze_reads_the_placement_rule_once_per_shape_and_builds_no_table(capsys, monkeypatch):
+    # the SETs are grown once; the placement rule is read per pair of
+    # columns, as a table, never per SET, and no word rule or table runs
     calls = Counter()
-    rule, word_table = hecke_action._quotient_images, hecke_action._word_table
+    grown, rule, images, word_table = (module_analysis._grown, hecke_action._placement,
+                                       hecke_action._quotient_images, hecke_action._word_table)
 
-    def counted_rule(w):
-        calls["rule"] += 1
-        return rule(w)
+    def counted_grown(*args):
+        calls["grown"] += 1
+        return grown(*args)
+
+    def counted_rule(q, c):
+        calls["placement"] += 1
+        return rule(q, c)
 
     def counted_word_table(*args):
         calls["table"] += 1
         return word_table(*args)
 
-    monkeypatch.setattr(hecke_action, "_quotient_images", counted_rule)
+    def counted_images(w):
+        calls["word rule"] += 1
+        return images(w)
+
+    monkeypatch.setattr(module_analysis, "_grown", counted_grown)
+    monkeypatch.setattr(hecke_action, "_placement", counted_rule)
+    monkeypatch.setattr(hecke_action, "_quotient_images", counted_images)
     for module in (hecke_action, module_analysis):
         monkeypatch.setattr(module, "_word_table", counted_word_table)
-    for alpha in ("", "2,1,3", "3,1,2,2", "2,2,1,1"):
+    for alpha in ("", "2,1,3", "3,1,2,2", "2,2,1,1", "5,4,3"):
         for fmt in ("text", "json"):
+            module_analysis._row_pair_marks.cache_clear()
             calls.clear()
-            assert run(capsys, "analyze", "--alpha", alpha, "--format", fmt)[0] == 0
-            assert calls == {"rule": tableaux._set_count(parse_composition(alpha))}, alpha
+            argv = ("analyze", "--alpha", alpha, "--format", fmt, "--max-n", "12")
+            assert run(capsys, *argv)[0] == 0
+            assert set(calls) <= {"grown", "placement"}, alpha
+            assert calls["grown"] == 1, alpha
+            # at most three reads per pair of columns of two rows: 432 at
+            # 5,4,3, which has 2,112 SETs
+            assert calls["placement"] <= 3 * parse_composition(alpha).weight ** 2, alpha
+    assert tableaux._set_count(parse_composition("5,4,3")) == 2112
 
 
 def test_verify_json_prints_a_failure_as_json_dumps_does(capsys, monkeypatch):
@@ -875,12 +934,13 @@ def certified(alpha) -> bool:
     ("_full_step", row_swapping_full_step, "submodule", verify_submodule_closure),
     ("_quotient_images", per_word(swapping_quotient_step), "relations",
      lambda alpha: verify_relations(alpha, "quotient").ok),
-    ("_quotient_images", per_word(swapping_quotient_step), "characteristic",
+    # the column pass reads the placement twin of each word-level mutant
+    ("_placement", swapping_placement, "characteristic",
      lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
-    ("_quotient_images", per_word(swapping_quotient_step), "endomorphism", certified),
-    ("_quotient_images", per_word(annihilating_quotient_step), "endomorphism",
+    ("_placement", swapping_placement, "endomorphism", certified),
+    ("_placement", annihilating_placement, "endomorphism",
      lambda alpha: commutant_basis(alpha).dimension == 1),
-    ("_quotient_images", per_word(column_swapping_quotient_step), "characteristic",
+    ("_placement", column_swapping_placement, "characteristic",
      lambda alpha: characteristic(alpha) == extended_schur_in_F(alpha)),
 ], ids=["full-relations", "full-submodule", "quotient-relations",
         "quotient-characteristic", "quotient-endomorphism",
@@ -916,19 +976,21 @@ def test_verify_counts_what_a_broken_operator_breaks(capsys, monkeypatch, rule, 
 
 
 @pytest.mark.parametrize("command, mutant, error", [
-    ("analyze", annihilating_quotient_step,
+    ("analyze", annihilating_placement,
      "error: tableau ((1, 3), (2,)) is not reached from the super-standard "
      "tableau ((1, 2), (3,)); the module is not cyclic on it, so its commutant "
      "cannot be certified\n"),
-    ("analyze", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
-    ("char", column_swapping_quotient_step, "error: Tableau(rows=((2, 3), (1,)))\n"),
-    ("analyze", swapping_quotient_step,
+    ("analyze", column_swapping_placement, "error: Tableau(rows=((2, 3), (1,)))\n"),
+    ("char", column_swapping_placement, "error: Tableau(rows=((2, 3), (1,)))\n"),
+    ("analyze", swapping_placement,
      "error: the commutant of the module on the super-standard tableau ((1, 2), (3,)) "
      "is not certified one-dimensional; operator 2 sends tableau ((1, 3), (2,)) to the "
      "later tableau ((1, 2), (3,)), so the order is not a filtration\n"),
 ], ids=["unreached", "outside-basis", "char-outside-basis", "later-swap"])
 def test_analyze_reports_a_broken_operator_with_exit_1(capsys, monkeypatch, command, mutant, error):
-    monkeypatch.setattr(hecke_action, "_quotient_images", per_word(mutant))
+    # the placement twins of the word-level mutants, with the texts the
+    # per-word pass gave under those
+    monkeypatch.setattr(hecke_action, "_placement", mutant)
     code, out, err = run(capsys, command, "--alpha", "2,1")
     assert (code, out, err) == (1, "", error)
     assert "Traceback" not in out + err

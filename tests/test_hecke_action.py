@@ -2,11 +2,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    PLACEMENT_TWINS,
     action_table,
     column_word,
     erratic_full_step,
     filtration_words,
     interval_module,
+    per_placement,
     per_word,
     positional_pi_full,
     positional_pi_quotient,
@@ -583,3 +585,15 @@ def test_quotient_images_match_the_counted_step():
 @given(st.sampled_from([alpha for n in range(9, 12) for alpha in compositions_of(n)]))
 def test_quotient_images_match_the_counted_step_at_weights_9_to_11(alpha):
     check_quotient_images(alpha)
+
+
+def test_the_placement_rule_is_the_quotient_rule():
+    # read at each placement from two columns, the rule gives the images
+    # the one-pass word rule gives, and so does each mutant's placement
+    # twin, on every SET
+    for n in range(0, 9):
+        for alpha in compositions_of(n):
+            for w in _set_words(alpha):
+                assert per_placement(hecke_action._placement)(w) == hecke_action._quotient_images(w)
+                for mutant, twin in PLACEMENT_TWINS.items():
+                    assert per_placement(twin)(w) == per_word(mutant)(w), (mutant, w)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    PLACEMENT_TWINS,
     action_table,
+    annihilating_placement,
+    growth_preceded,
+    per_placement,
+    preceding_all_but_the_generator,
+    witnessing_shared_columns,
+    word_column_pass,
     column_rule_submodule_closure,
     column_word,
     cyclic_commutant_basis,
@@ -31,7 +39,6 @@ from helpers import (
     table_factors,
     table_of,
     table_refusal,
-    table_rule,
     tableau_submodule_closure,
     weight_dimension as _weight_dimension,
     weight_space as _weight_space,
@@ -531,44 +538,63 @@ def test_column_pass_gives_the_searched_verdict_and_reason_without_a_later_swap(
         assert refusal == searched
 
 
-def counted_rule(monkeypatch, rule):
-    """Substitute ``rule`` for the quotient rule, counting its calls, and
-    make building an action table fail."""
-    calls = []
+def counted_growth(monkeypatch):
+    """Count the growths and the word rule's calls, and make building an
+    action table fail."""
+    calls = Counter()
+    grown, images = module_analysis._grown, hecke_action._quotient_images
 
-    def counted(w):
-        calls.append(w)
-        return rule(w)
+    def counted_grown(*args):
+        calls["grown"] += 1
+        return grown(*args)
+
+    def counted_images(w):
+        calls["word rule"] += 1
+        return images(w)
 
     def no_table(*_):
         raise AssertionError("an action table was built")
 
-    monkeypatch.setattr(hecke_action, "_quotient_images", counted)
+    monkeypatch.setattr(module_analysis, "_grown", counted_grown)
+    monkeypatch.setattr(hecke_action, "_quotient_images", counted_images)
     monkeypatch.setattr(module_analysis, "_word_table", no_table)
     return calls
 
 
+def inverted_placement(q: int, c: int) -> str:
+    """A broken placement rule: kills where the true one fixes and fixes
+    where it kills."""
+    return "kill" if q < c else "fix" if q == c else "swap"
+
+
 def test_refusal_is_decided_in_one_pass(monkeypatch):
-    # operator 3 fixes g (index 2) and sends index 1 to index 0, which it
-    # kills, so it is not idempotent; operator 2 sends g to index 1.  The
-    # refusal read three times calls the rule once per SET and builds no
-    # table
-    table = [(None, None, None), (None, None, 1), (None, 0, 2)]
-    calls = counted_rule(monkeypatch, table_rule(_Shape((3, 1)).words, table))
-    shape = _Shape((3, 1))
+    # under the inverted rule operator 3 fixes g of (2,1,1) and swaps a SET
+    # onto ((1, 4), (2,), (3,)), which it kills, so it is not idempotent.
+    # The refusal read three times grows the SETs once, calls no word rule,
+    # builds no table, and is the refusal of the per-word oracle under the
+    # same operators
+    oracle = word_column_pass(_Shape((2, 1, 1)), per_placement(inverted_placement))[2]
+    monkeypatch.setattr(hecke_action, "_placement", inverted_placement)
+    calls = counted_growth(monkeypatch)
+    shape = _Shape((2, 1, 1))
     for _ in range(2):
         with pytest.raises(ValueError, match="operator 3 fixes it but is not idempotent"):
             shape.commutant_basis()
-    assert shape.column_pass[2] == table_refusal((3, 1), table)
-    assert sorted(calls) == sorted(shape.words)
+    assert shape.column_pass[2] == oracle
+    assert oracle.endswith(
+        "operator 3 fixes it but is not idempotent: it moves tableau ((1, 4), (2,), (3,)), "
+        "one of its images"
+    )
+    assert calls == {"grown": 1}
 
 
 def test_certified_analysis_makes_one_pass_per_shape(monkeypatch):
-    calls = counted_rule(monkeypatch, hecke_action._quotient_images)
+    # one growth per shape, and no word rule: the pass reads the marks alone
+    calls = counted_growth(monkeypatch)
     for alpha in compositions_of(5):
         calls.clear()
         assert analysis_report(alpha)["indecomposable"] is True
-        assert sorted(calls) == sorted(_Shape(alpha).words), alpha
+        assert calls == {"grown": 1}, alpha
 
 
 def check_column_pass(alpha) -> None:
@@ -627,6 +653,94 @@ def test_column_pass_matches_the_interval_module_at_weights_9_and_10(alpha):
     check_column_pass_against_the_interval_module(alpha)
 
 
+def check_growth_pass(alpha, rule=None) -> None:
+    # the growth pass and the per-word oracle under the same operators, the
+    # true ones unless a placement rule is given: the same error, or the
+    # masks in filtration order, their counts, the verdict text and which
+    # indices a later one swaps onto
+    def outcome(read):
+        try:
+            return read()
+        except KeyError as exc:
+            return repr(exc)
+
+    shape = _Shape(alpha)
+    grown = outcome(lambda: (*shape.column_pass, growth_preceded(shape)))
+    oracle = outcome(lambda: word_column_pass(_Shape(alpha), rule and per_placement(rule)))
+    assert grown == oracle, alpha
+
+
+def test_growth_pass_matches_the_word_oracle():
+    for n in range(0, 10):
+        for alpha in compositions_of(n):
+            check_growth_pass(alpha)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(compositions_of(10) + compositions_of(11)))
+def test_growth_pass_matches_the_word_oracle_at_weights_10_and_11(alpha):
+    check_growth_pass(alpha)
+
+
+PLACEMENT_RULES = st.lists(st.sampled_from(["fix", "kill", "swap"]), min_size=16, max_size=16)
+
+
+@settings(deadline=None, max_examples=60)
+@given(PLACEMENT_RULES)
+def test_growth_pass_matches_the_word_oracle_under_any_placement_rule(acts):
+    # any rule on the columns 0..3: every refusal, and every image out of
+    # the basis, that the per-word pass finds, the growth pass finds too
+    def rule(q, c):
+        return acts[4 * q + c]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hecke_action, "_placement", rule)
+        for n in range(0, 7):
+            for alpha in compositions_of(n):
+                if max(alpha, default=0) <= 4:
+                    check_growth_pass(alpha, rule)
+
+
+def test_a_growth_that_precedes_every_set_but_the_generator_shows_only_against_the_oracle(
+    monkeypatch
+):
+    # on the true operators every SET but g is preceded anyway, so the pass
+    # certifies as before; under the annihilating twin nothing is preceded,
+    # and the oracle, unlike the broken growth, refuses
+    shapes = [alpha for n in range(1, 7) for alpha in compositions_of(n)]
+    monkeypatch.setattr(module_analysis, "_grown",
+                        preceding_all_but_the_generator(module_analysis._grown))
+    for alpha in shapes:
+        check_growth_pass(alpha)
+    monkeypatch.setattr(hecke_action, "_placement", annihilating_placement)
+    missed = []
+    for alpha in shapes:
+        try:
+            check_growth_pass(alpha, annihilating_placement)
+        except AssertionError:
+            missed.append(alpha)
+    assert len(missed) == 42
+    assert " is not reached " in word_column_pass(
+        _Shape((2, 1)), per_placement(annihilating_placement))[2]
+    assert _Shape((2, 1)).column_pass[2] != word_column_pass(
+        _Shape((2, 1)), per_placement(annihilating_placement))[2]
+
+
+def test_a_shared_column_counted_as_a_witness_is_refused(monkeypatch):
+    # v and v+1 in one column of two rows mark g itself as preceded wherever
+    # a part of 1 lies under another row: 43 of the 63 shapes of weight 6 or
+    # less, each refused by the pass and each unlike the oracle
+    monkeypatch.setattr(module_analysis, "_row_pair_marks",
+                        witnessing_shared_columns(module_analysis._row_pair_marks))
+    shapes = [alpha for n in range(1, 7) for alpha in compositions_of(n)]
+    refused = [alpha for alpha in shapes if _Shape(alpha).column_pass[2] is not None]
+    assert len(shapes) == 63 and len(refused) == 43
+    for alpha in refused:
+        assert _Shape(alpha).column_pass[2].endswith(
+            "; it is marked as the image of a later tableau, so the order is not a filtration")
+        assert growth_preceded(_Shape(alpha)) != word_column_pass(_Shape(alpha))[3], alpha
+
+
 def copying_quotient_step(i, w):
     """The true operator with every image a fresh tuple: a fixed image is
     equal to ``w`` but not ``w`` itself, which the table reads as fixed."""
@@ -639,10 +753,15 @@ def copying_quotient_step(i, w):
     copying_quotient_step,
 ])
 def test_column_pass_gives_the_table_route_verdict_under_a_broken_operator(monkeypatch, mutant):
-    # the same error, or the same factors and, shape by shape, the search's
-    # refusal text; where the table swaps onto a later index (only under
-    # the swapping mutant) the pass refuses, naming the swap
+    # the table route reads the word-level mutant, the growth pass its
+    # placement twin (the true rule for the copying mutant, whose images
+    # only fail to be the word itself): the same error, or the same factors
+    # and, shape by shape, the search's refusal text; where the table swaps
+    # onto a later index (only under the swapping mutant) the pass refuses,
+    # naming the swap
     monkeypatch.setattr(hecke_action, "_quotient_images", per_word(mutant))
+    monkeypatch.setattr(hecke_action, "_placement",
+                        PLACEMENT_TWINS.get(mutant, hecke_action._placement))
 
     def outcome(read):
         try:
@@ -701,9 +820,19 @@ def test_a_swap_onto_a_later_index_is_refused():
 
 
 def test_the_last_tableau_must_be_the_super_standard_one(monkeypatch):
-    # an order that puts g first is refused, naming the tableau it ends with
-    words = hecke_action._filtration_words(Composition((2, 1)))
-    monkeypatch.setattr(module_analysis, "_filtration_words", lambda alpha: words[::-1])
+    # keys whose row sums ascend put g first, and the order is refused,
+    # naming the tableau it ends with, rebuilt from the unchanged reading key
+    grown = module_analysis._grown
+
+    def rows_ascending(alpha, marks=None, keep_words=True):
+        words, keys = grown(alpha, marks, keep_words)
+        shift, n = marks[0], alpha.weight
+        low = (1 << shift) - 1
+        # reading + rows * n^n in place of reading - rows * n^n
+        return words, [(2 * ((key >> shift) % n**n) - (key >> shift)) << shift | key & low
+                       for key in keys]
+
+    monkeypatch.setattr(module_analysis, "_grown", rows_ascending)
     with pytest.raises(ValueError) as caught:
         commutant_basis((2, 1))
     assert str(caught.value) == (
