@@ -25,8 +25,8 @@ from types import SimpleNamespace
 from .compositions import (
     Composition,
     _bits,
-    _labels,
     _mask,
+    _texts,
     compositions_of,
     format_composition,
     is_partition,
@@ -58,9 +58,10 @@ EXIT_USAGE = 2
 
 FORMATS = ("text", "json", "csv")
 
-# expand --basis M printed the 524,288 terms of --alpha 20 in 1.7-2.4 s and
-# 120 MB as text and in 1.7 s and 122 MB with --format json, 3-5 us per term
-# (2-core host, Python 3.11.7); a larger expansion is refused before any refining
+# expand --basis M printed the 524,288 terms of --alpha 20 in 1.7-2.7 s and
+# 120-122 MB as text and in 2.2-3.5 s and 121-123 MB with --format json,
+# 3-7 us per term (2-core host shared with other load, Python 3.11.7); a
+# larger expansion is refused before any refining
 M_TERM_SECONDS = 5e-6
 M_TERM_BUDGET = 1 << 19
 # tableaux --show-descents, the costliest listing of SETs, took 1.4-1.9 s
@@ -327,16 +328,17 @@ def _qsym_chunks(basis: str, n: int, counts, fmt: str = "text", indent: str = ""
     of ``json.dumps(x.to_json(), indent=2)`` with lines after the first
     starting from ``indent``, of the element ``x`` of degree n with the
     nonzero coefficient ``counts[m]`` on the composition of descent mask m,
-    some thousands of terms at a time.  Each term is filled into one
-    template, its composition from ``_labels``; no ``Composition`` is built."""
+    some thousands of terms at a time.  The masks are sorted by their
+    ``_bits`` and each term is one f-string, its composition from
+    ``_texts``; no ``Composition`` is built."""
     coefficient = dict(zip(_bits(n, counts), counts.values()))
     order = sorted(coefficient, reverse=True)
+    texts = _texts(order)
     coefficients = map(coefficient.__getitem__, order)
     if fmt != "json":
         # 'c*' for c other than 1 and -1: a negative term follows ' + -'
-        stars = map("{}*".format, map(coefficient.__getitem__, order))
-        text = map(f"{{}}{basis}[{{}}]".format,
-                   map({1: "", -1: "-"}.get, coefficients, stars), _labels(n, order))
+        text = (f"{basis}[{t}]" if c == 1 else f"{c}*{basis}[{t}]" if c != -1 else f"-{basis}[{t}]"
+                for c, t in zip(coefficients, texts))
         for chunk in _joined(" + ", text):
             yield chunk.replace(" + -", " - ") or "0"
         return
@@ -346,12 +348,16 @@ def _qsym_chunks(basis: str, n: int, counts, fmt: str = "text", indent: str = ""
     if not order:
         yield f"]\n{indent}}}"
         return
-    composition = f"[\n{inner}    {{0}}\n{inner}  ]" if n else "[]"
-    template = (f'{{{{\n{inner}  "composition": {composition},\n'
-                f'{inner}  "coefficient": {{1}}\n{inner}}}}}')
+    # a composition's JSON list is its text with a line break after each ',':
+    # the terms write their own commas as NUL, so that one replace per chunk
+    # breaks the compositions' lines and a second restores those commas
+    head = f'{{\n{inner}  "composition": ' + (f"[\n{inner}    " if n else "[")
+    tail = (f"\n{inner}  ]" if n else "]") + f'\0\n{inner}  "coefficient": '
+    end = f"\n{inner}}}"
+    terms = (f"{head}{t}{tail}{c}{end}" for c, t in zip(coefficients, texts))
     yield "\n" + inner
-    yield from _joined(",\n" + inner, map(template.format,
-                                          _labels(n, order, ",\n    " + inner), coefficients))
+    for chunk in _joined("\0\n" + inner, terms):
+        yield chunk.replace(",", ",\n    " + inner).replace("\0", ",")
     yield f"\n{indent}  ]\n{indent}}}"
 
 
@@ -431,10 +437,11 @@ def _cmd_analyze(args) -> int:
     masks, counts, _ = shape.column_pass
     as_json = args.format == "json"
     # each distinct factor is formatted once, as a JSON list or as text
-    labels = _labels(n, _bits(n, counts), ",\n      " if as_json else ",")
+    texts = _texts(_bits(n, counts))
     if as_json:  # at weight 0 the one factor is the empty list
-        labels = map(("[\n      {}\n    ]" if n else "[]").format, labels)
-    factors = map(dict(zip(counts, labels)).__getitem__, masks)
+        texts = map(("[\n      {}\n    ]" if n else "[]").format,
+                    map(str.replace, texts, repeat(","), repeat(",\n      ")))
+    factors = map(dict(zip(counts, texts)).__getitem__, masks)
     write = sys.stdout.write
     if as_json:
         # json.dumps(analysis_report(alpha), indent=2), written in pieces

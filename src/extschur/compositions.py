@@ -14,7 +14,8 @@ result with few terms costs no table of all 2^(n-1) compositions; the
 parts read off a mask are positive, so that ``Composition`` skips the
 per-part check.  It alone writes them as text too, for the CLI: as bit
 strings that sort them (:func:`_bits`), and the parts read off those
-(:func:`_labels`).  The refinements of a composition are the masks
+(:func:`_labels`), each text made once per process and kept in one
+bounded table (:func:`_texts`).  The refinements of a composition are the masks
 holding its own, that is its mask joined with each submask of the bits
 it leaves free (:func:`_refinement_masks`); only the public
 :func:`refinements` lists them, since the basis changes of ``qsym`` sum
@@ -25,7 +26,7 @@ is the validated form of the same subset.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 
 
@@ -223,13 +224,12 @@ def _composition_of_mask(mask: int, n: int) -> Composition:
 
 
 def _bits(n: int, masks):
-    """Each descent mask of weight n as its n-1 bits, lowest first: its
-    binary with a stop bit at n-1, read backwards without '0b1'.  Of two
-    compositions the smaller has the lowest bit where their masks differ,
-    its part ending first: lexicographic order is descending order here."""
-    if not n:
-        return [""] * len(masks)
-    return map(itemgetter(slice(None, 2, -1)), map(bin, map((1 << n - 1).__or__, masks)))
+    """Each descent mask of weight n as its n-1 bits, lowest first, then a
+    stop bit: the binary of the mask with a bit set at n-1, read backwards
+    without '0b', and '0' at n = 0.  Of two compositions the smaller has
+    the lowest bit where their masks differ, its part ending first:
+    lexicographic order is descending order here."""
+    return map(itemgetter(slice(None, 1, -1)), map(bin, map((1 << n >> 1).__or__, masks)))
 
 
 class _Parts(dict):
@@ -240,13 +240,37 @@ class _Parts(dict):
         return part
 
 
-def _labels(n: int, bits, sep: str = ","):
-    """The parts of the composition of n with each of :func:`_bits`, joined
-    by ``sep``: each part is one more than a run of 0s ended by a 1 or by
-    the end, read from a table of part strings with no Python call per
-    composition."""
-    part = _Parts() if n else {"": ""}
-    return map(sep.join, map(map, repeat(part.__getitem__), map(str.split, bits, repeat("1"))))
+def _labels(bits):
+    """The parts of the composition with each of :func:`_bits`, joined by
+    ',': each part is one more than a run of 0s ended by a 1, read from
+    a table of part strings with no Python call per composition."""
+    runs = map(itemgetter(slice(-1)), map(str.split, bits, repeat("1")))
+    return map(",".join, map(map, repeat(_Parts().__getitem__), runs))
+
+
+# The text of each composition written so far, e.g. '2,1,3', keyed by the
+# :func:`_bits` of its weight and descent mask: its sort key, which the stop
+# bit keeps apart between weights.  The text does not depend on the basis
+# or the output format, so one entry serves every writer of the CLI for the
+# life of the process.  Entries are kept only up to a fixed count: a request
+# with more compositions than that, e.g. the 2^19 terms of expand --alpha 20
+# --basis M, makes the rest a batch at a time and keeps none of them.
+_TEXT_CAP = 4096
+_TEXTS: dict[str, str] = {}
+
+
+def _texts(bits):
+    """The text of the composition with each of :func:`_bits`, in the given
+    order, 4,096 at a time: read from ``_TEXTS``, or, for a batch with a
+    composition it lacks, made by :func:`_labels` and kept while it has
+    room."""
+    bits = iter(bits)
+    while batch := list(islice(bits, 4096)):
+        texts = list(map(_TEXTS.get, batch))
+        if None in texts:
+            texts = list(_labels(batch))
+            _TEXTS.update(islice(zip(batch, texts), _TEXT_CAP - len(_TEXTS)))
+        yield from texts
 
 
 def _refinement_masks(mask: int, n: int) -> list[int]:

@@ -29,13 +29,14 @@ from helpers import (
 )
 import extschur
 import extschur.cli as cli
-from extschur import hecke_action, module_analysis, tableaux
+from extschur import compositions, hecke_action, module_analysis, tableaux
 from extschur.cli import ALL_CHECKS, main
 from extschur.compositions import (
     _bits,
     _composition_of_mask,
     _labels,
     _mask,
+    _texts,
     compositions_of,
     format_composition,
     parse_composition,
@@ -796,14 +797,51 @@ def test_char_and_analyze_write_what_the_composition_writer_writes(capsys):
             assert f'\n  "characteristic": {"".join(qsym_json(char, "  "))},\n' in out
 
 
-def test_bit_strings_sort_and_label_masks_as_compositions():
-    for n in range(0, 13):
-        masks = range(1 << max(n - 1, 0))
-        order = sorted(zip(_bits(n, masks), masks), reverse=True)
-        compositions = sorted(_composition_of_mask(m, n) for m in masks)
-        assert [_composition_of_mask(m, n) for _, m in order] == compositions
-        labels = _labels(n, [bits for bits, _ in order])
-        assert list(labels) == list(map(format_composition, compositions))
+def test_bit_strings_sort_and_label_masks_as_compositions(monkeypatch):
+    monkeypatch.setattr(compositions, "_TEXTS", {})
+    # weights 0..12 have 4,096 compositions, so the cold read fills the table
+    for read in ("cold", "warm"):
+        for n in range(0, 13):
+            masks = range(1 << max(n - 1, 0))
+            order = sorted(zip(_bits(n, masks), masks), reverse=True)
+            alphas = sorted(_composition_of_mask(m, n) for m in masks)
+            assert [_composition_of_mask(m, n) for _, m in order] == alphas
+            bits = [bits for bits, _ in order]
+            assert list(_labels(bits)) == list(map(format_composition, alphas))
+            texts = list(_texts(bits))
+            assert texts == list(map(format_composition, alphas)), (read, n)
+            # the JSON list of a composition is its text, a line break after each ','
+            for alpha, text in zip(alphas, texts):
+                as_json = "[\n  " + text.replace(",", ",\n  ") + "\n]" if n else "[]"
+                assert as_json == json.dumps(list(alpha), indent=2)
+        assert len(compositions._TEXTS) == compositions._TEXT_CAP
+        # the warm read makes no text
+        monkeypatch.setattr(compositions, "_labels", None)
+
+
+def test_one_process_writes_every_request_from_one_bounded_table(capsys, monkeypatch):
+    monkeypatch.setattr(compositions, "_TEXTS", {})
+
+    def expand(alpha, basis, max_n="8"):
+        element = (extended_schur_in_F if basis == "F" else extended_schur_in_M)(alpha)
+        argv = ("expand", "--alpha", format_composition(alpha), "--basis", basis, "--max-n", max_n)
+        assert run(capsys, *argv) == (0, qsym_text(element) + "\n", ""), argv
+        expected = "".join(qsym_json(element)) + "\n"
+        assert run(capsys, *argv, "--format", "json") == (0, expected, ""), argv
+        # the table only grows, so its size after a request is its largest
+        assert len(compositions._TEXTS) <= compositions._TEXT_CAP
+
+    for basis in "FM":
+        for n in range(0, 9):
+            for alpha in compositions_of(n):
+                expand(alpha, basis)
+    assert len(compositions._TEXTS) == 256
+    # every composition of 14, twice as many as the table holds
+    assert compositions._TEXT_CAP < 1 << 13
+    expand(parse_composition("14"), "M", "14")
+    assert len(compositions._TEXTS) == compositions._TEXT_CAP
+    for alpha in compositions_of(8):
+        expand(alpha, "M")
 
 
 def test_expand_and_char_json_are_what_json_dumps_prints(capsys):
