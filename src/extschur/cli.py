@@ -86,7 +86,7 @@ def _check_schur(shape: _Shape) -> bool:
     alpha = shape.alpha
     return (
         shape.extended_schur == schur_in_F(alpha)
-        and len(shape.words) == hook_length_count(alpha)
+        and len(shape.growth[0]) == hook_length_count(alpha)  # the keys: no word decoded
     )
 
 
@@ -517,12 +517,8 @@ def _verdicts(names, alphas):
     """One byte per shape of ``alphas``, in order, with bit k set when check
     ``names[k]`` passes on it.  A check that raises ``KeyError`` or
     ``ValueError`` fails."""
-    # when checks read both the row words and the column pass, one growth
-    # gives both
-    keep_words = bool({"relations", "submodule", "schur"} & set(names)
-                      and {"characteristic", "endomorphism"} & set(names))
     for alpha in alphas:
-        shape = _Shape(alpha, keep_words)
+        shape = _Shape(alpha)
         bits = 0
         for k, name in enumerate(names):
             if name == "schur" and not is_partition(alpha):

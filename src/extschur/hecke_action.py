@@ -22,10 +22,12 @@ One table per basis records where each operator sends each tableau.
 the quotient rule per word; the full basis is taken straight from
 ``tableaux._srit_words`` and the quotient basis from
 ``tableaux._set_words``, so no ``Tableau`` is built for either.  The
-relation sweep reads the quotient basis in reading-word order; the module
-reads it in filtration order, :func:`_filtration_words`.  Both orders
-come from one sort of the integer keys that ``tableaux._grown`` sums as
-it places the entries.  The relation sweep composes the table's rows with
+relation sweep reads the quotient basis in reading-word order, and
+:func:`filtration` in filtration order, :func:`_filtration_words`.  Both
+orders come from one sort of the integer keys that ``tableaux._grown``
+sums as it places the entries.  ``module_analysis`` sorts the marked keys
+of its own growth into the same filtration order and decodes its row
+words from them.  The relation sweep composes the table's rows with
 ``operator.itemgetter``, and the submodule closure check and the module
 matrices read the table.  The module's certificate reads none, and no
 word: :func:`_placement` is the quotient rule at the placement of one
@@ -384,8 +386,8 @@ def filtration(alpha: Composition) -> Filtration:
     swap strictly increases the row-sum vector, so reachable tableaux sort
     earlier), with ties broken by ascending reading word; the
     super-standard tableau comes last.  The order is defined once, on row
-    words, by :func:`_filtration_words`, a stable re-sort by row sums of
-    the reading-word order; the tableaux here are built from those words.
+    words, by :func:`_filtration_words`, one sort of the growth's order
+    keys; the tableaux here are built from those words.
     """
     alpha = Composition(alpha)
     return Filtration(alpha, tuple(map(_from_row_word, _filtration_words(alpha))))

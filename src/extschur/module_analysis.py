@@ -41,11 +41,13 @@ SET and out of the basis (a swap of v and v+1 in one column, which only a
 broken rule makes).  For any placement rule the lemmas read the reversed
 pair ``(c, q)`` as that rule does.  Sorting the keys gives the masks in
 filtration order; no word is kept, no rule is called per SET and no index
-is looked up.  A refusal names its tableaux by index, each rebuilt from
-the residue of its key modulo ``n^n``.  The per-word pass this replaced,
-which called ``hecke_action._quotient_images`` on each word and found
-each image in a dict, is the oracle ``word_column_pass`` of
-``tests/helpers.py``.
+is looked up.  The keys are the only form in which the SETs are kept:
+their row words, in the same order, are decoded in one batch from the
+residues of the keys modulo ``n^n`` by ``tableaux._words_of_keys`` when a
+table, the submodule check or a refusal naming a tableau reads them.  The
+per-word pass this replaced, which called ``hecke_action._quotient_images``
+on each word and found each image in a dict, is the oracle
+``word_column_pass`` of ``tests/helpers.py``.
 
 The module is cyclic, generated by the super-standard tableau ``g``, whose
 row word is ``0^alpha_1 1^alpha_2 ...``, so an endomorphism ``E`` is fixed
@@ -75,11 +77,10 @@ built only for :func:`commutant_basis`.
 
 The submodule closure check reads the ``"full"`` table of
 ``tableaux._srit_words`` and counts a word as extended when it is in the
-shape's SET basis, the row words of the same growth when the shape keeps
-them.  The public functions here are each one read of a fresh
-``_Shape``; a caller that checks one shape several ways, such as
-``verify``, keeps one to grow the tableaux, build each table and certify
-the commutant once.
+shape's SET basis, the row words decoded from the same growth.  The
+public functions here are each one read of a fresh ``_Shape``; a caller
+that checks one shape several ways, such as ``verify``, keeps one to grow
+the tableaux, build each table and certify the commutant once.
 """
 
 from __future__ import annotations
@@ -89,22 +90,15 @@ from functools import cached_property, lru_cache
 
 from . import hecke_action
 from .compositions import Composition, _composition_of_mask, _Record
-from .hecke_action import (
-    ActionTable,
-    Filtration,
-    _filtration_words,
-    _relation_failures,
-    _word_table,
-)
+from .hecke_action import ActionTable, Filtration, _relation_failures, _word_table
 from .qsym import QSymElement, _element
 from .tableaux import (
     RowWord,
     _descent_masks,
     _from_row_word,
     _grown,
-    _sorted_by,
     _srit_words,
-    _word_of_key,
+    _words_of_keys,
     super_standard,
 )
 
@@ -214,19 +208,17 @@ def _generator_reading(n: int) -> int:
 class _Shape:
     """Every table and invariant of one composition, each built on first use
     and kept: the row words of its standard row-increasing tableaux with their
-    ``"full"`` action table, its standard extended tableaux grown once in
-    filtration order as marked keys, with their row words when
-    ``keep_words`` asks for them, the column pass that reads the module
-    invariants off the keys and the quotient table built only for output,
-    and the count of each descent mask with the extended Schur function.
-    The counts come from ``tableaux._descent_masks``, which grows no
-    tableau, so the characteristic and the extended Schur function share no
-    enumeration.  A shape that does not keep words grows them again, without
-    marks, when they are read."""
+    ``"full"`` action table, its standard extended tableaux grown once as
+    marked keys and sorted into filtration order, the only form in which
+    they are kept, their row words decoded from those keys in one batch
+    when read, the column pass that reads the module invariants off the
+    keys and the quotient table built only for output, and the count of
+    each descent mask with the extended Schur function.  The counts come
+    from ``tableaux._descent_masks``, which grows no tableau, so the
+    characteristic and the extended Schur function share no enumeration."""
 
-    def __init__(self, alpha, keep_words: bool = False):
+    def __init__(self, alpha):
         self.alpha = Composition(alpha)
-        self.keep_words = keep_words
 
     @cached_property
     def srit_words(self) -> list[RowWord]:
@@ -237,20 +229,21 @@ class _Shape:
         return _word_table(self.srit_words, "full")
 
     @cached_property
-    def growth(self) -> tuple[list[RowWord] | None, list[int], tuple[int, list]]:
-        """One growth of the SETs under the marks of :func:`_marks`, in
-        filtration order: their row words, or None unless kept, their
-        marked keys, ``order_key << shift | fields | mask``, and the marks."""
+    def growth(self) -> tuple[list[int], tuple[int, list]]:
+        """One growth of the SETs under the marks of :func:`_marks`: their
+        marked keys, ``order_key << shift | fields | mask``, sorted into
+        filtration order, and the marks."""
         marks = _marks(self.alpha)
-        words, keys = _grown(self.alpha, marks, self.keep_words)
-        if words is not None:
-            words = _sorted_by(words, keys)
+        keys = _grown(self.alpha, marks)[1]
         keys.sort()
-        return words, keys, marks
+        return keys, marks
 
     @cached_property
     def words(self) -> list[RowWord]:
-        return self.growth[0] if self.keep_words else _filtration_words(self.alpha)
+        """The row words of the SETs in filtration order, read off the
+        sorted keys."""
+        keys, (shift, _) = self.growth
+        return _words_of_keys(self.alpha, keys, shift)
 
     @cached_property
     def quotient_table(self) -> ActionTable:
@@ -271,7 +264,7 @@ class _Shape:
         marked keys: no word, no rule call and no index lookup, unless a
         refusal names a tableau.  It raises ``KeyError`` naming the first
         image out of the basis, as ``hecke_action._word_table`` does."""
-        keys = self.growth[1]
+        keys = self.growth[0]
         shift, mask_bits, (preceded, _, _, _) = _layout(self.alpha.weight)
         fixing = ~keys[-1] & mask_bits  # the operators fixing the last SET
         counts: Counter[int] = Counter()
@@ -290,11 +283,9 @@ class _Shape:
         return masks, counts, self._verdict(seen, unpreceded, fixed, masks)
 
     def _placements(self, j: int):
-        """``(v, mark, image)`` for each operator v on the j-th SET, its word
-        rebuilt from its key: the mark of the placement of v+1 and the word
-        with v and v+1 swapped."""
-        _, keys, (shift, table) = self.growth
-        w = _word_of_key(self.alpha, keys[j] >> shift)
+        """``(v, mark, image)`` for each operator v on the j-th SET: the mark
+        of the placement of v+1 and the word with v and v+1 swapped."""
+        table, w = self.growth[1][1], self.words[j]
         filled = [0] * len(self.alpha)
         for v, r in enumerate(w):
             c = filled[r]
@@ -306,7 +297,7 @@ class _Shape:
     def _first(self, bits: int) -> tuple[int, int, RowWord]:
         """The first index with a placement marked in the field ``bits``,
         that placement's operator and its image."""
-        j = next(j for j, key in enumerate(self.growth[1]) if key & bits)
+        j = next(j for j, key in enumerate(self.growth[0]) if key & bits)
         return (j, *next((v, image) for v, mark, image in self._placements(j) if mark & bits))
 
     def _verdict(self, seen: int, unpreceded: int, fixed: int, masks) -> str | None:
@@ -317,7 +308,7 @@ class _Shape:
         ``seen`` has every field that some SET marks, ``unpreceded`` counts
         the SETs no later one swaps onto and ``fixed`` those that every
         operator fixing the last SET fixes."""
-        _, keys, (shift, _) = self.growth
+        keys, (shift, _) = self.growth
         g, n = len(masks) - 1, self.alpha.weight
         preceded, idempotence, later, outside = _layout(n)[2]
         if seen & outside:
@@ -361,10 +352,8 @@ class _Shape:
         )
 
     def tableau(self, j: int):
-        """The rows of the j-th basis tableau, for a message, rebuilt from
-        its key."""
-        _, keys, (shift, _) = self.growth
-        return _from_row_word(_word_of_key(self.alpha, keys[j] >> shift)).rows
+        """The rows of the j-th basis tableau, for a message."""
+        return _from_row_word(self.words[j]).rows
 
     @cached_property
     def factors(self) -> CompositionFactorList:

@@ -26,10 +26,10 @@ Python recursion.  The growth also sums, placement by placement, one
 integer order key per word that holds both the reading word and the row
 sums, so :func:`_set_words` puts the words in reading-word order, and
 ``hecke_action`` in filtration order, with one sort of plain integers.
-Given a table of marks, the growth also adds each placement's mark below
-the shifted key, which is how ``module_analysis`` decides its column pass
-without keeping a word, and :func:`_word_of_key` rebuilds a word from its
-key.
+Given a table of marks, the growth instead adds each placement's mark
+below the shifted key and keeps no word, which is how ``module_analysis``
+decides its column pass; :func:`_words_of_keys` reads the words back off
+the keys, in their order.
 
 The extended Schur expansions need only how many standard extended
 tableaux have each descent mask (bit ``i-1`` set when ``i`` is a descent;
@@ -353,9 +353,7 @@ def _removals(alpha: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return removals
 
 
-def _grown(
-    alpha: Composition, marks=None, keep_words: bool = True
-) -> tuple[list[RowWord] | None, list[int]]:
+def _grown(alpha: Composition, marks=None) -> tuple[list[RowWord] | None, list[int]]:
     """The row words of every standard extended tableau of shape alpha, in
     growth order: entry v goes in each box open to it, lowest row first,
     and everything v+1 onwards can grow from there is listed before v
@@ -382,11 +380,12 @@ def _grown(
     ``v+1`` in row ``r``, column ``c`` (0-based) after ``v`` in row ``p``,
     column ``q`` adds ``table[p][r][q][c]``, whose bit 0 is moved up to bit
     ``v-1``.  The table is read once per placement and nothing else is
-    called, so the marks cost a lookup, not a pass over each word.  With
-    ``keep_words`` false no word is kept and None stands for the words."""
+    called, so the marks cost a lookup, not a pass over each word.  A
+    marked growth keeps no word, and None stands for its words:
+    :func:`_words_of_keys` reads them off the keys."""
     n = alpha.weight
     if not n:
-        return [()] if keep_words else None, [0]
+        return None if marks else [()], [0]
     below = _below(alpha)
     height = len(alpha)
     base = n * (n + 1) // 2 + 1
@@ -402,7 +401,7 @@ def _grown(
     filled = [0] * height
     placed = [0] * n  # the row of each entry: the first v are placed
     prefix_keys = [0] * (n + 1)  # the key of each prefix of ``placed``
-    words: list[RowWord] | None = [] if keep_words else None
+    words: list[RowWord] | None = None if marks else []
     keys: list[int] = []
     v = r = 0  # the entries placed, the lowest row still to try for the next
     while True:
@@ -423,7 +422,7 @@ def _grown(
             if v == n - 1:
                 # the last entry has one box open to it: the tableau is
                 # done, and the entry before it moves on
-                if keep_words:
+                if words is not None:
                     words.append(tuple(placed))
                 keys.append(key)
                 r = height
@@ -441,19 +440,25 @@ def _grown(
             return words, keys
 
 
-def _word_of_key(alpha: Composition, key: int) -> RowWord:
-    """The row word of the standard extended tableau of shape alpha whose
-    order key (see :func:`_grown`) is ``key``, read off its residue modulo
-    ``n^n``: digit ``p`` in base n of that reading key is the entry, less
-    one, at reading position ``p``, and position ``p`` lies in a known row."""
+def _words_of_keys(alpha: Composition, keys: list[int], shift: int) -> list[RowWord]:
+    """The row words of the standard extended tableaux of shape alpha whose
+    order keys (see :func:`_grown`), shifted left by ``shift`` over their
+    marks, are ``keys``, in the order of ``keys``.  Each is read off the
+    residue of its order key modulo ``n^n``: digit ``p`` in base n of that
+    reading key is the entry, less one, at reading position ``p``, and
+    position ``p`` lies in a known row."""
     n = alpha.weight
-    reading = key % n**n
-    row_of = [r for r, part in enumerate(alpha) for _ in range(part)]
-    word = [0] * n
-    for p in reversed(range(n)):
-        reading, v = divmod(reading, n)
-        word[v] = row_of[p]
-    return tuple(word)
+    size = n**n
+    rows = [r for r, part in enumerate(alpha) for _ in range(part)][::-1]  # last position first
+    word = [0] * n  # every letter is written again for each key
+    words = []
+    for key in keys:
+        reading = (key >> shift) % size
+        for r in rows:
+            reading, v = divmod(reading, n)
+            word[v] = r
+        words.append(tuple(word))
+    return words
 
 
 def is_standard_extended(t: Tableau) -> bool:

@@ -1009,7 +1009,7 @@ def growth_preceded(shape: _Shape) -> list[int]:
     later index swapping onto it: the vector :func:`word_column_pass`
     returns last."""
     bits = _layout(shape.alpha.weight)[2][0]  # the preceded field
-    return [int(bool(key & bits)) for key in shape.growth[1]]
+    return [int(bool(key & bits)) for key in shape.growth[0]]
 
 
 def preceding_all_but_the_generator(grown):
@@ -1017,8 +1017,8 @@ def preceding_all_but_the_generator(grown):
     the largest, counting one later index swapping onto it.  On a module
     this changes nothing, since every other SET is preceded; only a
     comparison with :func:`word_column_pass` under a broken rule shows it."""
-    def mutant(alpha, marks=None, keep_words=True):
-        words, keys = grown(alpha, marks, keep_words)
+    def mutant(alpha, marks=None):
+        words, keys = grown(alpha, marks)
         if marks is not None and keys:
             bits = _layout(alpha.weight)[2][0]  # the preceded field
             top = max(keys)

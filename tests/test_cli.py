@@ -39,6 +39,7 @@ from extschur.compositions import (
     _texts,
     compositions_of,
     format_composition,
+    is_partition,
     parse_composition,
 )
 from extschur.module_analysis import _Shape
@@ -516,6 +517,29 @@ def test_verify_builds_each_shape_once(capsys, monkeypatch):
     assert run(capsys, "verify", "--n", "5", "--checks", others)[0] == 0
     assert not any(name == "_quotient_images" for name, _ in calls)
     assert all(calls["_grown", tuple(alpha)] == 1 for alpha in grown)
+    # alone, as in every subset, a check that reads a shape's SETs grows
+    # them once, marked, and the others grow none: no subset picks how they
+    # are grown (schur reads the SETs of a partition alone)
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    unmarked = []
+
+    def marked_only(alpha, marks=None):
+        if marks is None:
+            unmarked.append(alpha)
+        return grow(alpha, marks)
+
+    grow = patch_everywhere(monkeypatch, tableaux, "_grown", marked_only)
+    partitions = [alpha for alpha in shapes if is_partition(alpha)]
+    reads_sets = dict.fromkeys(("relations", "submodule", "characteristic", "endomorphism"),
+                               shapes) | {"schur": partitions}
+    for name, out in zip(ALL_CHECKS, by_check):
+        calls.clear()
+        expected = out + "result: all checks passed\n"
+        assert run(capsys, "verify", "--n", "5", "--checks", name) == (0, expected, ""), name
+        assert Counter({alpha: count for (called, alpha), count in calls.items()
+                        if called == "_grown"}) == Counter(
+            {tuple(alpha): 1 for alpha in reads_sets.get(name, ())}), name
+    assert unmarked == []
 
 
 def test_expansions_and_kmatrix_never_grow_tableaux(capsys, monkeypatch):

@@ -290,6 +290,16 @@ def test_shape_reads_the_filtration_words_with_the_generator_last():
             assert shape.words[-1] == _row_word(super_standard(alpha)), alpha
 
 
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([alpha for n in range(9, 12) for alpha in compositions_of(n)]))
+def test_shape_reads_the_filtration_words_at_weights_9_to_11(alpha):
+    # the words decoded from the sorted marked keys are those the plain
+    # growth keeps, sorted by its order keys
+    shape = _Shape(alpha)
+    assert shape.words == hecke_action._filtration_words(alpha)
+    assert shape.words[-1] == _row_word(super_standard(alpha))
+
+
 def test_weight_rank_matches_weight_space_oracle():
     for n in range(0, 9):
         for alpha in compositions_of(n):
@@ -824,8 +834,8 @@ def test_the_last_tableau_must_be_the_super_standard_one(monkeypatch):
     # naming the tableau it ends with, rebuilt from the unchanged reading key
     grown = module_analysis._grown
 
-    def rows_ascending(alpha, marks=None, keep_words=True):
-        words, keys = grown(alpha, marks, keep_words)
+    def rows_ascending(alpha, marks=None):
+        words, keys = grown(alpha, marks)
         shift, n = marks[0], alpha.weight
         low = (1 << shift) - 1
         # reading + rows * n^n in place of reading - rows * n^n

@@ -29,7 +29,7 @@ from extschur.tableaux import (
     _from_row_word,
     _is_column_strict,
     _grown,
-    _word_of_key,
+    _words_of_keys,
     _row_word,
     _set_count,
     _set_words,
@@ -245,10 +245,10 @@ def test_set_words_match_the_sort_by_the_rows():
 
 
 def test_marked_growth_keeps_the_words_and_shifts_the_keys():
-    # marks ride below the shifted order key: the words and their order are
-    # those of the plain growth, each key above the shift is its order key,
-    # the bits below it are the marks of its placements, each moved up to
-    # bit v-1, and no word is kept unless asked for
+    # marks ride below the shifted order key: a marked growth keeps no word,
+    # but its keys hold the words and their order, those of the plain
+    # growth, each key above the shift is its order key, and the bits below
+    # it are the marks of its placements, each moved up to bit v-1
     for n in range(0, 8):
         for alpha in compositions_of(n):
             words, keys = _grown(alpha)
@@ -256,7 +256,8 @@ def test_marked_growth_keeps_the_words_and_shifts_the_keys():
                       for _ in alpha] for _ in alpha]
             shift = 64
             marked_words, marked = _grown(alpha, (shift, table))
-            assert marked_words == words, alpha
+            assert marked_words is None, alpha
+            assert _words_of_keys(alpha, marked, shift) == words, alpha
             assert [key >> shift for key in marked] == keys, alpha
             for w, key in zip(words, marked):
                 rows, expected = _from_row_word(w).rows, 0
@@ -265,14 +266,16 @@ def test_marked_growth_keeps_the_words_and_shifts_the_keys():
                     q, c = box[v][1], box[v + 1][1]
                     expected += 2 * (q + 3 * c) + (1 << v - 1)
                 assert key & (1 << shift) - 1 == expected, (alpha, w)
-            assert _grown(alpha, (shift, table), False) == (None, marked), alpha
 
 
 def test_each_grown_word_is_rebuilt_from_its_key():
+    # shifted over any marks below it, each order key still gives its word
     for n in range(0, 9):
         for alpha in compositions_of(n):
             words, keys = _grown(alpha)
-            assert [_word_of_key(alpha, key) for key in keys] == words, alpha
+            assert _words_of_keys(alpha, keys, 0) == words, alpha
+            marked = [(key << 7) + (j * 37 & 127) for j, key in enumerate(keys)]
+            assert _words_of_keys(alpha, marked, 7) == words, alpha
 
 
 @settings(deadline=None, max_examples=25)
