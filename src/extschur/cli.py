@@ -70,10 +70,10 @@ M_TERM_BUDGET = 1 << 19
 # tableaux refuses more SETs (SRITs for --kind srit) before making any
 SET_SECONDS = 30e-6
 SET_BUDGET = 300_000
-# analyze and char read the SETs off one growth that keeps no word:
-# analyze --alpha 6,4,3,2,1, 1,153,152 SETs, took 3.2-3.5 s and 98-101 MB
-# as text and as JSON, char 3.0 s and 96 MB, about 3 us per SET (same
-# host); they refuse more SETs before growing any
+# analyze and char read the SETs off one growth that keeps only its keys:
+# analyze --alpha 6,4,3,2,1, 1,153,152 SETs, took 2.6-2.9 s and 86 MB as
+# text and 90-91 MB as JSON, char 2.6-3.4 s and 83 MB, about 3 us per SET
+# (same host); they refuse more SETs before growing any
 ANALYZE_SET_SECONDS = 3e-6
 ANALYZE_SET_BUDGET = 1_200_000
 
@@ -116,8 +116,8 @@ _PER_ALPHA_CHECKS = {
     "relations": _Shape.relations_hold,
     "submodule": _Shape.submodule_closed,
     # the masks of one weight are its compositions: equal counts, equal F expansions
-    "characteristic": lambda shape: shape.column_pass[1] == shape.descent_masks,
-    "endomorphism": lambda shape: shape.column_pass[2] is None,
+    "characteristic": lambda shape: shape.column_pass[0] == shape.descent_masks,
+    "endomorphism": lambda shape: shape.column_pass[1] is None,
     "schur": _check_schur,
     "kmatrix": _check_kmatrix,
     "roundtrip": _check_roundtrip,
@@ -385,7 +385,7 @@ def _cmd_char(args) -> int:
     alpha = _require_alpha(args)
     _require_set_budget(alpha, analyze=True)
     try:
-        counts = _Shape(alpha).column_pass[1]
+        counts = _Shape(alpha).column_pass[0]
     except (KeyError, ValueError) as exc:  # an image outside the basis
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -434,25 +434,25 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     n = alpha.weight
-    masks, counts, _ = shape.column_pass
+    counts, dim = shape.column_pass[0], len(shape.growth[0])
     as_json = args.format == "json"
     # each distinct factor is formatted once, as a JSON list or as text
     texts = _texts(_bits(n, counts))
     if as_json:  # at weight 0 the one factor is the empty list
         texts = map(("[\n      {}\n    ]" if n else "[]").format,
                     map(str.replace, texts, repeat(","), repeat(",\n      ")))
-    factors = map(dict(zip(counts, texts)).__getitem__, masks)
+    factors = map(dict(zip(counts, texts)).__getitem__, shape.masks())
     write = sys.stdout.write
     if as_json:
         # json.dumps(analysis_report(alpha), indent=2), written in pieces
-        write(f'{{\n  "alpha": {_json_list(alpha, "  ")},\n  "dim": {len(masks)},\n'
+        write(f'{{\n  "alpha": {_json_list(alpha, "  ")},\n  "dim": {dim},\n'
               '  "factors": [\n    ')
         sys.stdout.writelines(_joined(",\n    ", factors))
         write('\n  ],\n  "characteristic": ')
         sys.stdout.writelines(_qsym_chunks("F", n, counts, "json", "  "))
         write(',\n  "commutant_dimension": 1,\n  "indecomposable": true\n}\n')
     else:
-        write(f"alpha: {format_composition(alpha)}\ndimension: {len(masks)}\nfactors: ")
+        write(f"alpha: {format_composition(alpha)}\ndimension: {dim}\nfactors: ")
         sys.stdout.writelines(_joined("; ", factors))
         write("\ncharacteristic: ")
         sys.stdout.writelines(_qsym_chunks("F", n, counts))
@@ -535,21 +535,23 @@ def _verdicts(names, alphas):
 def _check_parts(names, parts: list[list]) -> list[bytes] | None:
     """The ``_verdicts`` of each part: the first in this process, each other
     in a forked child that writes its verdicts to a pipe and exits 0 when
-    no check raised.  None when a fork fails, a child exits otherwise or
-    writes too few bytes, or a check raises here.  Every child is reaped,
-    or killed and reaped, before this returns or raises."""
+    no check raised.  None when a pipe or a fork fails, a child exits
+    otherwise or writes too few bytes, or a check raises here.  Every child
+    is reaped, or killed and reaped, before this returns or raises."""
     import os
 
     children = {}  # pid -> read end of its pipe, until reaped
     try:
         for part in parts[1:]:
-            read, write = os.pipe()
+            pipe = ()
             try:
+                pipe = os.pipe()
                 pid = os.fork()
-            except OSError:  # out of processes
-                os.close(read)
-                os.close(write)
+            except OSError:  # out of descriptors or of processes
+                for fd in pipe:
+                    os.close(fd)
                 return None
+            read, write = pipe
             if pid == 0:  # the child: never returns
                 code = 1
                 try:

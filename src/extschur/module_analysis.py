@@ -2,18 +2,19 @@
 
 Every invariant of one shape is read off one private ``_Shape``: the
 standard extended tableaux (SETs) are grown once, by ``tableaux._grown``,
-and sorted into filtration order by their integer order keys.  The
-column pass (``_Shape.column_pass``) keeps, per SET, the mask of the
-operators that move it: the descent mask of its composition factor.
-Each operator fixes, kills or swaps a basis tableau, and a swap sends it
-to an earlier one, so in the filtration basis every operator matrix has
-at most one 1 per column and never maps a basis vector to a later one:
-the chain of leading subspaces is a composition series with
-one-dimensional subquotients.  The action table of
-``hecke_action._word_table`` is built only for :func:`matrices` and the
-relation check, never for a verdict.  A ``Tableau`` is built only for
-output: the ``Filtration`` of :func:`matrices` and the tableaux a refusal
-names.
+and sorted into filtration order by their integer order keys.  The low
+bits of each key are the mask of the operators that move its SET, the
+descent mask of its composition factor, read off the key when asked
+(``_Shape.masks``); the column pass (``_Shape.column_pass``) keeps only
+the count of each mask and the verdict.  Each operator fixes, kills or
+swaps a basis tableau, and a swap sends it to an earlier one, so in the
+filtration basis every operator matrix has at most one 1 per column and
+never maps a basis vector to a later one: the chain of leading subspaces
+is a composition series with one-dimensional subquotients.  The action
+table of ``hecke_action._word_table`` is built only for :func:`matrices`
+and the relation check, never for a verdict.  A ``Tableau`` is built only
+for output: the ``Filtration`` of :func:`matrices` and the tableaux a
+refusal names.
 
 The pass is decided as the SETs are grown.  Operator v reads only the
 boxes of v and v+1, and the growth places v+1 right after v: say v sits
@@ -211,11 +212,12 @@ class _Shape:
     ``"full"`` action table, its standard extended tableaux grown once as
     marked keys and sorted into filtration order, the only form in which
     they are kept, their row words decoded from those keys in one batch
-    when read, the column pass that reads the module invariants off the
-    keys and the quotient table built only for output, and the count of
-    each descent mask with the extended Schur function.  The counts come
-    from ``tableaux._descent_masks``, which grows no tableau, so the
-    characteristic and the extended Schur function share no enumeration."""
+    when read, the column pass that reads the count of each factor mask
+    and the verdict off the keys, the quotient table built only for
+    output, and the count of each descent mask with the extended Schur
+    function.  The counts come from ``tableaux._descent_masks``, which
+    grows no tableau, so the characteristic and the extended Schur
+    function share no enumeration."""
 
     def __init__(self, alpha):
         self.alpha = Composition(alpha)
@@ -257,13 +259,18 @@ class _Shape:
     def extended_schur(self) -> QSymElement:
         return _element(self.alpha.weight, "F", self.descent_masks)
 
+    def masks(self):
+        """The mask of the operators moving each index, in filtration order,
+        read afresh off the low bits of the keys: no per-SET list is kept."""
+        return map(_layout(self.alpha.weight)[1].__and__, self.growth[0])
+
     @cached_property
-    def column_pass(self) -> tuple[list[int], Counter[int], str | None]:
-        """The mask of the operators moving each index, the count of each mask
-        and the refusal (``None`` when the certificate holds), read off the
-        marked keys: no word, no rule call and no index lookup, unless a
-        refusal names a tableau.  It raises ``KeyError`` naming the first
-        image out of the basis, as ``hecke_action._word_table`` does."""
+    def column_pass(self) -> tuple[Counter[int], str | None]:
+        """The count of each mask and the refusal (``None`` when the
+        certificate holds), read off the marked keys: no word, no rule call
+        and no index lookup, unless a refusal names a tableau.  It raises
+        ``KeyError`` naming the first image out of the basis, as
+        ``hecke_action._word_table`` does."""
         keys = self.growth[0]
         shift, mask_bits, (preceded, _, _, _) = _layout(self.alpha.weight)
         fixing = ~keys[-1] & mask_bits  # the operators fixing the last SET
@@ -278,9 +285,7 @@ class _Shape:
                 unpreceded += count
             if not mask & fixing:
                 fixed += count
-        # one int object per distinct mask
-        masks = list(map({mask: mask for mask in counts}.__getitem__, map(mask_bits.__and__, keys)))
-        return masks, counts, self._verdict(seen, unpreceded, fixed, masks)
+        return counts, self._verdict(seen, unpreceded, fixed)
 
     def _placements(self, j: int):
         """``(v, mark, image)`` for each operator v on the j-th SET: the mark
@@ -300,7 +305,7 @@ class _Shape:
         j = next(j for j, key in enumerate(self.growth[0]) if key & bits)
         return (j, *next((v, image) for v, mark, image in self._placements(j) if mark & bits))
 
-    def _verdict(self, seen: int, unpreceded: int, fixed: int, masks) -> str | None:
+    def _verdict(self, seen: int, unpreceded: int, fixed: int) -> str | None:
         """The verdict of the column pass, in the order of the module
         docstring: no image out of the basis, the generator last, no swap
         onto a later index, every index but the generator preceded, each
@@ -309,8 +314,8 @@ class _Shape:
         the SETs no later one swaps onto and ``fixed`` those that every
         operator fixing the last SET fixes."""
         keys, (shift, _) = self.growth
-        g, n = len(masks) - 1, self.alpha.weight
-        preceded, idempotence, later, outside = _layout(n)[2]
+        g, n = len(keys) - 1, self.alpha.weight
+        _, mask_bits, (preceded, idempotence, later, outside) = _layout(n)
         if seen & outside:
             raise KeyError(_from_row_word(self._first(outside)[2]))
         if (keys[g] >> shift) % n**n != _generator_reading(n):
@@ -329,7 +334,7 @@ class _Shape:
                 "it, so its commutant cannot be certified"
             )
         else:
-            fixing = ~masks[g]  # the operators fixing the generator
+            fixing = ~keys[g] & mask_bits  # the operators fixing the generator
             moved: dict[int, RowWord] = {}  # operator bit: the first of its images it moves
             if seen & idempotence:
                 for j, key in enumerate(keys):
@@ -343,7 +348,7 @@ class _Shape:
             elif fixed == 1:
                 return None
             else:
-                u = next(u for u, mask in enumerate(masks) if not mask & fixing and u != g)
+                u = next(u for u, key in enumerate(keys) if not key & fixing and u != g)
                 reason = (f"the fixed-point count is {fixed}: every operator fixing it "
                           f"also fixes tableau {self.tableau(u)}")
         return (
@@ -360,24 +365,24 @@ class _Shape:
         """The composition factors in filtration order: the operators
         that move the j-th basis tableau make the descent mask of the j-th
         factor, each distinct mask turned into a composition once."""
-        n, (masks, counts, _) = self.alpha.weight, self.column_pass
+        n, counts = self.alpha.weight, self.column_pass[0]
         factor_of = {mask: _composition_of_mask(mask, n) for mask in counts}
-        return tuple(map(factor_of.__getitem__, masks))
+        return tuple(map(factor_of.__getitem__, self.masks()))
 
     @cached_property
     def characteristic(self) -> QSymElement:
-        return _element(self.alpha.weight, "F", self.column_pass[1])
+        return _element(self.alpha.weight, "F", self.column_pass[0])
 
     def certify(self) -> None:
         """Return when the identity is certified to span the commutant;
         otherwise raise ValueError with the column pass's refusal."""
-        if refusal := self.column_pass[2]:
+        if refusal := self.column_pass[1]:
             raise ValueError(refusal)
 
     def commutant_basis(self) -> EndomorphismSpace:
         """The identity alone, once :meth:`certify` returns."""
         self.certify()
-        m = range(len(self.column_pass[0]))
+        m = range(len(self.growth[0]))
         identity = tuple(tuple(int(j == k) for j in m) for k in m)
         return EndomorphismSpace(self.alpha, (identity,))
 

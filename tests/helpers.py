@@ -443,12 +443,12 @@ def table_rule(words, table):
 def shape_with_table(alpha, table) -> _Shape:
     """A ``_Shape`` of alpha whose invariants read the given action table,
     indexed by the filtration order of alpha, in place of the one the
-    operators make: its column pass is the per-word pass
-    :func:`word_column_pass` under :func:`table_rule`, and the table is kept
-    as its quotient table."""
+    operators make: its column pass, the counts and the refusal, is that
+    of the per-word pass :func:`word_column_pass` under :func:`table_rule`,
+    and the table is kept as its quotient table."""
     shape = _Shape(alpha)
     shape.quotient_table = table = tuple(table)
-    shape.column_pass = word_column_pass(shape, table_rule(shape.words, table))[:3]
+    shape.column_pass = word_column_pass(shape, table_rule(shape.words, table))[1:3]
     return shape
 
 

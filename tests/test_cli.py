@@ -1329,6 +1329,28 @@ def test_a_fork_that_fails_after_the_first_child_checks_every_shape_here(capsys,
     no_child_left()
 
 
+def test_a_pipe_that_cannot_be_opened_checks_every_shape_here(capsys, monkeypatch):
+    # out of file descriptors: at two cores before the only child, at three
+    # after the first child, which is killed and reaped
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    expected = run(capsys, "verify", "--n", "4")
+    assert expected[0] == 0 and expected[2] == ""
+    for cores in (2, 3):
+        pipes = []
+
+        def pipe(real=os.pipe):
+            pipes.append(None)
+            if len(pipes) == cores - 1:
+                raise OSError(24, "Too many open files")
+            return real()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(cli, "_cores", lambda: cores)
+        assert run(capsys, "verify", "--n", "4") == expected, cores
+        assert len(pipes) == cores - 1, cores
+        no_child_left()
+
+
 @pytest.mark.parametrize("why", ["no-fork", "fork-fails", "another-thread"])
 def test_verify_checks_every_part_here_where_it_cannot_fork(capsys, monkeypatch, why):
     monkeypatch.setattr(cli, "_cores", lambda: 1)

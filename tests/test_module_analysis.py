@@ -39,6 +39,7 @@ from helpers import (
     table_factors,
     table_of,
     table_refusal,
+    table_rule,
     tableau_submodule_closure,
     weight_dimension as _weight_dimension,
     weight_space as _weight_space,
@@ -340,7 +341,7 @@ def test_fixed_point_count_is_the_monomial_coefficient_and_dim_w():
             count = fixed_point_count(table, g)
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
             assert count == _weight_dimension(table, g, len(shape.words)), alpha
-            assert shape.column_pass[2] is None, alpha
+            assert shape.column_pass[1] is None, alpha
 
 
 def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10():
@@ -350,7 +351,7 @@ def test_fixed_point_count_is_the_monomial_coefficient_at_weights_9_and_10():
             shape = _Shape(alpha)
             count = fixed_point_count(shape.quotient_table, len(shape.words) - 1)
             assert count == extended_schur_in_M(alpha).coeffs.get(alpha, 0) == 1, alpha
-            assert shape.column_pass[2] is None, alpha
+            assert shape.column_pass[1] is None, alpha
 
 
 def module_of(alpha, table) -> ModuleMatrices:
@@ -478,7 +479,7 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
     table = tuple(table)
     mod = module_of((3, 1), table)
     shape = shape_with_table((3, 1), table)
-    refusal = shape.column_pass[2]
+    refusal = shape.column_pass[1]
     if later_swaps(table):
         assert refusal.endswith("so the order is not a filtration")
     try:
@@ -506,7 +507,7 @@ def test_fixed_point_route_matches_dense_oracle_on_arbitrary_tables(table):
 
 
 def assert_refusal(shape, reason) -> None:
-    assert reason in shape.column_pass[2]
+    assert reason in shape.column_pass[1]
     with pytest.raises(ValueError, match=reason):
         shape.commutant_basis()
 
@@ -519,7 +520,7 @@ TABLES_3_1 = st.lists(st.tuples(*[st.sampled_from([None, 0, 1, 2])] * 3), min_si
 def test_column_pass_never_certifies_what_the_search_or_the_dense_commutant_refuses(table):
     # any table on the three SETs of (3,1), g the index 2
     table = tuple(table)
-    if shape_with_table((3, 1), table).column_pass[2] is None:
+    if shape_with_table((3, 1), table).column_pass[1] is None:
         assert table_refusal((3, 1), table) is None
         assert dense_commutant_basis(module_of((3, 1), table)).dimension == 1
 
@@ -532,7 +533,7 @@ def test_column_pass_gives_the_searched_verdict_and_reason_without_a_later_swap(
     # tableau it names may be another unreached one
     table = tuple(table)
     shape = shape_with_table((3, 1), table)
-    refusal, searched = shape.column_pass[2], table_refusal((3, 1), table)
+    refusal, searched = shape.column_pass[1], table_refusal((3, 1), table)
     if swaps := later_swaps(table):
         i, j, k = swaps[0]
         assert refusal.endswith(
@@ -590,7 +591,7 @@ def test_refusal_is_decided_in_one_pass(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="operator 3 fixes it but is not idempotent"):
             shape.commutant_basis()
-    assert shape.column_pass[2] == oracle
+    assert shape.column_pass[1] == oracle
     assert oracle.endswith(
         "operator 3 fixes it but is not idempotent: it moves tableau ((1, 4), (2,), (3,)), "
         "one of its images"
@@ -613,10 +614,11 @@ def check_column_pass(alpha) -> None:
     # the rule reading that table, must find what the rule gave
     shape, table = _Shape(alpha), _Shape(alpha).quotient_table
     assert shape.factors == table_factors(table, len(shape.words), shape.alpha.weight), alpha
-    assert shape.column_pass[2] is None, alpha
+    assert shape.column_pass[1] is None, alpha
     assert "quotient_table" not in shape.__dict__, alpha
     assert table_refusal(alpha, table) is None, alpha
-    assert shape_with_table(alpha, table).column_pass == shape.column_pass, alpha
+    masks, *table_pass, _ = word_column_pass(shape, table_rule(shape.words, table))
+    assert (list(shape.masks()), *shape.column_pass) == (masks, *table_pass), alpha
 
 
 def test_column_pass_matches_the_table_route():
@@ -643,12 +645,12 @@ def check_column_pass_against_the_interval_module(alpha) -> None:
     columns = [column_word(shape.tableau(j)) for j in range(len(shape.words))]
     assert sorted(columns) == sorted(words) and columns[-1] == sigma, alpha
     masks = [sum(1 << i - 1 for i in operators if act(i, c) != c) for c in columns]
-    assert shape.column_pass[0] == masks, alpha
+    assert list(shape.masks()) == masks, alpha
     fixing = [i for i in operators if act(i, sigma) == sigma]
     images = [(i, act(i, c)) for i in fixing for c in words]
     idempotent = all(act(i, image) == image for i, image in images if image is not None)
     count = sum(all(act(i, c) == c for i in fixing) for c in words)
-    assert (shape.column_pass[2] is None) == (idempotent and count == 1), alpha
+    assert (shape.column_pass[1] is None) == (idempotent and count == 1), alpha
 
 
 def test_column_pass_matches_the_interval_module():
@@ -675,7 +677,7 @@ def check_growth_pass(alpha, rule=None) -> None:
             return repr(exc)
 
     shape = _Shape(alpha)
-    grown = outcome(lambda: (*shape.column_pass, growth_preceded(shape)))
+    grown = outcome(lambda: (list(shape.masks()), *shape.column_pass, growth_preceded(shape)))
     oracle = outcome(lambda: word_column_pass(_Shape(alpha), rule and per_placement(rule)))
     assert grown == oracle, alpha
 
@@ -732,7 +734,7 @@ def test_a_growth_that_precedes_every_set_but_the_generator_shows_only_against_t
     assert len(missed) == 42
     assert " is not reached " in word_column_pass(
         _Shape((2, 1)), per_placement(annihilating_placement))[2]
-    assert _Shape((2, 1)).column_pass[2] != word_column_pass(
+    assert _Shape((2, 1)).column_pass[1] != word_column_pass(
         _Shape((2, 1)), per_placement(annihilating_placement))[2]
 
 
@@ -743,10 +745,10 @@ def test_a_shared_column_counted_as_a_witness_is_refused(monkeypatch):
     monkeypatch.setattr(module_analysis, "_row_pair_marks",
                         witnessing_shared_columns(module_analysis._row_pair_marks))
     shapes = [alpha for n in range(1, 7) for alpha in compositions_of(n)]
-    refused = [alpha for alpha in shapes if _Shape(alpha).column_pass[2] is not None]
+    refused = [alpha for alpha in shapes if _Shape(alpha).column_pass[1] is not None]
     assert len(shapes) == 63 and len(refused) == 43
     for alpha in refused:
-        assert _Shape(alpha).column_pass[2].endswith(
+        assert _Shape(alpha).column_pass[1].endswith(
             "; it is marked as the image of a later tableau, so the order is not a filtration")
         assert growth_preceded(_Shape(alpha)) != word_column_pass(_Shape(alpha))[3], alpha
 
@@ -787,7 +789,7 @@ def test_column_pass_gives_the_table_route_verdict_under_a_broken_operator(monke
     for n in range(0, 6):
         for alpha in compositions_of(n):
             shape = _Shape(alpha)
-            pass_route = outcome(lambda: (shape.column_pass[2], shape.factors))
+            pass_route = outcome(lambda: (shape.column_pass[1], shape.factors))
             searched = outcome(lambda: table_route(alpha))
             if isinstance(searched, str):
                 assert pass_route == searched, alpha
@@ -823,7 +825,7 @@ def test_a_swap_onto_a_later_index_is_refused():
     # the swap
     table = [(1, None, 2), (None, 0, 1), (None, None, 2)]
     assert "operator 1 fixes it but is not idempotent" in table_refusal((3, 1), table)
-    assert shape_with_table((3, 1), table).column_pass[2].endswith(
+    assert shape_with_table((3, 1), table).column_pass[1].endswith(
         f"; operator 1 sends tableau {order[0].rows} to the later tableau "
         f"{order[1].rows}, so the order is not a filtration"
     )
